@@ -106,17 +106,12 @@ Result<QueryResult> Engine::Query(const QuerySpec& spec) {
     case QueryKind::kDrillDown:
     case QueryKind::kSupporters:
     case QueryKind::kTopExceptions: {
-      // Cube-side kinds ride the engine's maintained cube: between writes
-      // the memo answers in O(1), and after churn only the changed cells
-      // are folded in — repeated drilling never re-runs H-cubing. (A
+      // Cube-side kinds ride the engine's maintained cube, whatever the
+      // algorithm: between writes the memo answers in O(1), writes confined
+      // to open slots only revalidate it, and after churn an m/o cube folds
+      // in just the changed cells (a popular-path cube rebuilds). A
       // user-held CubeSnapshot still memoizes its own from-scratch cube;
-      // both are bit-identical over the same window.) Popular-path cubes
-      // are not incrementally maintainable, so those engines keep the
-      // snapshot's per-revision cube memo instead.
-      if (sharded_->options().algorithm !=
-          StreamCubeEngine::Algorithm::kMoCubing) {
-        return TakeSnapshot()->Query(spec);
-      }
+      // both are bit-identical over the same window.
       auto cube = sharded_->ComputeCubeShared(spec.level, spec.k);
       if (!cube.ok()) return cube.status();
       return regcube::Query(**cube, policy_, spec);
@@ -325,21 +320,6 @@ Result<Engine> EngineBuilder::Build() const {
     CuboidLattice lattice(*schema_);
     RC_RETURN_IF_ERROR(DrillPath::Validate(lattice, *options_.path));
   }
-  if (budget_.budget_bytes < 0) {
-    return Status::InvalidArgument(StrPrintf(
-        "EngineBuilder: memory budget %lld must be >= 0",
-        static_cast<long long>(budget_.budget_bytes)));
-  }
-  if (budget_.compact_garbage_ratio <= 0.0) {
-    return Status::InvalidArgument(StrPrintf(
-        "EngineBuilder: compaction threshold %g must be > 0",
-        budget_.compact_garbage_ratio));
-  }
-  if (budget_.compact_min_bytes < 0) {
-    return Status::InvalidArgument(StrPrintf(
-        "EngineBuilder: compaction min bytes %lld must be >= 0",
-        static_cast<long long>(budget_.compact_min_bytes)));
-  }
   StreamCubeEngine::Options options = options_;
   options.policy = policy_;
   Engine engine(schema_, policy_, std::move(options), shards_, read_threads_,
@@ -347,6 +327,7 @@ Result<Engine> EngineBuilder::Build() const {
   // The injector must be in place before InitStorage opens the store, so
   // even the store's own header write is behind the seam.
   engine.sharded_->set_fault_injector(fault_injector_);
+  // The budget fields are validated once, by the storage tier itself.
   RC_RETURN_IF_ERROR(engine.InitStorage(budget_));
   return engine;
 }

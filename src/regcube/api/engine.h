@@ -21,13 +21,14 @@ namespace regcube {
 /// of §4.5 — ingest -> seal -> cube -> exception drill — behind a sharded,
 /// thread-safe core. Built exclusively through EngineBuilder.
 ///
-/// Reads are snapshot-based. TakeSnapshot() briefly locks each shard only
-/// to copy its cells (gathered in parallel on the read pool) and returns
-/// an immutable CubeSnapshot; every query then runs lock-free against it,
-/// so a large ComputeCube never stalls concurrent ingest. Query() is
-/// sugar: it serves the spec from the revision-cached snapshot, so
-/// repeated drilling between writes shares one snapshot and one
-/// materialized cube.
+/// Reads are snapshot-based. TakeSnapshot() gathers every shard's cells
+/// (mostly from the shards' published generations, without their locks)
+/// and returns an immutable CubeSnapshot; every query then runs lock-free
+/// against it, so a large ComputeCube never stalls concurrent ingest.
+/// Query() routes by kind: point kinds gather only the matching members,
+/// cube kinds (for either algorithm) read the engine's maintained cube
+/// memo, and the o-layer kinds read the revision-cached snapshot — so
+/// repeated drilling between writes shares one materialized cube.
 class Engine {
  public:
   using Algorithm = StreamCubeEngine::Algorithm;
@@ -81,13 +82,15 @@ class Engine {
   std::shared_ptr<const CubeSnapshot> TakeSnapshot();
 
   /// The one read entry point. Point kinds (kCell, kCellSeries) take the
-  /// member-only fast path: keys are projected under the shard locks and
-  /// only the m-layer cells that roll up into the queried cell are copied
-  /// — copy cost O(matching members), never a full snapshot. Every other kind is
-  /// served from the revision-cached snapshot; cube kinds materialize (and
-  /// memoize, inside the snapshot) the cube over the spec's (level, k)
-  /// window first, so repeated drilling into one window pays for cubing
-  /// once.
+  /// member-only fast path: each shard's member index is probed and only
+  /// the m-layer cells that roll up into the queried cell are copied —
+  /// O(matching members), never a full snapshot. Cube kinds (kCubeCell,
+  /// kExceptionsAt, kDrillDown, kSupporters, kTopExceptions) read the
+  /// engine's maintained cube over the spec's (level, k) window for both
+  /// algorithms: a hit between writes, a revalidation when writes touched
+  /// only open slots, otherwise an m/o patch or a popular-path rebuild.
+  /// The o-layer kinds (kObservationDeck, kTrendChanges) are served from
+  /// the revision-cached snapshot.
   Result<QueryResult> Query(const QuerySpec& spec);
 
   /// Recomputes the partially materialized cube over the most recent `k`
@@ -116,6 +119,12 @@ class Engine {
   /// Flushes async ingest first; safe to call while ingest continues
   /// (the checkpoint is one consistent cut).
   Status Checkpoint(const std::string& dir);
+
+  /// Maintenance counters of the cube memo behind the cube-side Query
+  /// kinds: hits, revalidations, patches (m/o only) and rebuilds.
+  IncrementalCubeCache::Stats cube_memo_stats() const {
+    return sharded_->cube_memo_stats();
+  }
 
   /// Eviction/spill observability: budget, enforcement and per-rung
   /// eviction counts, cold-cell population, spilled/faulted bytes, and
@@ -266,7 +275,8 @@ class EngineBuilder {
   /// Validates the configuration; InvalidArgument describes the first
   /// problem found (missing schema or tilt policy, bad shard count or
   /// read-thread count, drill path without the popular-path algorithm or
-  /// not a valid o->m chain, negative memory budget).
+  /// not a valid o->m chain, negative memory budget, compaction ratio
+  /// <= 0, negative compaction min bytes).
   Result<Engine> Build() const;
 
   /// Warm restart: builds an engine from a Checkpoint() directory. Reads

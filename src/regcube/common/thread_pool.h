@@ -60,6 +60,19 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
+/// Runs body(i) for every i in [0, n): fanned out on `pool` when there is
+/// one wide enough to help, otherwise inline on the caller. A template
+/// rather than a std::function so the serial path (no pool, or one item)
+/// compiles to a plain loop.
+template <typename Body>
+void ParallelForOrSerial(ThreadPool* pool, std::int64_t n, Body&& body) {
+  if (pool != nullptr && pool->num_threads() > 1 && n > 1) {
+    pool->ParallelFor(n, body);
+  } else {
+    for (std::int64_t i = 0; i < n; ++i) body(i);
+  }
+}
+
 }  // namespace regcube
 
 #endif  // REGCUBE_COMMON_THREAD_POOL_H_

@@ -25,8 +25,6 @@ IncrementalCubeCache::IncrementalCubeCache(
       lattice_(*schema_),
       options_(std::move(options)) {
   RC_CHECK(schema_ != nullptr);
-  RC_CHECK(options_.algorithm == StreamCubeEngine::Algorithm::kMoCubing)
-      << "only m/o H-cubing is incrementally maintainable";
 }
 
 IncrementalCubeCache::~IncrementalCubeCache() {
@@ -279,12 +277,8 @@ Status IncrementalCubeCache::ApplyPatchLocked(
     recomputed[static_cast<size_t>(i)] =
         RecomputeCellsFromIndex(*tree_, *index, touched);
   };
-  const auto n = static_cast<std::int64_t>(cuboids.size());
-  if (pool != nullptr && pool->num_threads() > 1 && n > 1) {
-    pool->ParallelFor(n, patch_one);
-  } else {
-    for (std::int64_t i = 0; i < n; ++i) patch_one(i);
-  }
+  ParallelForOrSerial(pool, static_cast<std::int64_t>(cuboids.size()),
+                      patch_one);
   for (std::int64_t b : built_index_bytes) index_bytes_ += b;
 
   // Publish: never mutate a cube some snapshot or caller still holds.
@@ -392,6 +386,12 @@ Result<std::shared_ptr<const RegressionCube>> IncrementalCubeCache::CubeFor(
         run_ = std::move(run);
         return std::shared_ptr<const RegressionCube>(cube_);
       case DiffVerdict::kPatch: {
+        // Popular-path cubes keep subtree measures in non-leaf nodes and
+        // derive their exception subset from drill reachability; the patch
+        // replays only the m/o kernel, so they rebuild instead.
+        if (options_.algorithm != StreamCubeEngine::Algorithm::kMoCubing) {
+          break;
+        }
         Status patched = ApplyPatchLocked(changed, pool);
         if (patched.ok()) {
           revision_ = revision;

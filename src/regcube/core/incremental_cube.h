@@ -54,10 +54,12 @@ class ThreadPool;
 /// The memory trade-off (tree + member indexes + retained cube + window)
 /// is accounted to MemoryTracker under "cube.memo".
 ///
-/// Only the m/o H-cubing algorithm is maintainable this way; popular-path
-/// cubing stores subtree measures in non-leaf nodes and derives its
-/// exception subset from drill reachability, so its callers stay on the
-/// from-scratch path (the sharded engine routes accordingly).
+/// Both cubing algorithms ride the memo: hits and revalidations depend
+/// only on the windows, not on how the cube was built. Only the m/o
+/// H-cubing cube is patched, though; popular-path cubing stores subtree
+/// measures in non-leaf nodes and derives its exception subset from drill
+/// reachability, so where m/o would patch, a popular-path memo rebuilds
+/// from scratch (its `patches` counter stays 0).
 class IncrementalCubeCache {
  public:
   IncrementalCubeCache(std::shared_ptr<const CubeSchema> schema,

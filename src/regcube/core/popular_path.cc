@@ -145,13 +145,8 @@ Result<RegressionCube> ComputePopularPathCubing(
       scans[static_cast<size_t>(i)] = ComputeDrillChildrenTransient(
           tree, lattice, x, exceptions_x, targets[static_cast<size_t>(i)]);
     };
-    const auto num_targets = static_cast<std::int64_t>(targets.size());
-    if (options.pool != nullptr && options.pool->num_threads() > 1 &&
-        num_targets > 1) {
-      options.pool->ParallelFor(num_targets, drill_one);
-    } else {
-      for (std::int64_t i = 0; i < num_targets; ++i) drill_one(i);
-    }
+    ParallelForOrSerial(options.pool,
+                        static_cast<std::int64_t>(targets.size()), drill_one);
     for (size_t i = 0; i < targets.size(); ++i) {
       const CuboidCells& children = scans[i];
       stats.cells_computed += children.size();

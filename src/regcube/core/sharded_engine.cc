@@ -76,12 +76,8 @@ void AlignRunToClock(std::vector<CellSnapshot>& cells, TimeTick target,
       bytes.fetch_add(copied, std::memory_order_relaxed);
     }
   };
-  const auto total = static_cast<std::int64_t>(cells.size());
-  if (pool != nullptr && total > 1) {
-    pool->ParallelFor(total, align_one);
-  } else {
-    for (std::int64_t i = 0; i < total; ++i) align_one(i);
-  }
+  ParallelForOrSerial(pool, static_cast<std::int64_t>(cells.size()),
+                      align_one);
   if (stats != nullptr) {
     stats->materialized += materialized.load(std::memory_order_relaxed);
     stats->bytes_copied += bytes.load(std::memory_order_relaxed);
@@ -107,6 +103,14 @@ ShardedStreamEngine::ShardedStreamEngine(
   for (int i = 0; i < num_shards; ++i) {
     shards_.push_back(std::make_unique<Shard>(schema_, options_));
   }
+  cube_memo_ = std::make_unique<IncrementalCubeCache>(schema_, options_);
+  // Patches seed their per-cuboid node indexes from the ingest-maintained
+  // member index instead of chain-scanning the memoized tree. The memo is
+  // owned by this engine, so the raw `this` capture cannot dangle.
+  cube_memo_->set_member_lookup(
+      [this](CuboidId cuboid, const std::vector<CellKey>& keys) {
+        return MemberKeysForBatch(cuboid, keys);
+      });
   if (ingest_.mode == IngestMode::kAsync) {
     RC_CHECK(ingest_.queue_capacity >= 1)
         << "ingest queue capacity must be >= 1, got "
@@ -128,20 +132,12 @@ ShardedStreamEngine::ShardedStreamEngine(
       writers_.push_back(std::make_unique<ShardWriter>(
           queues_[shard_index].get(),
           [this, shard_index](const std::vector<StreamTuple>& batch) {
-            return AbsorbDrained(shard_index, batch);
+            IngestReport report = AbsorbIntoShard(shard_index, batch);
+            return ShardWriter::AbsorbResult{report.absorbed,
+                                             std::move(report.status)};
           },
           [this] { MaybeEnforceBudget(); }));
     }
-  }
-  if (options_.algorithm == StreamCubeEngine::Algorithm::kMoCubing) {
-    cube_memo_ = std::make_unique<IncrementalCubeCache>(schema_, options_);
-    // Patches seed their per-cuboid node indexes from the ingest-maintained
-    // member index instead of chain-scanning the memoized tree. The memo is
-    // owned by this engine, so the raw `this` capture cannot dangle.
-    cube_memo_->set_member_lookup(
-        [this](CuboidId cuboid, const std::vector<CellKey>& keys) {
-          return MemberKeysForBatch(cuboid, keys);
-        });
   }
 }
 
@@ -181,7 +177,7 @@ void ShardedStreamEngine::set_memory_tracker(MemoryTracker* tracker) {
     }
   }
   tracker_ = tracker;
-  if (cube_memo_ != nullptr) cube_memo_->set_memory_tracker(tracker);
+  cube_memo_->set_memory_tracker(tracker);
 }
 
 Status ShardedStreamEngine::PublishLocked(Shard& shard, GatherStats* stats) {
@@ -231,42 +227,56 @@ void ShardedStreamEngine::MirrorVersionsLocked() {
   }
 }
 
-ShardWriter::AbsorbResult ShardedStreamEngine::AbsorbDrained(
-    size_t i, const std::vector<StreamTuple>& batch) {
-  ShardWriter::AbsorbResult out;
+IngestReport ShardedStreamEngine::AbsorbIntoShard(
+    size_t i, std::span<const StreamTuple> tuples) {
   Shard& shard = *shards_[i];
-  bool changed;
   IngestReport report;
+  bool changed;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     const std::uint64_t before = shard.engine.revision();
-    report = shard.engine.IngestBatch(batch);
+    report = shard.engine.IngestBatch(tuples);
     changed = shard.engine.revision() != before;
-    if (changed) {
-      // Eager publish: the successor generation (only this batch's cells
-      // re-frozen) is swapped in before MarkAbsorbed resolves the batch,
-      // so a reader returning from Flush() takes the mutex-free path to
-      // the flushed data. Best-effort — on a fault-in failure the old
-      // generation stays up and readers republish on their slow path.
+    if (changed && ingest_.mode == IngestMode::kAsync) {
+      // Owner threads publish eagerly: the successor generation (only
+      // this batch's cells re-frozen) is swapped in before MarkAbsorbed
+      // resolves the batch, so a reader returning from Flush() takes the
+      // mutex-free path to the flushed data. Best-effort — on a fault-in
+      // failure the old generation stays up and readers republish on
+      // their slow path. Sync writes only mirror the version: readers
+      // republish on demand, which keeps the O(cells) splice off the
+      // writer's critical path.
       Status published = PublishLocked(shard, nullptr);
       (void)published;
     }
     shard.version.store(shard.engine.revision(), std::memory_order_release);
   }
-  out.absorbed = report.absorbed;
-  out.status = std::move(report.status);
-  // Clock follows what actually landed: the shard engine absorbs a strict
-  // prefix of the drained batch (it stops at the first error), so max over
-  // that prefix. Same fetch-max the sync path uses.
+  // The clock follows what actually landed: the shard engine absorbs a
+  // strict prefix of `tuples` (it stops at the first error).
   TimeTick max_tick = 0;
-  for (std::int64_t j = 0; j < out.absorbed; ++j) {
-    max_tick = std::max(max_tick, batch[static_cast<size_t>(j)].tick);
+  for (std::int64_t j = 0; j < report.absorbed; ++j) {
+    max_tick = std::max(max_tick, tuples[static_cast<size_t>(j)].tick);
   }
-  if (out.absorbed > 0) BumpClock(max_tick);
-  if (changed) {
-    revision_.fetch_add(1, std::memory_order_release);
+  if (report.absorbed > 0) BumpClock(max_tick);
+  // The shard engine's revision moves exactly when observable state did
+  // (an absorbed tuple, or a rejected one that still created its cell's
+  // frame) — mirror that, so snapshot caches are invalidated precisely
+  // when they must be and never when nothing changed.
+  if (changed) revision_.fetch_add(1, std::memory_order_release);
+  return report;
+}
+
+std::vector<std::vector<StreamTuple>> ShardedStreamEngine::PartitionByShard(
+    const std::vector<StreamTuple>& tuples) const {
+  // The key mapper runs before hashing, so a partition holds exactly what
+  // its shard engine absorbs (owner threads never touch the mapper).
+  std::vector<std::vector<StreamTuple>> partitions(shards_.size());
+  for (const StreamTuple& t : tuples) {
+    CellKey key = mapper_ ? mapper_(t.key) : t.key;
+    const auto i = static_cast<size_t>(ShardIndex(key));
+    partitions[i].push_back({std::move(key), t.tick, t.value});
   }
-  return out;
+  return partitions;
 }
 
 IngestTicket ShardedStreamEngine::IngestAsync(
@@ -287,15 +297,7 @@ IngestTicket ShardedStreamEngine::IngestAsync(
       return refused;
     }
   }
-  // Map before hashing (same as the sync path) so the tuples queued for a
-  // shard are exactly what its engine will absorb — the owner thread never
-  // touches the mapper.
-  std::vector<std::vector<StreamTuple>> partitions(shards_.size());
-  for (const StreamTuple& t : tuples) {
-    const CellKey key = mapper_ ? mapper_(t.key) : t.key;
-    partitions[static_cast<size_t>(ShardIndex(key))].push_back(
-        {key, t.tick, t.value});
-  }
+  auto partitions = PartitionByShard(tuples);
   IngestTicket ticket;
   for (size_t i = 0; i < partitions.size(); ++i) {
     if (partitions[i].empty()) continue;
@@ -373,32 +375,13 @@ Status ShardedStreamEngine::Ingest(const StreamTuple& tuple) {
     return IngestAsync({tuple}).status;
   }
   RC_RETURN_IF_ERROR(CheckIngestAdmission());
-  const CellKey key = mapper_ ? mapper_(tuple.key) : tuple.key;
-  Shard& shard = *shards_[static_cast<size_t>(ShardIndex(key))];
-  Status status;
-  bool changed;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const std::uint64_t before = shard.engine.revision();
-    status = shard.engine.Ingest({key, tuple.tick, tuple.value});
-    changed = shard.engine.revision() != before;
-    // Sync mode mirrors the version but does not publish: readers
-    // republish on demand (their slow path), which is exactly the
-    // mutex-gather baseline the async benches compare against.
-    shard.version.store(shard.engine.revision(), std::memory_order_release);
-  }
-  if (status.ok()) {
-    BumpClock(tuple.tick);
-  }
-  // The shard engine's revision moves exactly when observable state did
-  // (an absorbed tuple, or a rejected one that still created its cell's
-  // frame) — mirror that, so snapshot caches are invalidated precisely
-  // when they must be and never when nothing changed.
-  if (changed) {
-    revision_.fetch_add(1, std::memory_order_release);
-  }
+  const StreamTuple mapped{mapper_ ? mapper_(tuple.key) : tuple.key,
+                           tuple.tick, tuple.value};
+  IngestReport report =
+      AbsorbIntoShard(static_cast<size_t>(ShardIndex(mapped.key)),
+                      std::span<const StreamTuple>(&mapped, 1));
   MaybeEnforceBudget();
-  return status;
+  return std::move(report.status);
 }
 
 IngestReport ShardedStreamEngine::IngestBatch(
@@ -422,42 +405,17 @@ IngestReport ShardedStreamEngine::IngestBatch(
       return report;
     }
   }
-  std::vector<std::vector<StreamTuple>> partitions(shards_.size());
-  TimeTick max_tick = clock_.load(std::memory_order_relaxed);
-  for (const StreamTuple& t : tuples) {
-    const CellKey key = mapper_ ? mapper_(t.key) : t.key;
-    partitions[static_cast<size_t>(ShardIndex(key))].push_back(
-        {key, t.tick, t.value});
-    max_tick = std::max(max_tick, t.tick);
-  }
-  bool changed = false;
-  for (size_t i = 0; i < shards_.size(); ++i) {
+  // Shards are fed in index order; earlier shards keep what they absorbed
+  // even when a later one fails, and the clock already reflects it.
+  const auto partitions = PartitionByShard(tuples);
+  for (size_t i = 0; i < partitions.size(); ++i) {
     if (partitions[i].empty()) continue;
-    Shard& shard = *shards_[i];
-    IngestReport shard_report;
-    {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      const std::uint64_t before = shard.engine.revision();
-      shard_report = shard.engine.IngestBatch(partitions[i]);
-      changed = changed || shard.engine.revision() != before;
-      shard.version.store(shard.engine.revision(),
-                          std::memory_order_release);
-    }
+    IngestReport shard_report = AbsorbIntoShard(i, partitions[i]);
     report.absorbed += shard_report.absorbed;
     if (!shard_report.ok()) {
       report.status = std::move(shard_report.status);
       break;
     }
-  }
-  if (report.ok()) {
-    BumpClock(max_tick);
-  }
-  // Earlier shards keep their prefix even on error, so any absorbed tuple
-  // (or created cell) moved some shard's revision; mirror it globally.
-  // (The clock self-corrects in the next gather/seal, which maxes over
-  // shard clocks.)
-  if (changed) {
-    revision_.fetch_add(1, std::memory_order_release);
   }
   MaybeEnforceBudget();
   return report;
@@ -578,11 +536,7 @@ ShardedStreamEngine::GatheredCells ShardedStreamEngine::GatherAlignedCells(
     const size_t i = static_cast<size_t>(idx);
     pubs[i] = PublicationFor(i, &stats[i], &statuses[i]);
   };
-  if (pool_ != nullptr && n > 1) {
-    pool_->ParallelFor(static_cast<std::int64_t>(n), gather_one);
-  } else {
-    for (size_t i = 0; i < n; ++i) gather_one(static_cast<std::int64_t>(i));
-  }
+  ParallelForOrSerial(pool_.get(), static_cast<std::int64_t>(n), gather_one);
 
   // A failed republish (fault-in error on a spilled cell) poisons the
   // whole run: return the typed error without touching the cache. Nothing
@@ -670,11 +624,7 @@ ShardedStreamEngine::GatheredCells ShardedStreamEngine::GatherFull() {
     shard_now[i] = shard.engine.now();
     statuses[i] = shard.engine.ExportCellsFull(&slices[i], &stats[i]);
   };
-  if (pool_ != nullptr && n > 1) {
-    pool_->ParallelFor(static_cast<std::int64_t>(n), gather_one);
-  } else {
-    for (size_t i = 0; i < n; ++i) gather_one(static_cast<std::int64_t>(i));
-  }
+  ParallelForOrSerial(pool_.get(), static_cast<std::int64_t>(n), gather_one);
   for (Status& s : statuses) {
     if (!s.ok()) {
       out.status = std::move(s);
@@ -725,14 +675,10 @@ ShardedStreamEngine::MemberGather ShardedStreamEngine::GatherCellsMatching(
       std::lock_guard<std::mutex> lock(shard.mu);
       shard_now[i] = shard.engine.now();
       totals[i] = shard.engine.num_cells();
-      statuses[i] = shard.engine.ExportMatchingCells(cuboid, key, &slices[i],
-                                                     nullptr, lookup);
+      statuses[i] = shard.engine.ExportMatchingCells(cuboid, key, &slices[i]);
     };
-    if (pool_ != nullptr && n > 1) {
-      pool_->ParallelFor(static_cast<std::int64_t>(n), gather_one);
-    } else {
-      for (size_t i = 0; i < n; ++i) gather_one(static_cast<std::int64_t>(i));
-    }
+    ParallelForOrSerial(pool_.get(), static_cast<std::int64_t>(n),
+                        gather_one);
     for (Status& s : statuses) {
       if (!s.ok()) {
         out.status = std::move(s);
@@ -832,8 +778,7 @@ Result<RegressionCube> ShardedStreamEngine::ComputeCube(int level, int k) {
   // window (a caller alternating a (level, k) export with cube-kind
   // drilling would otherwise force a full rebuild on every call): when
   // the windows disagree, compute from scratch and leave the memo alone.
-  if (cube_memo_ == nullptr ||
-      cube_memo_->WouldEvictDifferentWindow(level, k)) {
+  if (cube_memo_->WouldEvictDifferentWindow(level, k)) {
     GatheredCells gathered = GatherAlignedCells();
     RC_RETURN_IF_ERROR(gathered.status);
     return SnapshotCubeOf(schema_, *gathered.cells, options_, level, k,
@@ -848,24 +793,16 @@ Result<std::shared_ptr<const RegressionCube>>
 ShardedStreamEngine::ComputeCubeShared(int level, int k) {
   GatheredCells gathered = GatherAlignedCells();
   RC_RETURN_IF_ERROR(gathered.status);
-  if (cube_memo_ == nullptr) {
-    auto cube = SnapshotCubeOf(schema_, *gathered.cells, options_, level, k,
-                               pool_.get());
-    if (!cube.ok()) return cube.status();
-    return std::shared_ptr<const RegressionCube>(
-        std::make_shared<RegressionCube>(std::move(*cube)));
-  }
   return cube_memo_->CubeFor(gathered.cells, gathered.revision, level, k,
                              pool_.get());
 }
 
 IncrementalCubeCache::Stats ShardedStreamEngine::cube_memo_stats() const {
-  return cube_memo_ != nullptr ? cube_memo_->stats()
-                               : IncrementalCubeCache::Stats{};
+  return cube_memo_->stats();
 }
 
 std::int64_t ShardedStreamEngine::CubeMemoBytes() const {
-  return cube_memo_ != nullptr ? cube_memo_->MemoryBytes() : 0;
+  return cube_memo_->MemoryBytes();
 }
 
 Result<RegressionCube> ShardedStreamEngine::ComputeCubeAllLocks(int level,
@@ -1104,7 +1041,6 @@ std::int64_t ShardedStreamEngine::UsageBytes() const {
 }
 
 std::int64_t ShardedStreamEngine::DropCubeMemoRung() {
-  if (cube_memo_ == nullptr) return 0;
   const std::int64_t bytes = cube_memo_->MemoryBytes();
   cube_memo_->Invalidate();
   return bytes;
@@ -1229,11 +1165,7 @@ Status ShardedStreamEngine::CheckpointTo(const std::string& dir) {
     }
     statuses[i] = std::move(s);
   };
-  if (pool_ != nullptr && n > 1) {
-    pool_->ParallelFor(static_cast<std::int64_t>(n), write_one);
-  } else {
-    for (size_t i = 0; i < n; ++i) write_one(static_cast<std::int64_t>(i));
-  }
+  ParallelForOrSerial(pool_.get(), static_cast<std::int64_t>(n), write_one);
   for (const Status& s : statuses) {
     if (!s.ok()) return s;
   }

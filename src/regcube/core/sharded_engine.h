@@ -6,6 +6,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -114,8 +115,9 @@ class ShardedStreamEngine {
   /// the partial-failure contract: how many tuples were absorbed before
   /// the first error (shards are fed in index order, so the absorbed set
   /// is every earlier shard's full partition plus the failing shard's
-  /// prefix). In async mode this routes through IngestAsync and
-  /// `absorbed` counts tuples *accepted into the queues*.
+  /// prefix; now() covers every absorbed tuple either way). In async mode
+  /// this routes through IngestAsync and `absorbed` counts tuples
+  /// *accepted into the queues*.
   IngestReport IngestBatch(const std::vector<StreamTuple>& tuples);
 
   /// The async door: partitions the batch by shard (per-shard, per-cell
@@ -225,25 +227,26 @@ class ShardedStreamEngine {
   /// lock-free — concurrent ingest keeps flowing.
   Result<RegressionCube> ComputeCube(int level, int k);
 
-  /// The maintained cube (m/o H-cubing only): cached keyed by engine
-  /// revision, and on a later query only the delta gather's changed cells
-  /// are folded into it — each changed leaf updated in the memoized
-  /// H-tree, every cuboid cell it rolls up into re-aggregated in kernel
-  /// order, the exception predicate re-evaluated only for those touched
-  /// cells. Bit-identical to from-scratch H-cubing over the same window
-  /// (the patch replays the kernel's exact operand order; structural
-  /// changes and window-interval rolls rebuild via the from-scratch
-  /// kernel itself). Popular-path engines always compute from scratch
-  /// here. The returned cube is immutable and safe to hold across writes.
+  /// The maintained cube, for both algorithms: cached keyed by engine
+  /// revision and revalidated when writes since the memo left every
+  /// window in place. For m/o H-cubing, a later query folds only the
+  /// delta gather's changed cells into it — each changed leaf updated in
+  /// the memoized H-tree, every cuboid cell it rolls up into re-aggregated
+  /// in kernel order, the exception predicate re-evaluated only for those
+  /// touched cells. Bit-identical to from-scratch cubing over the same
+  /// window (the patch replays the kernel's exact operand order;
+  /// structural changes, window-interval rolls and every popular-path
+  /// change rebuild via the from-scratch kernel itself). The returned cube
+  /// is immutable and safe to hold across writes.
   Result<std::shared_ptr<const RegressionCube>> ComputeCubeShared(int level,
                                                                   int k);
 
-  /// Maintenance counters of the incremental cube memo (zeroes for
-  /// popular-path engines, which have no memo).
+  /// Maintenance counters of the incremental cube memo (`patches` stays 0
+  /// for popular-path engines, which rebuild instead).
   IncrementalCubeCache::Stats cube_memo_stats() const;
 
   /// Analytic bytes retained by the cube memo — the "cube.memo" figure,
-  /// readable without a tracker attached (0 for popular-path engines).
+  /// readable without a tracker attached.
   std::int64_t CubeMemoBytes() const;
 
   /// The retired pre-redesign read: holds every shard lock for the whole
@@ -426,14 +429,22 @@ class ShardedStreamEngine {
   /// move.
   std::uint64_t SumShardRevisionsLocked() const;
 
-  /// Owner-thread absorb step for shard `i`: one shard-lock acquisition
-  /// per drained batch — absorb into the engine, refresh the published
-  /// run, swap the new generation in — then the same clock/revision
-  /// bookkeeping the sync path does per call. The publish happens before
-  /// MarkAbsorbed resolves the batch, so a reader that returned from
-  /// Flush() gathers the flushed data without touching the shard mutex.
-  ShardWriter::AbsorbResult AbsorbDrained(
-      size_t i, const std::vector<StreamTuple>& batch);
+  /// The one absorb step every write path goes through (sync Ingest, each
+  /// partition of sync IngestBatch, each batch an owner thread drains):
+  /// under one acquisition of shard `i`'s lock, ingest `tuples` (already
+  /// key-mapped), diff the shard revision, publish the new generation when
+  /// running on an async owner thread, and mirror the version; then raise
+  /// the global clock to the max tick of the absorbed prefix and bump the
+  /// global revision iff the shard changed. The owner-thread publish lands
+  /// before MarkAbsorbed resolves the batch, so a reader that returned from
+  /// Flush() gathers the flushed data without touching the shard mutex;
+  /// sync writes leave publishing to the readers' slow path.
+  IngestReport AbsorbIntoShard(size_t i, std::span<const StreamTuple> tuples);
+
+  /// Maps each tuple's key and buckets it by owning shard, preserving
+  /// per-shard arrival order.
+  std::vector<std::vector<StreamTuple>> PartitionByShard(
+      const std::vector<StreamTuple>& tuples) const;
 
   /// Pre: shard.mu held. Refreshes the engine's published run and stores
   /// a new generation (and the version mirror). On a fault-in failure the
@@ -497,8 +508,7 @@ class ShardedStreamEngine {
   bool gather_valid_ = false;
   GatheredCells gather_cache_;
 
-  // The maintained cube (see ComputeCubeShared). Null for popular-path
-  // engines — their cubes are not patchable, so they stay from-scratch.
+  // The maintained cube behind every cube read (see ComputeCubeShared).
   std::unique_ptr<IncrementalCubeCache> cube_memo_;
 
   // The memory-governed storage tier (both null until ConfigureStorage /

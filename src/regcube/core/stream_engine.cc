@@ -183,7 +183,7 @@ Status StreamCubeEngine::Ingest(const StreamTuple& tuple) {
 }
 
 IngestReport StreamCubeEngine::IngestBatch(
-    const std::vector<StreamTuple>& tuples) {
+    std::span<const StreamTuple> tuples) {
   IngestReport report;
   report.attempted = static_cast<std::int64_t>(tuples.size());
   for (const StreamTuple& t : tuples) {
@@ -551,29 +551,12 @@ Status StreamCubeEngine::ExportCellsFull(std::vector<CellSnapshot>* out,
 
 Status StreamCubeEngine::ExportMatchingCells(CuboidId cuboid,
                                              const CellKey& key,
-                                             std::vector<CellSnapshot>* out,
-                                             GatherStats* stats,
-                                             PointLookup lookup) {
-  if (lookup == PointLookup::kScan) {
-    // The retained O(cells) oracle: project every key, export matches.
-    for (auto& [m_key, state] : cells_) {
-      if (!(lattice_.ProjectMLayerKey(m_key, cuboid) == key)) continue;
-      RC_ASSIGN_OR_RETURN(std::shared_ptr<const TiltTimeFrame> frozen,
-                          FrozenFor(state, stats));
-      out->push_back({m_key, std::move(frozen)});
-      if (stats != nullptr) ++stats->cells;
-    }
-    return Status::OK();
-  }
-  EnsureIndexed(cuboid);
-  const auto* ids = member_index_.MembersOf(cuboid, key);
-  if (ids == nullptr) return Status::OK();
-  for (const MemberIndex::MemberId id : *ids) {
-    auto& [m_key, state] = cells_by_id_[id];
+                                             std::vector<CellSnapshot>* out) {
+  for (auto& [m_key, state] : cells_) {
+    if (!(lattice_.ProjectMLayerKey(m_key, cuboid) == key)) continue;
     RC_ASSIGN_OR_RETURN(std::shared_ptr<const TiltTimeFrame> frozen,
-                        FrozenFor(*state, stats));
+                        FrozenFor(state, /*stats=*/nullptr));
     out->push_back({m_key, std::move(frozen)});
-    if (stats != nullptr) ++stats->cells;
   }
   return Status::OK();
 }

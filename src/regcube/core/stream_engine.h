@@ -5,6 +5,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -121,7 +122,7 @@ class StreamCubeEngine {
 
   /// Absorbs a batch, stopping at the first error; the report says how
   /// many tuples were absorbed before it.
-  IngestReport IngestBatch(const std::vector<StreamTuple>& tuples);
+  IngestReport IngestBatch(std::span<const StreamTuple> tuples);
 
   /// Declares that no data with tick <= `t` remains in flight: every frame
   /// seals all units ending at or before `t` ("the aggregated data will
@@ -215,21 +216,16 @@ class StreamCubeEngine {
   /// caller must discard).
   Status ExportCellsFull(std::vector<CellSnapshot>* out, GatherStats* stats);
 
-  /// Frozen views of only the m-layer cells that roll up into `key` of
-  /// `cuboid` — the member-only gather behind point queries. With
-  /// PointLookup::kIndexed (the default) the ingest-maintained per-cuboid
-  /// roll-up index is hash-probed — O(matching members), no cell scan
-  /// (the cuboid's map is built once, on its first point query). kScan
-  /// retains the pre-index path — every key projected under the caller's
-  /// lock — as the oracle for bit-identity tests and benches. Both export
-  /// the same member set (sharing frozen blocks exactly like
-  /// ExportFrozenCells); only the lookup cost differs. Pre: `cuboid` is a
-  /// valid lattice id (callers validate; see SnapshotBadCuboidError).
+  /// Frozen views of the m-layer cells that roll up into `key` of
+  /// `cuboid`, found by projecting every key under the caller's lock —
+  /// the O(cells) pre-index scan, retained only as the oracle behind the
+  /// sharded engine's PointLookup::kScan gather (the production point
+  /// path probes AppendMemberKeys and reads the published run instead).
+  /// Shares frozen blocks exactly like ExportFrozenCells. Pre: `cuboid`
+  /// is a valid lattice id (callers validate; see SnapshotBadCuboidError).
   /// Fault-in failures surface as typed Unavailable.
   Status ExportMatchingCells(CuboidId cuboid, const CellKey& key,
-                             std::vector<CellSnapshot>* out,
-                             GatherStats* stats,
-                             PointLookup lookup = PointLookup::kIndexed);
+                             std::vector<CellSnapshot>* out);
 
   /// Appends the m-layer keys that roll up into `key` of `cuboid` (index
   /// probe, activating the cuboid's map on first use) — the member feed

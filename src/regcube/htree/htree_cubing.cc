@@ -180,12 +180,8 @@ std::vector<CellMap> ComputeCuboidCellsPartitioned(
     maps[static_cast<size_t>(i)] =
         ComputeCuboidCells(tree, lattice, cuboids[static_cast<size_t>(i)]);
   };
-  const auto n = static_cast<std::int64_t>(cuboids.size());
-  if (pool != nullptr) {
-    pool->ParallelFor(n, compute_one);
-  } else {
-    for (std::int64_t i = 0; i < n; ++i) compute_one(i);
-  }
+  ParallelForOrSerial(pool, static_cast<std::int64_t>(cuboids.size()),
+                      compute_one);
   return maps;
 }
 
@@ -197,12 +193,8 @@ std::vector<CuboidCells> ComputeCuboidCellsTransientPartitioned(
     maps[static_cast<size_t>(i)] = ComputeCuboidCellsTransient(
         tree, lattice, cuboids[static_cast<size_t>(i)]);
   };
-  const auto n = static_cast<std::int64_t>(cuboids.size());
-  if (pool != nullptr) {
-    pool->ParallelFor(n, compute_one);
-  } else {
-    for (std::int64_t i = 0; i < n; ++i) compute_one(i);
-  }
+  ParallelForOrSerial(pool, static_cast<std::int64_t>(cuboids.size()),
+                      compute_one);
   return maps;
 }
 

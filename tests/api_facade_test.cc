@@ -6,6 +6,7 @@
 
 #include <memory>
 
+#include "equivalence_harness.h"
 #include "gtest/gtest.h"
 #include "test_util.h"
 
@@ -146,6 +147,26 @@ TEST(EngineBuilderTest, BuildIsRepeatable) {
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(first->num_shards(), 2);
   EXPECT_EQ(second->num_shards(), 2);
+}
+
+TEST(EngineBuilderTest, RejectsBadBudgetConfig) {
+  WorkloadSpec spec = FacadeSpec();
+  auto schema = MakeWorkloadSchemaPtr(spec);
+  ASSERT_TRUE(schema.ok());
+  auto base = [&] {
+    EngineBuilder builder;
+    builder.SetSchema(*schema).SetTiltPolicy(SmallPolicy());
+    return builder;
+  };
+  EXPECT_EQ(base().SetMemoryBudget(-1).Build().status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(base().SetCompactThreshold(0.0).Build().status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(base().SetCompactThreshold(-0.5).Build().status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(base().SetCompactMinBytes(-1).Build().status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(base().SetMemoryBudget(0).SetCompactMinBytes(0).Build().ok());
 }
 
 // ---------------------------------------------------------- stream kinds
@@ -426,6 +447,93 @@ TEST(ApiFacadeTest, KeyMapperAppliedBeforeSharding) {
   }
   ASSERT_TRUE(engine.SealThrough(7).ok());
   EXPECT_EQ(engine.num_cells(), 1);
+}
+
+// ------------------------------------------- popular-path cube route
+
+void ExpectCellResultsIdentical(const std::vector<CellResult>& expected,
+                                const std::vector<CellResult>& actual) {
+  ASSERT_EQ(expected.size(), actual.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(expected[i].cuboid, actual[i].cuboid) << "row " << i;
+    EXPECT_EQ(expected[i].key, actual[i].key) << "row " << i;
+    EXPECT_EQ(expected[i].isb, actual[i].isb) << "row " << i;
+    EXPECT_EQ(expected[i].is_exception, actual[i].is_exception) << "row " << i;
+  }
+}
+
+// Popular-path engines serve cube kinds from the maintained memo like m/o
+// engines do. Under churn every answer must equal, bitwise, the same query
+// over the from-scratch snapshot cube, and the memo must hit, revalidate
+// and rebuild but never patch.
+TEST(ApiFacadeTest, PopularPathCubeKindsMatchSnapshotCubeUnderChurn) {
+  // Ticks 0..7 for every generated cell, then a pacer cell drives the clock
+  // to 11: late writes at tick 7 land in the globally sealed slot [4,8) (the
+  // churn an m/o memo would patch), pacer writes stay in the open unit.
+  const WorkloadSpec spec = equivalence::ChurnWorkload(150, 8, 47);
+  auto schema = MakeWorkloadSchemaPtr(spec);
+  ASSERT_TRUE(schema.ok());
+  const ExceptionPolicy policy(0.02);
+  auto built = EngineBuilder()
+                   .SetSchema(*schema)
+                   .SetTiltPolicy(equivalence::SmallTiltPolicy())
+                   .SetExceptionPolicy(policy)
+                   .SetAlgorithm(Engine::Algorithm::kPopularPath)
+                   .SetShardCount(2)
+                   .SetReadThreads(2)
+                   .Build();
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  Engine& engine = *built;
+  StreamGenerator gen(spec);
+  ASSERT_TRUE(engine.IngestBatch(gen.GenerateStream()).ok());
+  const CellKey pacer = equivalence::Key2(15, 15);
+  ASSERT_TRUE(engine.Ingest({pacer, 11, 1.0}).ok());
+
+  equivalence::ChurnPlan plan;
+  plan.rounds = 8;
+  plan.fresh_round = 4;
+  plan.fresh_key = equivalence::FreshKeyOutside(gen, 16);
+
+  constexpr int kLevel = 0;
+  constexpr int kSlots = 2;
+  auto expect_answers_match_snapshot = [&] {
+    auto cube = engine.TakeSnapshot()->ComputeCube(kLevel, kSlots);
+    ASSERT_TRUE(cube.ok()) << cube.status().ToString();
+    std::vector<QuerySpec> specs = {QuerySpec::TopExceptions(8, kLevel, kSlots)};
+    for (CuboidId c = 0; c < engine.lattice().num_cuboids(); ++c) {
+      specs.push_back(QuerySpec::ExceptionsAt(c, kLevel, kSlots));
+    }
+    auto top = engine.Query(specs.front());
+    ASSERT_TRUE(top.ok()) << top.status().ToString();
+    ASSERT_FALSE(top->cells().empty()) << "no exceptions to drill into";
+    for (const CellResult& cell : top->cells()) {
+      specs.push_back(QuerySpec::DrillDown(cell.cuboid, cell.key, kLevel,
+                                           kSlots));
+    }
+    for (const QuerySpec& q : specs) {
+      SCOPED_TRACE(QueryKindName(q.kind));
+      auto expected = Query(*cube, policy, q);
+      auto actual = engine.Query(q);
+      ASSERT_EQ(expected.ok(), actual.ok());
+      if (!expected.ok()) {
+        EXPECT_EQ(expected.status().code(), actual.status().code());
+        continue;
+      }
+      ExpectCellResultsIdentical(expected->cells(), actual->cells());
+    }
+  };
+  equivalence::RunChurnRounds(engine, gen.cells(), plan, [&](int) {
+    expect_answers_match_snapshot();
+    // Moves the revision but no sealed window: the memo revalidates.
+    ASSERT_TRUE(engine.Ingest({pacer, 11, 0.5}).ok());
+    expect_answers_match_snapshot();
+  });
+
+  const auto stats = engine.cube_memo_stats();
+  EXPECT_GT(stats.hits, 0);
+  EXPECT_GT(stats.revalidations, 0);
+  EXPECT_GT(stats.rebuilds, 1);
+  EXPECT_EQ(stats.patches, 0);
 }
 
 }  // namespace

@@ -275,11 +275,13 @@ struct ChurnPlan {
   CellKey fresh_key;
 };
 
-/// Runs the plan against `engine`, invoking `check(round)` after each
-/// round's writes. The workload is a pure function of the plan's seed, so
-/// every shard count (or engine flavor) driven with the same plan sees the
-/// identical churn and their results are comparable across engines.
-inline void RunChurnRounds(ShardedStreamEngine& engine,
+/// Runs the plan against `engine` (a ShardedStreamEngine or a facade
+/// Engine), invoking `check(round)` after each round's writes. The workload
+/// is a pure function of the plan's seed, so every shard count (or engine
+/// flavor) driven with the same plan sees the identical churn and their
+/// results are comparable across engines.
+template <typename EngineT>
+void RunChurnRounds(EngineT& engine,
                            const std::vector<StreamGenerator::CellParams>&
                                cells,
                            const ChurnPlan& plan,

@@ -295,5 +295,42 @@ TEST(ShardedEngineTest, LaggingShardAlignsToGlobalClock) {
   }
 }
 
+// A batch that fails part-way keeps what the earlier shards absorbed, and
+// now() must follow those tuples in both write modes: shard 0 takes a tuple
+// ahead of the sealed clock, then shard 1 refuses a late one.
+TEST(ShardedEngineTest, ClockFollowsAbsorbedPrefixOfAFailedBatch) {
+  WorkloadSpec spec = ShardSpec(10, 16);
+  auto schema = MakeWorkloadSchemaPtr(spec);
+  ASSERT_TRUE(schema.ok());
+  std::vector<CellKey> by_shard;  // one key per shard of a 2-shard engine
+  for (ValueId a = 0; by_shard.size() < 2; ++a) {
+    const CellKey key = equivalence::Key2(a, 0);
+    if (key.Hash() % 2 == by_shard.size()) by_shard.push_back(key);
+  }
+  constexpr TimeTick kSealed = 15;
+
+  for (IngestMode mode : {IngestMode::kSync, IngestMode::kAsync}) {
+    SCOPED_TRACE(mode == IngestMode::kSync ? "sync" : "async");
+    IngestConfig ingest;
+    ingest.mode = mode;
+    ShardedStreamEngine engine(*schema, ShardOptions(), 2, nullptr, ingest);
+    ASSERT_TRUE(
+        engine.IngestBatch({{by_shard[0], 0, 1.0}, {by_shard[1], 0, 1.0}})
+            .ok());
+    ASSERT_TRUE(engine.SealThrough(kSealed).ok());
+
+    const IngestReport report = engine.IngestBatch(
+        {{by_shard[0], kSealed + 5, 2.0}, {by_shard[1], kSealed - 1, 2.0}});
+    if (mode == IngestMode::kSync) {
+      EXPECT_FALSE(report.ok());
+      EXPECT_EQ(report.absorbed, 1);
+    } else {
+      EXPECT_FALSE(engine.Flush().ok());
+      EXPECT_EQ(engine.IngestStats().total.absorbed, 3);
+    }
+    EXPECT_GE(engine.now(), kSealed + 5);
+  }
+}
+
 }  // namespace
 }  // namespace regcube
