@@ -16,6 +16,20 @@ namespace {
 // and the materialized cube itself — the space the O(delta) maintenance
 // trades for not re-running H-cubing per snapshot.
 constexpr char kMemoCategory[] = "cube.memo";
+// The frame blocks of the retained run. Counted apart from the memo: the
+// engine's cache and spill rungs release these blocks from their own
+// categories, but they stay resident for as long as the memo lives.
+constexpr char kPinnedCategory[] = "cube.memo.pinned_frames";
+
+// Moves `category`'s registration in `tracker` from `*tracked` to `bytes`.
+void Retrack(MemoryTracker* tracker, const char* category,
+             std::int64_t bytes, std::int64_t* tracked) {
+  if (tracker != nullptr) {
+    if (*tracked > 0) tracker->Release(category, *tracked);
+    if (bytes > 0) tracker->Add(category, bytes);
+  }
+  *tracked = bytes;
+}
 }  // namespace
 
 IncrementalCubeCache::IncrementalCubeCache(
@@ -28,9 +42,8 @@ IncrementalCubeCache::IncrementalCubeCache(
 }
 
 IncrementalCubeCache::~IncrementalCubeCache() {
-  if (tracker_ != nullptr && tracked_bytes_ > 0) {
-    tracker_->Release(kMemoCategory, tracked_bytes_);
-  }
+  Retrack(tracker_, kMemoCategory, 0, &tracked_bytes_);
+  Retrack(tracker_, kPinnedCategory, 0, &tracked_pinned_bytes_);
 }
 
 void IncrementalCubeCache::AccountLocked() {
@@ -41,28 +54,24 @@ void IncrementalCubeCache::AccountLocked() {
              CellMapMemoryBytes(cube_->o_layer()) +
              cube_->exceptions().MemoryBytes();
   }
-  if (tracker_ != nullptr) {
-    if (tracked_bytes_ > 0) tracker_->Release(kMemoCategory, tracked_bytes_);
-    if (bytes > 0) tracker_->Add(kMemoCategory, bytes);
-  }
-  tracked_bytes_ = bytes;
+  Retrack(tracker_, kMemoCategory, bytes, &tracked_bytes_);
+  Retrack(tracker_, kPinnedCategory, run_frame_bytes_,
+          &tracked_pinned_bytes_);
 }
 
 void IncrementalCubeCache::set_memory_tracker(MemoryTracker* tracker) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (tracker_ != nullptr && tracked_bytes_ > 0) {
-    tracker_->Release(kMemoCategory, tracked_bytes_);
-  }
-  if (tracker != nullptr && tracked_bytes_ > 0) {
-    tracker->Add(kMemoCategory, tracked_bytes_);
-  }
+  Retrack(tracker_, kMemoCategory, 0, &tracked_bytes_);
+  Retrack(tracker_, kPinnedCategory, 0, &tracked_pinned_bytes_);
   tracker_ = tracker;
+  AccountLocked();
 }
 
 void IncrementalCubeCache::Invalidate() {
   std::lock_guard<std::mutex> lock(mu_);
   valid_ = false;
   run_.reset();
+  run_frame_bytes_ = 0;
   window_.clear();
   window_.shrink_to_fit();
   tree_.reset();
@@ -94,7 +103,7 @@ std::int64_t IncrementalCubeCache::MemoryBytes() const {
 
 IncrementalCubeCache::DiffVerdict IncrementalCubeCache::DiffLocked(
     const SnapshotCells& run, int level, int k,
-    std::vector<ChangedCell>* changed) {
+    std::vector<ChangedCell>* changed, std::int64_t* frame_bytes_delta) {
   // The memoized run and the new one are both in canonical key order, so
   // equal populations walk in lockstep; any key divergence is a structural
   // change (a cell appeared) and forces a rebuild — patching could not
@@ -107,6 +116,8 @@ IncrementalCubeCache::DiffVerdict IncrementalCubeCache::DiffLocked(
     // A cell whose frozen block is shared with the memoized run cannot
     // have changed any slot — skip without touching the frame.
     if (base[i].frame.get() == run[i].frame.get()) continue;
+    *frame_bytes_delta +=
+        run[i].frame->MemoryBytes() - base[i].frame->MemoryBytes();
     auto isb = run[i].frame->RegressLastSlots(level, k);
     // A failing regression (or any other anomaly) falls back to the
     // from-scratch kernel, which reproduces the exact legacy error.
@@ -282,8 +293,8 @@ Status IncrementalCubeCache::ApplyPatchLocked(
   for (std::int64_t b : built_index_bytes) index_bytes_ += b;
 
   // Publish: never mutate a cube some snapshot or caller still holds.
-  if (cube_.use_count() > 1) {
-    cube_ = std::make_shared<RegressionCube>(cube_->Clone());
+  if (cube_handles_->load(std::memory_order_acquire) > 0) {
+    InstallCubeLocked(std::make_shared<RegressionCube>(cube_->Clone()));
   }
   RegressionCube& cube = *cube_;
   const CuboidId o_id = lattice_.o_layer_id();
@@ -332,6 +343,10 @@ IncrementalCubeCache::RebuildLocked(
 
   window_ = std::move(*window);
   run_ = run;
+  run_frame_bytes_ = 0;
+  for (const CellSnapshot& cell : *run) {
+    run_frame_bytes_ += cell.frame->MemoryBytes();
+  }
   revision_ = revision;
   level_ = level;
   k_ = k;
@@ -342,11 +357,42 @@ IncrementalCubeCache::RebuildLocked(
   index_seed_budget_.clear();
   tree_bytes_ = 0;
   index_bytes_ = 0;
-  cube_ = std::make_shared<RegressionCube>(std::move(*cube));
+  InstallCubeLocked(std::make_shared<RegressionCube>(std::move(*cube)));
   valid_ = true;
   stats_.rebuilds += 1;
   AccountLocked();
-  return std::shared_ptr<const RegressionCube>(cube_);
+  return HandOutLocked();
+}
+
+void IncrementalCubeCache::InstallCubeLocked(
+    std::shared_ptr<RegressionCube> cube) {
+  cube_ = std::move(cube);
+  cube_handles_ = std::make_shared<std::atomic<std::int64_t>>(0);
+}
+
+std::shared_ptr<const RegressionCube> IncrementalCubeCache::HandOutLocked() {
+  cube_handles_->fetch_add(1, std::memory_order_relaxed);
+  // The handle's deleter keeps the cube alive and releases the count.
+  return std::shared_ptr<const RegressionCube>(
+      cube_.get(), [cube = cube_, handles = cube_handles_](
+                       const RegressionCube*) {
+        handles->fetch_sub(1, std::memory_order_release);
+      });
+}
+
+std::shared_ptr<const RegressionCube> IncrementalCubeCache::HitLocked(
+    std::uint64_t revision, int level, int k) {
+  if (!valid_ || revision != revision_ || level != level_ || k != k_) {
+    return nullptr;
+  }
+  stats_.hits += 1;
+  return HandOutLocked();
+}
+
+std::shared_ptr<const RegressionCube> IncrementalCubeCache::HitAt(
+    std::uint64_t revision, int level, int k) {
+  std::lock_guard<std::mutex> lock(mu_);
+  return HitLocked(revision, level, k);
 }
 
 bool IncrementalCubeCache::WouldEvictDifferentWindow(int level,
@@ -371,20 +417,20 @@ Result<std::shared_ptr<const RegressionCube>> IncrementalCubeCache::CubeFor(
     return std::shared_ptr<const RegressionCube>(
         std::make_shared<RegressionCube>(std::move(*cube)));
   }
+  if (auto hit = HitLocked(revision, level, k)) return hit;
   if (valid_ && level == level_ && k == k_) {
-    if (revision == revision_) {
-      stats_.hits += 1;
-      return std::shared_ptr<const RegressionCube>(cube_);
-    }
     std::vector<ChangedCell> changed;
-    switch (DiffLocked(*run, level, k, &changed)) {
+    std::int64_t frame_bytes_delta = 0;
+    switch (DiffLocked(*run, level, k, &changed, &frame_bytes_delta)) {
       case DiffVerdict::kClean:
         // The writes since the memo touched only open slots; the sealed
         // windows (and therefore the cube) are untouched.
         stats_.revalidations += 1;
         revision_ = revision;
         run_ = std::move(run);
-        return std::shared_ptr<const RegressionCube>(cube_);
+        run_frame_bytes_ += frame_bytes_delta;
+        AccountLocked();
+        return HandOutLocked();
       case DiffVerdict::kPatch: {
         // Popular-path cubes keep subtree measures in non-leaf nodes and
         // derive their exception subset from drill reachability; the patch
@@ -396,8 +442,9 @@ Result<std::shared_ptr<const RegressionCube>> IncrementalCubeCache::CubeFor(
         if (patched.ok()) {
           revision_ = revision;
           run_ = std::move(run);
+          run_frame_bytes_ += frame_bytes_delta;
           AccountLocked();
-          return std::shared_ptr<const RegressionCube>(cube_);
+          return HandOutLocked();
         }
         break;  // fall back to the from-scratch kernel
       }

@@ -1,6 +1,7 @@
 #ifndef REGCUBE_CORE_INCREMENTAL_CUBE_H_
 #define REGCUBE_CORE_INCREMENTAL_CUBE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -52,7 +53,10 @@ class ThreadPool;
 ///    one the oracle uses, so a rebuild is trivially bit-identical).
 ///
 /// The memory trade-off (tree + member indexes + retained cube + window)
-/// is accounted to MemoryTracker under "cube.memo".
+/// is accounted to MemoryTracker under "cube.memo". The retained run's
+/// frame blocks are reported separately, under "cube.memo.pinned_frames":
+/// the engine's eviction rungs release them from their own categories
+/// while the memo still keeps them alive.
 ///
 /// Both cubing algorithms ride the memo: hits and revalidations depend
 /// only on the windows, not on how the cube was built. Only the m/o
@@ -71,11 +75,19 @@ class IncrementalCubeCache {
 
   /// The maintained cube over `run` (a canonical aligned gather at
   /// `revision`) for the (level, k) window. Thread-safe; maintenance is
-  /// serialized, hits are a refcount copy. The returned cube is immutable:
-  /// a later patch copies-on-write if anyone still holds it.
+  /// serialized, hits hand out a counted handle. The returned cube is
+  /// immutable: a later patch copies-on-write if anyone still holds it.
   Result<std::shared_ptr<const RegressionCube>> CubeFor(
       std::shared_ptr<const SnapshotCells> run, std::uint64_t revision,
       int level, int k, ThreadPool* pool);
+
+  /// The memoized cube iff the memo is valid for (level, k) at exactly
+  /// `revision` (counted as a hit), else nullptr. At its own revision the
+  /// memo is what CubeFor returns whatever run it is handed, so a caller
+  /// holding the engine's current revision can probe here before paying
+  /// for a gather.
+  std::shared_ptr<const RegressionCube> HitAt(std::uint64_t revision,
+                                              int level, int k);
 
   /// True iff serving (level, k) would evict a live memo of a *different*
   /// window — the signal for by-value exporters (ComputeCube) to compute
@@ -116,8 +128,9 @@ class IncrementalCubeCache {
   /// Analytic bytes retained by the memo (tree + indexes + cube + window).
   std::int64_t MemoryBytes() const;
 
-  /// Installs analytic memory accounting under "cube.memo" (any bytes
-  /// already memoized are registered immediately). Pass nullptr to detach.
+  /// Installs analytic memory accounting under "cube.memo" and
+  /// "cube.memo.pinned_frames" (any bytes already memoized are registered
+  /// immediately). Pass nullptr to detach.
   /// Not owned; must outlive the cache.
   void set_memory_tracker(MemoryTracker* tracker);
 
@@ -143,12 +156,24 @@ class IncrementalCubeCache {
   /// On kPatch, `changed` holds the cells whose (level, k) windows moved.
   /// kRebuild covers structural changes, epoch rolls and regression
   /// errors alike — the from-scratch kernel then reproduces the exact
-  /// legacy result or error.
+  /// legacy result or error. On kClean and kPatch, `frame_bytes_delta`
+  /// holds how far `run`'s frame bytes differ from the memoized run's.
   DiffVerdict DiffLocked(const SnapshotCells& run, int level, int k,
-                         std::vector<ChangedCell>* changed);
+                         std::vector<ChangedCell>* changed,
+                         std::int64_t* frame_bytes_delta);
 
   Status ApplyPatchLocked(const std::vector<ChangedCell>& changed,
                           ThreadPool* pool);
+
+  std::shared_ptr<const RegressionCube> HitLocked(std::uint64_t revision,
+                                                  int level, int k);
+
+  /// Makes `cube` the memoized cube, with no handles out yet.
+  void InstallCubeLocked(std::shared_ptr<RegressionCube> cube);
+
+  /// A handle to the memoized cube, counted in `cube_handles_` until the
+  /// holder drops it. Every cube the memo returns goes through here.
+  std::shared_ptr<const RegressionCube> HandOutLocked();
 
   /// Re-registers the memo's current footprint with the tracker. Tree and
   /// index bytes are cached at build time (patches change values, not
@@ -164,10 +189,14 @@ class IncrementalCubeCache {
   int level_ = 0;
   int k_ = 0;
   std::uint64_t revision_ = 0;
-  // The run the memo reflects; shared with the engine's gather cache, so
-  // holding it costs pointers. Frame-pointer equality against the next run
-  // is what makes the diff O(changed cells).
+  // The run the memo reflects. Shared with the engine's gather cache while
+  // that lives; once the cache is evicted, the memo alone pins its frame
+  // blocks (`run_frame_bytes_`, tracked as "cube.memo.pinned_frames":
+  // summed at a rebuild, then moved by the diff's changed frames only).
+  // Frame-pointer equality against the next run is what makes the diff
+  // O(changed cells).
   std::shared_ptr<const SnapshotCells> run_;
+  std::int64_t run_frame_bytes_ = 0;
   // The memoized window in canonical order — the retraction base (old
   // per-cell measures) and the build input for the lazy tree.
   std::vector<MLayerTuple> window_;
@@ -198,8 +227,15 @@ class IncrementalCubeCache {
   // holds the cube; handed out as shared_ptr<const RegressionCube> and
   // copied-on-write otherwise.
   std::shared_ptr<RegressionCube> cube_;
+  // Handles to `cube_` still held. A holder's drop is a release decrement
+  // and the patch's check an acquire load, so every read through a dropped
+  // handle happens-before an in-place patch. `use_count()` cannot say
+  // that: it is a relaxed load.
+  std::shared_ptr<std::atomic<std::int64_t>> cube_handles_ =
+      std::make_shared<std::atomic<std::int64_t>>(0);
   Stats stats_;
   std::int64_t tracked_bytes_ = 0;
+  std::int64_t tracked_pinned_bytes_ = 0;
   MemoryTracker* tracker_ = nullptr;
 };
 

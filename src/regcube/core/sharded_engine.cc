@@ -791,6 +791,15 @@ Result<RegressionCube> ShardedStreamEngine::ComputeCube(int level, int k) {
 
 Result<std::shared_ptr<const RegressionCube>>
 ShardedStreamEngine::ComputeCubeShared(int level, int k) {
+  // A memo at the current revision is the answer whatever a gather would
+  // return (CubeFor hands out the memo at its own revision), so serve it
+  // before gathering: no shard is touched, nothing spilled is faulted in,
+  // and no enforcement runs to evict the very memo being served. Every
+  // observable change moves `revision_` first, so this never serves stale.
+  if (auto hit = cube_memo_->HitAt(revision_.load(std::memory_order_acquire),
+                                   level, k)) {
+    return hit;
+  }
   GatheredCells gathered = GatherAlignedCells();
   RC_RETURN_IF_ERROR(gathered.status);
   return cube_memo_->CubeFor(gathered.cells, gathered.revision, level, k,

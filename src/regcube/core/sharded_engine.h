@@ -223,8 +223,11 @@ class ShardedStreamEngine {
   /// The partially materialized cube over that window with the configured
   /// algorithm, by value (a deep copy when served from the maintained
   /// memo) — for callers that persist or hand the cube elsewhere.
-  /// ComputeCubeShared is the cheap door. Gathers first, then cubes
-  /// lock-free — concurrent ingest keeps flowing.
+  /// ComputeCubeShared is the cheap door. Served like it (a memo at the
+  /// current revision answers before any gather), except that a (level, k)
+  /// other than a live memo's window gathers and cubes from scratch,
+  /// leaving the memo alone. Cubing runs lock-free — concurrent ingest
+  /// keeps flowing.
   Result<RegressionCube> ComputeCube(int level, int k);
 
   /// The maintained cube, for both algorithms: cached keyed by engine
@@ -236,8 +239,10 @@ class ShardedStreamEngine {
   /// touched cells. Bit-identical to from-scratch cubing over the same
   /// window (the patch replays the kernel's exact operand order;
   /// structural changes, window-interval rolls and every popular-path
-  /// change rebuild via the from-scratch kernel itself). The returned cube
-  /// is immutable and safe to hold across writes.
+  /// change rebuild via the from-scratch kernel itself). At the memo's own
+  /// revision the memo answers before any gather: no shard is touched, no
+  /// spilled cell is faulted in and no budget enforcement runs. The
+  /// returned cube is immutable and safe to hold across writes.
   Result<std::shared_ptr<const RegressionCube>> ComputeCubeShared(int level,
                                                                   int k);
 

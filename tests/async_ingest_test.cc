@@ -2,8 +2,9 @@
 // queue-level — no consumer running), Flush()'s happens-before barrier,
 // bitwise equivalence of async churn + Flush against the synchronous
 // oracle across shard counts, concurrent producers + snapshot readers
-// (the TSan target), the "ingest.queue" memory accounting, and the
-// builder/facade doors.
+// (the TSan target), the "ingest.queue" memory accounting, the
+// builder/facade doors, and cube queries that never see a stale
+// maintained cube after Flush, even with concurrent readers.
 
 #include <atomic>
 #include <memory>
@@ -565,6 +566,127 @@ TEST(AsyncIngestFacadeTest, AsyncFacadeReportsQueuePoolAndServesQueries) {
   ASSERT_TRUE(cube.ok()) << cube.status().ToString();
   EXPECT_GT(cube->o_layer().size(), 0u);
   EXPECT_EQ(engine->IngestStats().total.absorbed, ticket.enqueued);
+}
+
+// ---------------------------------------------------------- maintained cube
+
+// The maintained cube answers a query at its own revision without a
+// gather, so every write must move the revision before a reader can see
+// it. These pin that for the async path: an owner thread bumps the
+// revision inside its absorb, before the batch resolves, so a reader
+// returning from Flush() never gets the pre-write memo.
+
+constexpr int kCubeLevel = 0;
+constexpr int kCubeSlots = 2;
+
+// Every generated cell holds ticks 0..7 and a pacer cell drives the clock
+// to 11, so a tick-7 write lands in the globally sealed slot [4,8) inside
+// the (0, 2) window, and a pacer write only moves the revision.
+CellKey PacerKey() { return Key2(15, 15); }
+
+void SeedLaggingAsync(Engine& engine, StreamGenerator& gen) {
+  ASSERT_TRUE(engine.IngestAsync(gen.GenerateStream()).ok());
+  ASSERT_TRUE(engine.IngestAsync({{PacerKey(), 11, 1.0}}).ok());
+  ASSERT_TRUE(engine.Flush().ok());
+}
+
+std::vector<StreamTuple> LateTuples(StreamGenerator& gen,
+                                    double value) {
+  std::vector<StreamTuple> late;
+  for (const auto& cell : gen.cells()) late.push_back({cell.key, 7, value});
+  return late;
+}
+
+TEST(AsyncIngestCubeTest, FlushedWritesAreNeverServedTheStaleMemo) {
+  const auto spec = ChurnWorkload(150, 8, 47);
+  auto schema = MakeWorkloadSchemaPtr(spec);
+  ASSERT_TRUE(schema.ok());
+  StreamGenerator gen(spec);
+  auto engine = BuildFacade(*schema, IngestMode::kAsync);
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  SeedLaggingAsync(*engine, gen);
+
+  auto top = engine->Query(
+      QuerySpec::TopExceptions(5, kCubeLevel, kCubeSlots));
+  ASSERT_TRUE(top.ok()) << top.status().ToString();
+  ASSERT_FALSE(top->cells().empty()) << "no exceptions to drill into";
+  const CellResult target = top->cells().front();
+  const std::vector<QuerySpec> specs = {
+      QuerySpec::DrillDown(target.cuboid, target.key, kCubeLevel,
+                           kCubeSlots),
+      QuerySpec::CubeCell(target.cuboid, target.key, kCubeLevel,
+                          kCubeSlots)};
+  auto before = engine->Query(specs[1]);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+
+  ASSERT_TRUE(engine->IngestAsync(LateTuples(gen, 100.0)).ok());
+  ASSERT_TRUE(engine->Flush().ok());
+  std::vector<Result<QueryResult>> answers;
+  for (const QuerySpec& q : specs) answers.push_back(engine->Query(q));
+
+  // The flushed tuples moved the drilled cell, and both answers show it.
+  ASSERT_TRUE(answers[1].ok()) << answers[1].status().ToString();
+  EXPECT_FALSE(answers[1]->cell() == before->cell());
+  auto scratch =
+      engine->TakeSnapshot()->ComputeCube(kCubeLevel, kCubeSlots);
+  ASSERT_TRUE(scratch.ok()) << scratch.status().ToString();
+  equivalence::ExpectAnswersMatchCube(*scratch, ExceptionPolicy(0.02), specs,
+                                      answers);
+}
+
+// Two readers loop every cube-side kind while one writer pushes late data
+// and pacer ticks through the queues, flushing each round. Once both sides
+// are done, every kind must equal the from-scratch cube.
+TEST(AsyncIngestCubeTest, ConcurrentCubeReadersAndAsyncWriterMatchScratch) {
+  const auto spec = ChurnWorkload(150, 8, 47);
+  auto schema = MakeWorkloadSchemaPtr(spec);
+  ASSERT_TRUE(schema.ok());
+  StreamGenerator gen(spec);
+  auto built = BuildFacade(*schema, IngestMode::kAsync);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  Engine& engine = *built;
+  SeedLaggingAsync(engine, gen);
+
+  std::atomic<bool> done{false};
+  auto read_loop = [&engine, &done] {
+    while (!done.load(std::memory_order_acquire)) {
+      auto top = engine.Query(
+          QuerySpec::TopExceptions(5, kCubeLevel, kCubeSlots));
+      ASSERT_TRUE(top.ok()) << top.status().ToString();
+      for (const QuerySpec& q : equivalence::CubeSessionSpecs(
+               engine.lattice(), top->cells(), kCubeLevel, kCubeSlots)) {
+        auto answer = engine.Query(q);
+        // A write between the top query and this one may have turned the
+        // exception into a plain (unmaterialized) cell.
+        ASSERT_TRUE(answer.ok() ||
+                    answer.status().code() == StatusCode::kNotFound)
+            << answer.status().ToString();
+      }
+    }
+  };
+  std::thread reader_a(read_loop);
+  std::thread reader_b(read_loop);
+  for (int round = 0; round < 12; ++round) {
+    ASSERT_TRUE(engine.IngestAsync(LateTuples(gen, 1.0 + round)).ok());
+    ASSERT_TRUE(engine.IngestAsync({{PacerKey(), 11, 0.5}}).ok());
+    ASSERT_TRUE(engine.Flush().ok());
+  }
+  done.store(true, std::memory_order_release);
+  reader_a.join();
+  reader_b.join();
+
+  auto top =
+      engine.Query(QuerySpec::TopExceptions(5, kCubeLevel, kCubeSlots));
+  ASSERT_TRUE(top.ok()) << top.status().ToString();
+  std::vector<QuerySpec> specs = equivalence::CubeSessionSpecs(
+      engine.lattice(), top->cells(), kCubeLevel, kCubeSlots);
+  specs.push_back(QuerySpec::TopExceptions(5, kCubeLevel, kCubeSlots));
+  std::vector<Result<QueryResult>> answers;
+  for (const QuerySpec& q : specs) answers.push_back(engine.Query(q));
+  auto scratch = engine.TakeSnapshot()->ComputeCube(kCubeLevel, kCubeSlots);
+  ASSERT_TRUE(scratch.ok()) << scratch.status().ToString();
+  equivalence::ExpectAnswersMatchCube(*scratch, ExceptionPolicy(0.02), specs,
+                                      answers);
 }
 
 }  // namespace

@@ -228,6 +228,67 @@ inline void ExpectCubesIdentical(const RegressionCube& expected,
   }
 }
 
+/// Bitwise equality of two query answers' cell lists as sets of cells.
+/// ExceptionsAt and DrillDown list cells in hash-map order, and a patched
+/// exception store's order depends on its insert/erase history, so both
+/// lists are compared sorted by (cuboid, canonical key).
+inline void ExpectCellResultsIdentical(std::vector<CellResult> expected,
+                                       std::vector<CellResult> actual) {
+  ASSERT_EQ(expected.size(), actual.size());
+  auto by_cell = [](const CellResult& a, const CellResult& b) {
+    if (a.cuboid != b.cuboid) return a.cuboid < b.cuboid;
+    return CanonicalKeyLess(a.key, b.key);
+  };
+  std::sort(expected.begin(), expected.end(), by_cell);
+  std::sort(actual.begin(), actual.end(), by_cell);
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(expected[i].cuboid, actual[i].cuboid) << "row " << i;
+    EXPECT_EQ(expected[i].key, actual[i].key) << "row " << i;
+    EXPECT_EQ(expected[i].isb, actual[i].isb) << "row " << i;
+    EXPECT_EQ(expected[i].is_exception, actual[i].is_exception) << "row " << i;
+  }
+}
+
+/// The cube-side queries of one analyst step at (level, k) after a
+/// TopExceptions answer `top`: ExceptionsAt every cuboid, then a DrillDown
+/// and a CubeCell on each top exception.
+inline std::vector<QuerySpec> CubeSessionSpecs(
+    const CuboidLattice& lattice, const std::vector<CellResult>& top,
+    int level, int k) {
+  std::vector<QuerySpec> specs;
+  for (CuboidId c = 0; c < lattice.num_cuboids(); ++c) {
+    specs.push_back(QuerySpec::ExceptionsAt(c, level, k));
+  }
+  for (const CellResult& cell : top) {
+    specs.push_back(QuerySpec::DrillDown(cell.cuboid, cell.key, level, k));
+    specs.push_back(QuerySpec::CubeCell(cell.cuboid, cell.key, level, k));
+  }
+  return specs;
+}
+
+/// Checks each of `answers` bitwise against the same query answered from
+/// `cube` (the from-scratch oracle over the same window), errors by code.
+inline void ExpectAnswersMatchCube(
+    const RegressionCube& cube, const ExceptionPolicy& policy,
+    const std::vector<QuerySpec>& specs,
+    const std::vector<Result<QueryResult>>& answers) {
+  ASSERT_EQ(specs.size(), answers.size());
+  for (size_t i = 0; i < specs.size(); ++i) {
+    SCOPED_TRACE(QueryKindName(specs[i].kind));
+    auto expected = Query(cube, policy, specs[i]);
+    ASSERT_EQ(expected.ok(), answers[i].ok());
+    if (!expected.ok()) {
+      EXPECT_EQ(expected.status().code(), answers[i].status().code());
+      continue;
+    }
+    if (specs[i].kind == QueryKind::kCubeCell) {
+      EXPECT_EQ(expected->cell(), answers[i]->cell());
+      continue;
+    }
+    ExpectCellResultsIdentical(expected->cells(), answers[i]->cells());
+  }
+}
+
 // ------------------------------------------------------------------- oracles
 
 /// The from-scratch oracle over the engine's current gather — the exact

@@ -4,9 +4,11 @@
 // bit-identical to an unbounded all-RAM oracle through randomized churn
 // for shard counts {1, 2, 8} while actually spilling and faulting in;
 // Checkpoint -> OpenFrom must reproduce identical query results (including
-// after resumed ingest, and across a different shard count); and corrupt /
-// truncated checkpoint files must fail with the typed error contract
-// (InvalidArgument / OutOfRange / NotFound), never mid-query.
+// after resumed ingest, and across a different shard count); cube queries
+// at the maintained cube's revision must be answered without gather work
+// (no fault-in, no enforcement) even under a budget the cube cannot fit;
+// and corrupt / truncated checkpoint files must fail with the typed error
+// contract (InvalidArgument / OutOfRange / NotFound), never mid-query.
 //
 // The randomized churn and the bitwise comparators come from the shared
 // equivalence harness (tests/equivalence_harness.h).
@@ -299,6 +301,108 @@ TEST(MemoryBudgetTest, FacadeStaysUnderBudgetAndAnswersIdentically) {
     EXPECT_EQ(want_top->cells()[i].key, got_top->cells()[i].key);
     EXPECT_EQ(want_top->cells()[i].isb, got_top->cells()[i].isb);
   }
+}
+
+// ---------------------------------------- same-revision cube queries
+
+std::int64_t ReportedBytes(const Engine& engine, const std::string& name) {
+  for (const auto& [category, bytes] : engine.MemoryReport()) {
+    if (category == name) return bytes;
+  }
+  return 0;
+}
+
+/// A budget below memo + frames makes every enforcement drop the memo, and
+/// every gather ends in an enforcement. Cube queries at the revision the
+/// memo was built at must still be answered from it: no gather, so no
+/// fault-in and no enforcement, and every answer bit-identical to a
+/// from-scratch cube. The first query after a write must decline the memo.
+/// The memo's retained run is reported while the memo lives and released
+/// with it.
+void RunSameRevisionCubeQueries(int num_shards) {
+  WorkloadSpec spec = ChurnWorkload(/*tuples=*/200, /*ticks=*/24,
+                                    /*seed=*/33);
+  StreamGenerator gen(spec);
+  const auto stream = gen.GenerateStream();
+  const ExceptionPolicy policy(0.02);
+  EngineBuilder builder;
+  builder.SetSchema(*MakeWorkloadSchemaPtr(spec))
+      .SetTiltPolicy(SmallTiltPolicy())
+      .SetExceptionPolicy(policy)
+      .SetShardCount(num_shards);
+
+  std::int64_t peak = 0;
+  {
+    auto unbounded = builder.Build();
+    ASSERT_TRUE(unbounded.ok()) << unbounded.status().ToString();
+    ASSERT_TRUE(unbounded->IngestBatch(stream).ok());
+    peak = unbounded->memory_tracker().category_peak_bytes(
+        "stream.tilt_frames");
+  }
+  ASSERT_GT(peak, 0);
+  auto built = builder.SetMemoryBudget(peak / 4)
+                   .SetSpillDir(FreshDir("same_revision_" +
+                                         std::to_string(num_shards)))
+                   .Build();
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  Engine engine = std::move(built).value();
+  ASSERT_TRUE(engine.IngestBatch(stream).ok());
+  ASSERT_TRUE(engine.SealThrough(spec.series_length - 1).ok());
+
+  constexpr int kLevel = 0;
+  constexpr int kSlots = 4;
+  auto top = engine.Query(QuerySpec::TopExceptions(5, kLevel, kSlots));
+  ASSERT_TRUE(top.ok()) << top.status().ToString();
+  ASSERT_FALSE(top->cells().empty()) << "no exceptions to drill into";
+  const SpillStats before = engine.SpillStats();
+  ASSERT_GT(before.enforcements, 0);
+  ASSERT_GT(before.spill_evictions, 0);
+  const std::int64_t hits_before = engine.cube_memo_stats().hits;
+  EXPECT_GT(ReportedBytes(engine, "cube.memo.pinned_frames"), 0);
+
+  const auto specs = equivalence::CubeSessionSpecs(
+      engine.lattice(), top->cells(), kLevel, kSlots);
+  std::vector<Result<QueryResult>> answers;
+  for (const QuerySpec& q : specs) answers.push_back(engine.Query(q));
+
+  const SpillStats after = engine.SpillStats();
+  EXPECT_EQ(after.fault_ins, before.fault_ins);
+  EXPECT_EQ(after.enforcements, before.enforcements);
+  EXPECT_EQ(engine.cube_memo_stats().hits,
+            hits_before + static_cast<std::int64_t>(specs.size()));
+
+  // The oracle's gather faults the spilled cells back in and enforces;
+  // rung 10 drops the memo, and its pinned frames with it.
+  auto scratch = engine.TakeSnapshot()->ComputeCube(kLevel, kSlots);
+  ASSERT_TRUE(scratch.ok()) << scratch.status().ToString();
+  equivalence::ExpectAnswersMatchCube(*scratch, policy, specs, answers);
+  EXPECT_GT(engine.SpillStats().memo_evictions, after.memo_evictions);
+  EXPECT_EQ(ReportedBytes(engine, "cube.memo.pinned_frames"), 0);
+
+  // A write moves the revision: the next drill is no hit, and still exact.
+  ASSERT_TRUE(engine.Ingest({gen.cells()[0].key, spec.series_length, 1.0})
+                  .ok());
+  const std::int64_t hits_after = engine.cube_memo_stats().hits;
+  const QuerySpec drill = QuerySpec::DrillDown(
+      top->cells()[0].cuboid, top->cells()[0].key, kLevel, kSlots);
+  std::vector<Result<QueryResult>> drilled;
+  drilled.push_back(engine.Query(drill));
+  EXPECT_EQ(engine.cube_memo_stats().hits, hits_after);
+  auto rescratch = engine.TakeSnapshot()->ComputeCube(kLevel, kSlots);
+  ASSERT_TRUE(rescratch.ok()) << rescratch.status().ToString();
+  equivalence::ExpectAnswersMatchCube(*rescratch, policy, {drill}, drilled);
+}
+
+TEST(MemoryBudgetTest, SameRevisionCubeQueriesDoNoGatherWorkOneShard) {
+  RunSameRevisionCubeQueries(1);
+}
+
+TEST(MemoryBudgetTest, SameRevisionCubeQueriesDoNoGatherWorkTwoShards) {
+  RunSameRevisionCubeQueries(2);
+}
+
+TEST(MemoryBudgetTest, SameRevisionCubeQueriesDoNoGatherWorkEightShards) {
+  RunSameRevisionCubeQueries(8);
 }
 
 // ------------------------------------------------- all-dirty convergence

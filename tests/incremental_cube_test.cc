@@ -7,9 +7,10 @@
 // precisely (open-slot churn revalidates, sealed-window churn patches,
 // structural changes — new cells, window rolls, a different (level, k) —
 // rebuild); its bytes must show up in the facade's memory tracker under
-// "cube.memo"; the error contract must match the from-scratch kernels; and
-// concurrent churn + cube queries must be race-free (this test runs in the
-// TSan CI job).
+// "cube.memo", and its retained run's frames under
+// "cube.memo.pinned_frames"; the error contract must match the
+// from-scratch kernels; and concurrent churn + cube queries must be
+// race-free (this test runs in the TSan CI job).
 //
 // The randomized churn and the oracle comparators come from the shared
 // equivalence harness (tests/equivalence_harness.h).
@@ -321,6 +322,51 @@ TEST(IncrementalCubeTest, FacadeCubeQueriesRideTheMemoAndAccountMemory) {
     EXPECT_EQ(top->cells()[i].key, snap_top->cells()[i].key);
     EXPECT_EQ(top->cells()[i].isb, snap_top->cells()[i].isb);
   }
+}
+
+// The memo's retained run pins its frame blocks past any engine-side
+// eviction, so they are accounted under their own category: sized when a
+// run is installed, moved on a tracker swap, released on Invalidate and
+// when the memo is destroyed.
+TEST(IncrementalCubeTest, PinnedFramesAreAccountedAndMoveBetweenTrackers) {
+  WorkloadSpec spec = LagSpec();
+  auto schema = MakeWorkloadSchemaPtr(spec);
+  ASSERT_TRUE(schema.ok());
+  constexpr char kPinned[] = "cube.memo.pinned_frames";
+  MemoryTracker first;
+  MemoryTracker second;
+  {
+    ShardedStreamEngine engine(*schema, LagOptions(), 2);
+    engine.set_memory_tracker(&first);
+    StreamGenerator gen(spec);
+    SeedLagging(engine, gen);
+    EXPECT_EQ(first.category_bytes(kPinned), 0);
+
+    // The memo's run is the gather cached at the memo's revision.
+    auto run_frame_bytes = [&engine] {
+      std::int64_t bytes = 0;
+      for (const CellSnapshot& cell : *engine.GatherAlignedCells().cells) {
+        bytes += cell.frame->MemoryBytes();
+      }
+      return bytes;
+    };
+    ASSERT_TRUE(engine.ComputeCubeShared(0, 2).ok());
+    const std::int64_t frame_bytes = run_frame_bytes();
+    EXPECT_GT(frame_bytes, 0);
+    EXPECT_EQ(first.category_bytes(kPinned), frame_bytes);
+
+    engine.set_memory_tracker(&second);
+    EXPECT_EQ(first.category_bytes(kPinned), 0);
+    EXPECT_EQ(second.category_bytes(kPinned), frame_bytes);
+
+    // A patch installs a new run; its bytes move by the changed frames.
+    ASSERT_TRUE(engine.Ingest({gen.cells()[0].key, 7, 9.0}).ok());
+    ASSERT_TRUE(engine.ComputeCubeShared(0, 2).ok());
+    EXPECT_EQ(engine.cube_memo_stats().patches, 1);
+    EXPECT_EQ(second.category_bytes(kPinned), run_frame_bytes());
+  }
+  EXPECT_EQ(second.category_bytes(kPinned), 0);
+  EXPECT_EQ(second.category_bytes("cube.memo"), 0);
 }
 
 // ------------------------------------------------------------ error contract

@@ -452,6 +452,16 @@ Status RunStream(const Args& args) {
                 FormatBytes(usage.peak).c_str());
   }
 
+  // Whether cube-side queries rode the memo: a hit is served before any
+  // gather, so under a budget it also skips fault-ins and enforcement.
+  const IncrementalCubeCache::Stats memo = engine.cube_memo_stats();
+  std::printf("\ncube memo: %lld hits, %lld revalidations, %lld patches, "
+              "%lld rebuilds\n",
+              static_cast<long long>(memo.hits),
+              static_cast<long long>(memo.revalidations),
+              static_cast<long long>(memo.patches),
+              static_cast<long long>(memo.rebuilds));
+
   const SpillStats spill = engine.SpillStats();
   if (spill.budget_bytes > 0) {
     std::printf("\nmemory budget %s: %lld enforcements (memo %lld, caches "
