@@ -90,6 +90,39 @@ void BM_TiltFrameIngest(benchmark::State& state) {
 }
 BENCHMARK(BM_TiltFrameIngest)->Arg(96)->Arg(960);
 
+// The paper's Fig 4 frame after a year of quarter-hour ticks: every level
+// full (4 + 24 + 31 + 12 = 71 sealed slots).
+TiltTimeFrame FullCalendarFrame() {
+  TiltTimeFrame frame(MakeNaturalCalendarTiltPolicy(), 0);
+  Pcg32 rng(3);
+  for (TimeTick t = 0; t < 35040; t += 7) {
+    (void)frame.Add(t, rng.NextGaussian());
+  }
+  (void)frame.AdvanceTo(35040);
+  return frame;
+}
+
+// One frame copy: what every freeze, publish and snapshot of a cell pays.
+void BM_TiltFrameCopy(benchmark::State& state) {
+  const TiltTimeFrame frame = FullCalendarFrame();
+  for (auto _ : state) {
+    TiltTimeFrame copy = frame;
+    benchmark::DoNotOptimize(copy);
+  }
+}
+BENCHMARK(BM_TiltFrameCopy);
+
+// Window regression over the last k sealed hours (Theorem 3.3 from slots).
+void BM_RegressLastSlots(benchmark::State& state) {
+  const TiltTimeFrame frame = FullCalendarFrame();
+  const int k = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    auto isb = frame.RegressLastSlots(1, k);
+    benchmark::DoNotOptimize(isb);
+  }
+}
+BENCHMARK(BM_RegressLastSlots)->Arg(1)->Arg(4)->Arg(8);
+
 void BM_NcrAddObservation(benchmark::State& state) {
   auto basis = MakePolynomialTimeBasis(static_cast<int>(state.range(0)));
   NcrMeasure m(basis->num_features());

@@ -43,29 +43,32 @@ class CubeView {
   /// aggregation (for cells pruned as non-exceptions). O(|m-layer|).
   Result<Isb> ComputeCellOnTheFly(CuboidId cuboid, const CellKey& key) const;
 
-  /// All retained exception cells of one cuboid.
+  /// All retained exception cells of one cuboid, in canonical key order.
   std::vector<CellResult> ExceptionsAt(CuboidId cuboid) const;
 
   /// Retained exception children of `key` one drill step below `cuboid`
-  /// (the next layer of "supporters"). The m-layer counts as computed, so
-  /// drilling from the last intermediate layer surfaces exceptional m-cells.
+  /// (the next layer of "supporters"), ordered by (cuboid, canonical key).
+  /// The m-layer counts as computed, so drilling from the last intermediate
+  /// layer surfaces exceptional m-cells.
   std::vector<CellResult> DrillDown(CuboidId cuboid, const CellKey& key) const;
 
   /// Full supporters tree: recursively drills from `key` and returns every
-  /// reachable retained exception descendant, in BFS order.
+  /// reachable retained exception descendant once, in BFS order (each
+  /// level in DrillDown's order).
   std::vector<CellResult> ExceptionSupporters(CuboidId cuboid,
                                               const CellKey& key) const;
 
   /// The strongest `n` retained exception cells by |slope| across all
-  /// intermediate cuboids.
+  /// intermediate cuboids; equal |slope| is broken by (cuboid, canonical
+  /// key), so which cells make the cut never depends on hash-map history.
   std::vector<CellResult> TopExceptions(std::size_t n) const;
 
   /// Human-readable rendering of a cell, using dimension level names.
   std::string RenderCell(const CellResult& cell) const;
 
  private:
-  bool IsExceptionCell(CuboidId cuboid, const CellKey& key,
-                       const Isb& isb) const;
+  /// The exception test of `cuboid`, its threshold resolved once.
+  ExceptionPolicy::CellTest ExceptionTestFor(CuboidId cuboid) const;
 
   const RegressionCube* cube_;
   const ExceptionPolicy* policy_;

@@ -325,7 +325,10 @@ StreamCubeEngine::DetectTrendChanges(int level, double threshold) {
   }
   std::sort(changes.begin(), changes.end(),
             [](const TrendChange& a, const TrendChange& b) {
-              return a.slope_delta > b.slope_delta;
+              if (a.slope_delta != b.slope_delta) {
+                return a.slope_delta > b.slope_delta;
+              }
+              return CanonicalKeyLess(a.key, b.key);  // deterministic ties
             });
   return changes;
 }

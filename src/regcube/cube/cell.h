@@ -47,6 +47,19 @@ class CellKey {
   int num_dims_ = 0;
 };
 
+/// Canonical total order on cell keys: dimension count, then value ids
+/// lexicographically. Merged rows are always reduced in this order, which is
+/// what makes results shard-count invariant, and every list a query returns
+/// breaks ties in it, so answers do not depend on hash-map history. Inline:
+/// it is the comparator of every run sort, merge and point-query probe.
+inline bool CanonicalKeyLess(const CellKey& a, const CellKey& b) {
+  if (a.num_dims() != b.num_dims()) return a.num_dims() < b.num_dims();
+  for (int d = 0; d < a.num_dims(); ++d) {
+    if (a[d] != b[d]) return a[d] < b[d];
+  }
+  return false;
+}
+
 struct CellKeyHash {
   std::size_t operator()(const CellKey& k) const {
     return static_cast<std::size_t>(k.Hash());

@@ -43,22 +43,35 @@ void RetractStandardDim(Isb& acc, const Isb& child) {
 
 namespace {
 
-Status ValidateTimeChildren(const std::vector<Isb>& children,
+// The partition check of ValidatePartition, done in place: `whole` spans
+// the children by construction, so only emptiness and contiguity remain.
+Status ValidateTimeChildren(std::span<const Isb> children,
                             TimeInterval* whole) {
   if (children.empty()) {
     return Status::InvalidArgument("no children to aggregate");
   }
   whole->tb = children.front().interval.tb;
   whole->te = children.back().interval.te;
-  std::vector<TimeInterval> parts;
-  parts.reserve(children.size());
-  for (const Isb& c : children) parts.push_back(c.interval);
-  return ValidatePartition(*whole, parts);
+  for (size_t i = 0; i < children.size(); ++i) {
+    if (children[i].interval.empty()) {
+      return Status::InvalidArgument(StrPrintf("part %zu is empty", i));
+    }
+    if (i > 0 && children[i].interval.tb != children[i - 1].interval.te + 1) {
+      return Status::InvalidArgument(
+          StrPrintf("parts %zu and %zu are not contiguous", i - 1, i));
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace
 
-Result<Isb> AggregateTimeDim(const std::vector<Isb>& children) {
+Result<Isb> AggregateTimeDim(std::initializer_list<Isb> children) {
+  return AggregateTimeDim(std::span<const Isb>(children.begin(),
+                                               children.size()));
+}
+
+Result<Isb> AggregateTimeDim(std::span<const Isb> children) {
   TimeInterval whole;
   RC_RETURN_IF_ERROR(ValidateTimeChildren(children, &whole));
 

@@ -1,6 +1,8 @@
 #ifndef REGCUBE_REGRESSION_AGGREGATE_H_
 #define REGCUBE_REGRESSION_AGGREGATE_H_
 
+#include <initializer_list>
+#include <span>
 #include <vector>
 
 #include "regcube/common/status.h"
@@ -51,8 +53,11 @@ void RetractStandardDim(Isb& acc, const Isb& child);
 /// where S_i is the series sum recovered from ISB_i (§3.4).
 ///
 /// Returns InvalidArgument if `children` is empty or not a contiguous
-/// ordered partition.
-Result<Isb> AggregateTimeDim(const std::vector<Isb>& children);
+/// ordered partition. The span form takes any contiguous run (a vector, or
+/// the stack buffer of the tilt frame's window regression); the
+/// initializer-list form takes a braced list, which cannot bind a span.
+Result<Isb> AggregateTimeDim(std::span<const Isb> children);
+Result<Isb> AggregateTimeDim(std::initializer_list<Isb> children);
 
 /// Equivalent time-dimension aggregation computed through moment sums
 /// (convert each ISB to {Σz, Σtz}, add, refit). Mathematically identical to

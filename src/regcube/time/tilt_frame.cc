@@ -1,5 +1,8 @@
 #include "regcube/time/tilt_frame.h"
 
+#include <algorithm>
+#include <array>
+
 #include "regcube/common/logging.h"
 #include "regcube/common/str.h"
 #include "regcube/regression/aggregate.h"
@@ -12,9 +15,15 @@ TiltTimeFrame::TiltTimeFrame(std::shared_ptr<const TiltPolicy> policy,
       next_tick_(start_tick) {
   RC_CHECK(policy_ != nullptr);
   levels_.resize(static_cast<size_t>(policy_->num_levels()));
-  for (auto& level : levels_) {
+  std::int32_t offset = 0;
+  for (int li = 0; li < policy_->num_levels(); ++li) {
+    LevelState& level = levels_[static_cast<size_t>(li)];
     level.pending_start = start_tick_;
+    level.offset = offset;
+    level.capacity = policy_->level(li).capacity;
+    offset += level.capacity;
   }
+  slots_.resize(static_cast<size_t>(offset));
 }
 
 void TiltTimeFrame::Accumulate(TimeTick t, double z) {
@@ -33,10 +42,16 @@ void TiltTimeFrame::SealBoundaries(TimeTick t) {
     // contributed zero (additive stream semantics).
     slot.interval.tb = level.pending_start;
     slot.interval.te = t;
-    level.slots.push_back(slot);
-    const int capacity = policy_->level(li).capacity;
-    while (static_cast<int>(level.slots.size()) > capacity) {
-      level.slots.pop_front();
+    if (level.count == level.capacity) {
+      // Full: evict the oldest by shifting the range left by one.
+      if (level.capacity > 0) {
+        MomentSums* first = slots_.data() + level.offset;
+        std::copy(first + 1, first + level.capacity, first);
+        first[level.capacity - 1] = slot;
+      }
+    } else {
+      slots_[static_cast<size_t>(level.offset + level.count)] = slot;
+      ++level.count;
     }
     level.pending = MomentSums();
     level.pending_active = false;
@@ -69,17 +84,16 @@ Status TiltTimeFrame::AdvanceTo(TimeTick t) {
 }
 
 std::vector<Isb> TiltTimeFrame::Slots(int level) const {
-  RC_CHECK(level >= 0 && level < policy_->num_levels());
-  const LevelState& state = levels_[static_cast<size_t>(level)];
+  const std::span<const MomentSums> slots = RawSlots(level);
   std::vector<Isb> out;
-  out.reserve(state.slots.size());
-  for (const MomentSums& m : state.slots) out.push_back(FitFromMoments(m));
+  out.reserve(slots.size());
+  for (const MomentSums& m : slots) out.push_back(FitFromMoments(m));
   return out;
 }
 
-const std::deque<MomentSums>& TiltTimeFrame::RawSlots(int level) const {
+std::span<const MomentSums> TiltTimeFrame::RawSlots(int level) const {
   RC_CHECK(level >= 0 && level < policy_->num_levels());
-  return levels_[static_cast<size_t>(level)].slots;
+  return LevelSlots(levels_[static_cast<size_t>(level)]);
 }
 
 Result<Isb> TiltTimeFrame::PendingSlot(int level) const {
@@ -97,20 +111,27 @@ Result<Isb> TiltTimeFrame::PendingSlot(int level) const {
 }
 
 Result<Isb> TiltTimeFrame::RegressLastSlots(int level, int k) const {
-  RC_CHECK(level >= 0 && level < policy_->num_levels());
-  const LevelState& state = levels_[static_cast<size_t>(level)];
-  if (k < 1 || k > static_cast<int>(state.slots.size())) {
+  const std::span<const MomentSums> slots = RawSlots(level);
+  if (k < 1 || k > static_cast<int>(slots.size())) {
     return Status::OutOfRange(
         StrPrintf("requested %d slots, level %d has %zu sealed", k, level,
-                  state.slots.size()));
+                  slots.size()));
   }
-  std::vector<Isb> children;
-  children.reserve(static_cast<size_t>(k));
-  for (size_t i = state.slots.size() - static_cast<size_t>(k);
-       i < state.slots.size(); ++i) {
-    children.push_back(FitFromMoments(state.slots[i]));
+  // Typical windows fit the stack buffer; only wider ones touch the heap.
+  constexpr int kInlineSlots = 16;
+  std::array<Isb, kInlineSlots> inline_children;
+  std::vector<Isb> heap_children;
+  Isb* children = inline_children.data();
+  if (k > kInlineSlots) {
+    heap_children.resize(static_cast<size_t>(k));
+    children = heap_children.data();
   }
-  return AggregateTimeDim(children);
+  const std::span<const MomentSums> last = slots.last(static_cast<size_t>(k));
+  for (size_t i = 0; i < last.size(); ++i) {
+    children[i] = FitFromMoments(last[i]);
+  }
+  return AggregateTimeDim(
+      std::span<const Isb>(children, static_cast<size_t>(k)));
 }
 
 Result<TimeSeries> TiltTimeFrame::FoldSlots(int level,
@@ -122,9 +143,7 @@ Result<TimeSeries> TiltTimeFrame::FoldSlots(int level,
 
 std::int64_t TiltTimeFrame::RetainedSlots() const {
   std::int64_t total = 0;
-  for (const auto& level : levels_) {
-    total += static_cast<std::int64_t>(level.slots.size());
-  }
+  for (const auto& level : levels_) total += level.count;
   return total;
 }
 
@@ -133,12 +152,8 @@ std::int64_t TiltTimeFrame::TicksSeen() const {
 }
 
 std::int64_t TiltTimeFrame::MemoryBytes() const {
-  std::int64_t bytes = static_cast<std::int64_t>(sizeof(TiltTimeFrame));
-  for (const auto& level : levels_) {
-    bytes += static_cast<std::int64_t>(level.slots.size() *
-                                       sizeof(MomentSums));
-  }
-  return bytes;
+  return static_cast<std::int64_t>(sizeof(TiltTimeFrame)) +
+         RetainedSlots() * static_cast<std::int64_t>(sizeof(MomentSums));
 }
 
 Status TiltTimeFrame::MergeStandardDim(const TiltTimeFrame& other) {
@@ -157,18 +172,20 @@ Status TiltTimeFrame::MergeStandardDim(const TiltTimeFrame& other) {
   for (size_t li = 0; li < levels_.size(); ++li) {
     LevelState& mine = levels_[li];
     const LevelState& theirs = other.levels_[li];
-    if (mine.slots.size() != theirs.slots.size()) {
+    if (mine.count != theirs.count) {
       return Status::InvalidArgument(
-          StrPrintf("level %zu slot counts differ: %zu vs %zu", li,
-                    mine.slots.size(), theirs.slots.size()));
+          StrPrintf("level %zu slot counts differ: %d vs %d", li, mine.count,
+                    theirs.count));
     }
-    for (size_t s = 0; s < mine.slots.size(); ++s) {
-      if (!(mine.slots[s].interval == theirs.slots[s].interval)) {
+    const std::span<MomentSums> dst = LevelSlots(mine);
+    const std::span<const MomentSums> src = other.LevelSlots(theirs);
+    for (size_t s = 0; s < dst.size(); ++s) {
+      if (!(dst[s].interval == src[s].interval)) {
         return Status::InvalidArgument(
             StrPrintf("level %zu slot %zu intervals differ", li, s));
       }
-      mine.slots[s].sum_z += theirs.slots[s].sum_z;
-      mine.slots[s].sum_tz += theirs.slots[s].sum_tz;
+      dst[s].sum_z += src[s].sum_z;
+      dst[s].sum_tz += src[s].sum_tz;
     }
     mine.pending.sum_z += theirs.pending.sum_z;
     mine.pending.sum_tz += theirs.pending.sum_tz;
@@ -184,7 +201,8 @@ TiltFrameState TiltTimeFrame::Snapshot() const {
   state.levels.reserve(levels_.size());
   for (const LevelState& level : levels_) {
     TiltFrameState::Level out;
-    out.slots.assign(level.slots.begin(), level.slots.end());
+    const std::span<const MomentSums> slots = LevelSlots(level);
+    out.slots.assign(slots.begin(), slots.end());
     out.pending = level.pending;
     out.pending_active = level.pending_active;
     out.pending_start = level.pending_start;
@@ -208,14 +226,15 @@ Result<TiltTimeFrame> TiltTimeFrame::FromSnapshot(
   frame.next_tick_ = state.next_tick;
   for (size_t li = 0; li < state.levels.size(); ++li) {
     const TiltFrameState::Level& in = state.levels[li];
-    const int capacity = frame.policy_->level(static_cast<int>(li)).capacity;
-    if (static_cast<int>(in.slots.size()) > capacity) {
+    LevelState& out = frame.levels_[li];
+    if (static_cast<int>(in.slots.size()) > out.capacity) {
       return Status::InvalidArgument(StrPrintf(
           "snapshot level %zu holds %zu slots, capacity is %d", li,
-          in.slots.size(), capacity));
+          in.slots.size(), out.capacity));
     }
-    LevelState& out = frame.levels_[li];
-    out.slots.assign(in.slots.begin(), in.slots.end());
+    std::copy(in.slots.begin(), in.slots.end(),
+              frame.slots_.begin() + out.offset);
+    out.count = static_cast<std::int32_t>(in.slots.size());
     out.pending = in.pending;
     out.pending_active = in.pending_active;
     out.pending_start = in.pending_start;
@@ -229,9 +248,9 @@ std::string TiltTimeFrame::ToString() const {
                               static_cast<long long>(next_tick_));
   for (int li = 0; li < policy_->num_levels(); ++li) {
     const LevelState& level = levels_[static_cast<size_t>(li)];
-    out += StrPrintf("  %-10s %zu/%d slots\n",
-                     policy_->level(li).name.c_str(), level.slots.size(),
-                     policy_->level(li).capacity);
+    out += StrPrintf("  %-10s %d/%d slots\n",
+                     policy_->level(li).name.c_str(), level.count,
+                     level.capacity);
   }
   return out;
 }

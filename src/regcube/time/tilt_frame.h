@@ -2,8 +2,8 @@
 #define REGCUBE_TIME_TILT_FRAME_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -45,6 +45,13 @@ struct TiltFrameState {
 /// Ticks with no observation contribute 0, matching the paper's additive
 /// stream semantics (an aggregate cell's series is the sum of descendant
 /// series; absence of a reading is a zero reading).
+///
+/// Layout: the frame's size is fixed by its policy, so every level's slots
+/// live in one contiguous block of TotalCapacity() moment sums allocated at
+/// construction. Level L owns [offset_L, offset_L + capacity_L), oldest
+/// first; sealing into a full level shifts that range left by one. A copy
+/// is therefore two heap blocks (slots and level headers), and no seal
+/// allocates or frees.
 class TiltTimeFrame {
  public:
   /// Creates a frame that starts at `start_tick` (the first tick of its
@@ -66,8 +73,10 @@ class TiltTimeFrame {
   std::vector<Isb> Slots(int level) const;
 
   /// Moment sums of the sealed slots of `level`, oldest first (lossless
-  /// form used by aggregation-heavy callers).
-  const std::deque<MomentSums>& RawSlots(int level) const;
+  /// form used by aggregation-heavy callers). The view points into the
+  /// frame's slot block: it is valid until the frame is next mutated
+  /// (Add, AdvanceTo, MergeStandardDim) or destroyed.
+  std::span<const MomentSums> RawSlots(int level) const;
 
   /// The in-progress (partial) unit of `level`, if it has received any
   /// ticks (paper footnote 5 allows partial intervals at each granularity).
@@ -92,7 +101,9 @@ class TiltTimeFrame {
   /// Total ticks covered since start (sealed and pending).
   std::int64_t TicksSeen() const;
 
-  /// Bytes retained by this frame's slots (analytic accounting).
+  /// Bytes retained by this frame's slots (analytic accounting): the object
+  /// plus its sealed slots. The block reserves full capacity up front, but
+  /// only sealed slots are counted, so the figure grows then plateaus.
   std::int64_t MemoryBytes() const;
 
   const TiltPolicy& policy() const { return *policy_; }
@@ -113,11 +124,21 @@ class TiltTimeFrame {
 
  private:
   struct LevelState {
-    std::deque<MomentSums> slots;  // sealed units, oldest first
     MomentSums pending;            // in-progress unit ([] if no ticks yet)
-    bool pending_active = false;
     TimeTick pending_start = 0;    // first tick of the in-progress unit
+    std::int32_t offset = 0;       // first slot of this level in slots_
+    std::int32_t capacity = 0;     // slots reserved for this level
+    std::int32_t count = 0;        // sealed slots held, <= capacity
+    bool pending_active = false;
   };
+
+  /// Sealed slots of one level, oldest first (mutable view into slots_).
+  std::span<MomentSums> LevelSlots(const LevelState& level) {
+    return {slots_.data() + level.offset, static_cast<size_t>(level.count)};
+  }
+  std::span<const MomentSums> LevelSlots(const LevelState& level) const {
+    return {slots_.data() + level.offset, static_cast<size_t>(level.count)};
+  }
 
   /// Seals completed units ending at tick `t` across all levels.
   void SealBoundaries(TimeTick t);
@@ -127,6 +148,7 @@ class TiltTimeFrame {
 
   std::shared_ptr<const TiltPolicy> policy_;
   std::vector<LevelState> levels_;
+  std::vector<MomentSums> slots_;  // every level's range, TotalCapacity()
   TimeTick start_tick_;
   TimeTick next_tick_;  // first tick not yet fully processed
 };

@@ -1,5 +1,6 @@
 #include "regcube/time/tilt_frame.h"
 
+#include <bit>
 #include <memory>
 
 #include "gtest/gtest.h"
@@ -7,12 +8,14 @@
 #include "regcube/regression/linear_fit.h"
 #include "regcube/time/calendar.h"
 #include "test_util.h"
+#include "tilt_frame_reference.h"
 
 namespace regcube {
 namespace {
 
 using testing_util::ExpectIsbNear;
 using testing_util::MustFit;
+using testing_util::ReferenceTiltFrame;
 
 std::shared_ptr<const TiltPolicy> QuarterHourDayPolicy() {
   // Ticks are quarters: hour = 4 ticks, day = 96 ticks.
@@ -212,6 +215,204 @@ TEST(TiltFrameTest, MemoryGrowsThenPlateaus) {
   const std::int64_t later = frame.MemoryBytes();
   EXPECT_GT(late, early);
   EXPECT_EQ(late, later);  // bounded by capacities
+}
+
+// ---- Flat slot block vs the tests-only deque reference model ----------
+
+std::uint64_t Bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+void ExpectSameMoments(const MomentSums& want, const MomentSums& got) {
+  EXPECT_EQ(want.interval.tb, got.interval.tb);
+  EXPECT_EQ(want.interval.te, got.interval.te);
+  EXPECT_EQ(Bits(want.sum_z), Bits(got.sum_z));
+  EXPECT_EQ(Bits(want.sum_tz), Bits(got.sum_tz));
+}
+
+void ExpectSameIsbResult(const Result<Isb>& want, const Result<Isb>& got) {
+  ASSERT_EQ(want.ok(), got.ok());
+  if (!want.ok()) {
+    EXPECT_EQ(want.status().code(), got.status().code());
+    EXPECT_EQ(want.status().message(), got.status().message());
+    return;
+  }
+  EXPECT_EQ(want->interval.tb, got->interval.tb);
+  EXPECT_EQ(want->interval.te, got->interval.te);
+  EXPECT_EQ(Bits(want->base), Bits(got->base));
+  EXPECT_EQ(Bits(want->slope), Bits(got->slope));
+}
+
+void ExpectSameState(const TiltFrameState& want, const TiltFrameState& got) {
+  EXPECT_EQ(want.start_tick, got.start_tick);
+  EXPECT_EQ(want.next_tick, got.next_tick);
+  ASSERT_EQ(want.levels.size(), got.levels.size());
+  for (size_t li = 0; li < want.levels.size(); ++li) {
+    const TiltFrameState::Level& w = want.levels[li];
+    const TiltFrameState::Level& g = got.levels[li];
+    ASSERT_EQ(w.slots.size(), g.slots.size()) << "level " << li;
+    for (size_t s = 0; s < w.slots.size(); ++s) {
+      ExpectSameMoments(w.slots[s], g.slots[s]);
+    }
+    ExpectSameMoments(w.pending, g.pending);
+    EXPECT_EQ(w.pending_active, g.pending_active);
+    EXPECT_EQ(w.pending_start, g.pending_start);
+  }
+}
+
+/// Every observable of the flat frame against the reference: raw slots and
+/// the pending unit on every level, the window regression for every k from
+/// 0 to one past the sealed count (the out-of-range errors included), and
+/// the checkpoint state that pins the spill and checkpoint bytes.
+void ExpectMatchesReference(const ReferenceTiltFrame& ref,
+                            const TiltTimeFrame& frame) {
+  ASSERT_EQ(ref.next_tick(), frame.next_tick());
+  ASSERT_EQ(ref.RetainedSlots(), frame.RetainedSlots());
+  for (int li = 0; li < frame.policy().num_levels(); ++li) {
+    const auto& want = ref.RawSlots(li);
+    const auto got = frame.RawSlots(li);
+    ASSERT_EQ(want.size(), got.size()) << "level " << li;
+    for (size_t s = 0; s < want.size(); ++s) {
+      ExpectSameMoments(want[s], got[s]);
+    }
+    ExpectSameIsbResult(ref.PendingSlot(li), frame.PendingSlot(li));
+    for (int k = 0; k <= static_cast<int>(want.size()) + 1; ++k) {
+      ExpectSameIsbResult(ref.RegressLastSlots(li, k),
+                          frame.RegressLastSlots(li, k));
+    }
+  }
+  ExpectSameState(ref.Snapshot(), frame.Snapshot());
+}
+
+/// One seeded step on both frames: an Add at the open tick or after a jump
+/// (sometimes many units long), a bare AdvanceTo, or an Add in the past that
+/// both must refuse with the same error.
+void RandomStep(Pcg32& rng, TimeTick max_jump, ReferenceTiltFrame& ref,
+                TiltTimeFrame& frame) {
+  const std::uint32_t kind = rng.Next() % 8;
+  TimeTick jump = static_cast<TimeTick>(rng.Next() % 4);
+  if (rng.Next() % 10 == 0) {
+    jump = static_cast<TimeTick>(rng.Next() % static_cast<std::uint32_t>(
+                                                  max_jump + 1));
+  }
+  const TimeTick t = frame.next_tick() + jump;
+  const double z = rng.NextGaussian() * 3.0 + 1.0;
+  if (kind < 5) {
+    const Status want = ref.Add(t, z);
+    const Status got = frame.Add(t, z);
+    ASSERT_EQ(want.ok(), got.ok()) << got.ToString();
+  } else if (kind < 7) {
+    ASSERT_TRUE(ref.AdvanceTo(t).ok());
+    ASSERT_TRUE(frame.AdvanceTo(t).ok());
+  } else if (frame.next_tick() > 0) {
+    const Status want = ref.Add(frame.next_tick() - 1, z);
+    const Status got = frame.Add(frame.next_tick() - 1, z);
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(want.code(), got.code());
+    EXPECT_EQ(want.message(), got.message());
+  }
+}
+
+struct ReferenceCase {
+  const char* name;
+  std::shared_ptr<const TiltPolicy> policy;
+  TimeTick max_jump;  // long enough to seal several units of every level
+  int steps;
+};
+
+std::vector<ReferenceCase> ReferenceCases() {
+  return {
+      {"uniform", QuarterHourDayPolicy(), 400, 300},
+      {"logarithmic", MakeLogarithmicTiltPolicy(6, 3), 100, 300},
+      {"calendar", MakeNaturalCalendarTiltPolicy(), 6000, 120},
+  };
+}
+
+TEST(TiltFrameReferenceTest, RandomDriveMatchesBitwise) {
+  for (const ReferenceCase& c : ReferenceCases()) {
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+      SCOPED_TRACE(std::string(c.name) + " seed " + std::to_string(seed));
+      Pcg32 rng(seed);
+      const TimeTick start = static_cast<TimeTick>(rng.Next() % 7);
+      ReferenceTiltFrame ref(c.policy, start);
+      TiltTimeFrame frame(c.policy, start);
+      for (int step = 0; step < c.steps; ++step) {
+        RandomStep(rng, c.max_jump, ref, frame);
+        ExpectMatchesReference(ref, frame);
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(TiltFrameReferenceTest, CopiesAreIndependent) {
+  for (const ReferenceCase& c : ReferenceCases()) {
+    SCOPED_TRACE(c.name);
+    Pcg32 rng(11);
+    ReferenceTiltFrame ref(c.policy, 0);
+    TiltTimeFrame frame(c.policy, 0);
+    for (int step = 0; step < c.steps; ++step) {
+      RandomStep(rng, c.max_jump, ref, frame);
+      if (step % 10 != 0) continue;
+      // Drive a copy well past the original (seals, evictions, pending
+      // adds); the original must not move.
+      TiltTimeFrame copy = frame;
+      ReferenceTiltFrame copy_ref = ref;
+      for (int i = 0; i < 20; ++i) RandomStep(rng, c.max_jump, copy_ref, copy);
+      ExpectMatchesReference(copy_ref, copy);
+      ExpectMatchesReference(ref, frame);
+      // Copy-assignment over a frame that holds state behaves the same.
+      copy = frame;
+      ExpectMatchesReference(ref, copy);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(TiltFrameReferenceTest, SnapshotRoundTripContinuesBitwise) {
+  for (const ReferenceCase& c : ReferenceCases()) {
+    SCOPED_TRACE(c.name);
+    Pcg32 rng(5);
+    ReferenceTiltFrame ref(c.policy, 3);
+    TiltTimeFrame frame(c.policy, 3);
+    for (int step = 0; step < c.steps; ++step) {
+      RandomStep(rng, c.max_jump, ref, frame);
+      if (step % 15 != 0) continue;
+      auto restored = TiltTimeFrame::FromSnapshot(c.policy, frame.Snapshot());
+      ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+      ExpectMatchesReference(ref, *restored);
+      // The restored frame continues exactly like the original would.
+      frame = std::move(*restored);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(TiltFrameReferenceTest, MergeStandardDimMatchesBitwise) {
+  for (const ReferenceCase& c : ReferenceCases()) {
+    SCOPED_TRACE(c.name);
+    Pcg32 rng(17);
+    ReferenceTiltFrame ref_a(c.policy, 0), ref_b(c.policy, 0);
+    TiltTimeFrame a(c.policy, 0), b(c.policy, 0);
+    for (int step = 0; step < c.steps; ++step) {
+      // Same clock on both sides, different values.
+      RandomStep(rng, c.max_jump, ref_a, a);
+      const TimeTick now = a.next_tick();
+      if (rng.Next() % 2 == 0) {
+        const double z = rng.NextGaussian();
+        ASSERT_TRUE(ref_b.Add(now, z).ok());
+        ASSERT_TRUE(b.Add(now, z).ok());
+      } else {
+        ASSERT_TRUE(ref_b.AdvanceTo(now).ok());
+        ASSERT_TRUE(b.AdvanceTo(now).ok());
+      }
+      if (step % 10 != 0) continue;
+      ReferenceTiltFrame merged_ref = ref_a;
+      TiltTimeFrame merged = a;
+      ASSERT_TRUE(merged_ref.MergeStandardDim(ref_b).ok());
+      ASSERT_TRUE(merged.MergeStandardDim(b).ok());
+      ExpectMatchesReference(merged_ref, merged);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
 }
 
 }  // namespace
