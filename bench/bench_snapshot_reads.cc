@@ -12,9 +12,9 @@
 //
 // Phase 2 — steady-state churn: N cells sealed once, then rounds in which
 // only p% of cells receive new observations before a snapshot is taken.
-// Measures the delta gather (frozen blocks shared for clean cells, copies
-// only for dirty ones) against the copy-everything full gather, in both
-// latency and bytes actually copied, plus the member-only point-query path
+// Measures the delta gather (every cell's own copy-on-write frame shared;
+// the writers already cloned the dirty ones) against the copy-everything
+// full gather, in both latency and bytes the gather copied, plus the member-only point-query path
 // against a full-snapshot scan. Both comparisons RC_CHECK bit-identity —
 // the delta machinery is a caching change, not a numerics change.
 
@@ -147,7 +147,7 @@ void RunChurn(int argc, char** argv, bench::JsonWriter& json) {
   IngestReport seed = engine.IngestBatch(gen.GenerateStream());
   RC_CHECK(seed.ok()) << seed.status.ToString();
   RC_CHECK(engine.SealThrough(spec.series_length - 1).ok());
-  engine.GatherAlignedCells();  // warm the frozen blocks and caches
+  engine.GatherAlignedCells();  // warm the published runs and caches
 
   const TimeTick open_tick = spec.series_length;  // inside the open quarter
   const std::int64_t dirty_n = num_cells * dirty_pct / 100;

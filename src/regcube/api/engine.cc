@@ -140,10 +140,10 @@ std::vector<std::pair<std::string, std::int64_t>> Engine::MemoryReport()
     report.emplace_back("compaction.reclaimed_bytes", spill.reclaimed_bytes);
     report.emplace_back("compaction.failures", spill.compaction_failures);
   }
-  // Frozen blocks the cached snapshot pins alive. Shared with (and mostly
-  // double-counted by) the engine-side gather caches while those still
-  // hold them, but after an eviction this residual is the only record that
-  // the bytes are still resident.
+  // Frames the cached snapshot pins alive. Shared with (and mostly
+  // double-counted by) the cells' own frames under stream.tilt_frames
+  // while no writer has cloned them, but after an eviction or a write
+  // this residual is the only record that the bytes are still resident.
   {
     std::lock_guard<std::mutex> lock(cache_->mu);
     if (cache_->snapshot != nullptr) {
@@ -168,8 +168,8 @@ Status Engine::InitStorage(const MemoryBudgetConfig& budget) {
     // Rung 19, between the cube memo (10) and the engine-side gather
     // caches (21): the api snapshot cache pins a whole gathered cell set
     // (and its memoized cube), so dropping it both frees the snapshot's
-    // own memo and releases the frozen blocks the engine-side rung is
-    // about to drop from being pinned alive.
+    // own memo and releases the frames the engine-side rung is about to
+    // drop from being pinned alive.
     SnapshotCache* cache = cache_.get();
     governor->AddRung(19, "snapshot.cache",
                       [cache](std::int64_t /*excess*/) -> std::int64_t {

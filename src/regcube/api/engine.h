@@ -104,9 +104,9 @@ class Engine {
   int num_shards() const { return sharded_->num_shards(); }
 
   /// Analytic memory accounting: every retained-byte category
-  /// ("stream.tilt_frames", "snapshot.frozen_frames",
-  /// "snapshot.gather_cache", "cube.memo", "index.members",
-  /// "ingest.queue") is maintained by the engine as it runs; with a cold
+  /// ("stream.tilt_frames", "snapshot.gather_cache", "cube.memo",
+  /// "cube.memo.pinned_frames", "index.members", "ingest.queue") is
+  /// maintained by the engine as it runs; with a cold
   /// tier configured, MemoryReport() appends the spill section
   /// ("spill.disk_bytes", "spill.live_bytes", "spill.garbage_bytes" —
   /// disk, not RAM). One call shows where every byte sits.
@@ -245,7 +245,7 @@ class EngineBuilder {
   /// Global memory budget in bytes shared by every shard (default 0 =
   /// unbounded). When retained bytes exceed it, the engine walks a typed
   /// eviction ladder after ingest batches: drop the cube memo, drop the
-  /// snapshot/gather caches and frozen blocks, then — with a spill dir —
+  /// snapshot/gather caches and published runs, then — with a spill dir —
   /// spill cold tilt frames to disk. Queries stay bit-identical; spilled
   /// frames fault back in transparently.
   EngineBuilder& SetMemoryBudget(std::int64_t budget_bytes);

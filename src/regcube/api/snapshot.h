@@ -23,10 +23,11 @@ namespace regcube {
 /// lock-free against the frozen cells, so any number of threads can drill
 /// into one snapshot while ingest keeps flowing on the live engine.
 ///
-/// Cost model: the frozen cells are refcounted immutable frame blocks
-/// shared with the shards' published generations, so taking a snapshot
-/// deep-copies only the cells that changed since the last publish —
-/// O(changed cells), not O(all cells). QueryCell/QueryCellSeries *on a snapshot*
+/// Cost model: the frozen cells are the cells' own refcounted frames,
+/// shared with the shards' published generations (a writer clones a
+/// shared frame before it mutates it), so taking a snapshot splices in
+/// only the cells that changed since the last publish — O(changed cells)
+/// frame work, not O(all cells). QueryCell/QueryCellSeries *on a snapshot*
 /// scan its frozen cells (the snapshot is self-contained and may outlive
 /// the engine); point queries that should skip the snapshot entirely go
 /// through Engine::Query, which routes kCell/kCellSeries to the engine's

@@ -12,14 +12,14 @@ namespace regcube {
 
 /// Analytic accounting of the bytes retained by the data structures a cubing
 /// run keeps alive (H-tree nodes, header tables, materialized cells,
-/// exception cells, tilt-frame slots, frozen snapshot blocks). This mirrors
+/// exception cells, tilt-frame slots, snapshot-pinned frames). This mirrors
 /// what the paper's "Memory Usage" axis measures: peak retained state of the
 /// algorithm, independent of allocator behavior.
 ///
 /// Components register byte counts under a category name; the tracker keeps
 /// both the current total and the high-water mark. All methods are
-/// thread-safe: the sharded engine's snapshot path accounts frozen-frame
-/// bytes from whichever thread holds the owning shard's lock.
+/// thread-safe: the sharded engine's shards account tilt-frame bytes from
+/// whichever thread holds the owning shard's lock.
 class MemoryTracker {
  public:
   MemoryTracker() = default;

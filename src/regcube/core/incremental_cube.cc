@@ -113,8 +113,9 @@ IncrementalCubeCache::DiffVerdict IncrementalCubeCache::DiffLocked(
   const TimeInterval& window_interval = window_.front().measure.interval;
   for (size_t i = 0; i < run.size(); ++i) {
     if (!(base[i].key == run[i].key)) return DiffVerdict::kRebuild;
-    // A cell whose frozen block is shared with the memoized run cannot
-    // have changed any slot — skip without touching the frame.
+    // A cell whose frame is shared with the memoized run cannot have
+    // changed any slot (writers clone a shared frame before mutating it)
+    // — skip without touching the frame.
     if (base[i].frame.get() == run[i].frame.get()) continue;
     *frame_bytes_delta +=
         run[i].frame->MemoryBytes() - base[i].frame->MemoryBytes();

@@ -25,8 +25,8 @@ enum class PointLookup { kIndexed, kScan };
 /// cells, and cells are never erased), so the index is maintained with one
 /// append per (new cell, active cuboid) at ingest time and never needs
 /// per-write invalidation: revision coherence comes from resolving member
-/// ids back through the owning engine's live cell states, whose frozen
-/// blocks are refreshed per-cell against the same dirty bookkeeping every
+/// ids back through the owning engine's live cell states, whose published
+/// frames are refreshed per-cell against the same dirty bookkeeping every
 /// gather uses.
 ///
 /// Cuboid maps activate lazily: the first point query of a cuboid pays one

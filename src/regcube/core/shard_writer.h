@@ -16,8 +16,9 @@ namespace regcube {
 /// callback. With a writer attached the shard is single-writer — callers
 /// only ever touch the queue, and the owner takes the shard mutex once
 /// per drained batch, never per tuple. Inside that hold the absorb also
-/// *publishes*: the successor generation (only the batch's cells
-/// re-frozen) is swapped into the shard's atomic publication pointer, so
+/// *publishes*: the successor generation (only the batch's cells spliced
+/// in, sharing their copy-on-write frames) is swapped into the shard's
+/// publication pointer, so
 /// readers gather from the last published generation without ever taking
 /// the mutex — the lock is down to absorb vs. the structural edits
 /// (seal, epoch roll, compaction re-pointing). Tilt-frame maintenance,

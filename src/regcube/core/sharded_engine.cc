@@ -12,11 +12,11 @@ namespace regcube {
 
 namespace {
 // The whole-engine merged gather run, reported through MemoryTracker as
-// the run's own entry footprint. Most frame blocks it points at are
-// shared with the per-cell frozen cache and counted there
-// ("snapshot.frozen_frames"); blocks re-materialized by clock alignment
-// live only in the run (and any snapshots holding it) and are not
-// individually tracked — the accounting is analytic, not exhaustive.
+// the run's own entry footprint. Most frames it points at are the cells'
+// own, counted under "stream.tilt_frames"; frames re-materialized by clock
+// alignment, or replaced by a writer's clone since, live only in the run
+// (and any snapshots holding it) and are not individually tracked — the
+// accounting is analytic, not exhaustive.
 constexpr char kGatherCacheCategory[] = "snapshot.gather_cache";
 
 // The per-shard ingest queues' preallocated ring slots (async mode only).
@@ -43,9 +43,9 @@ struct ScopedFlag {
   bool& flag_;
 };
 
-/// Re-materializes one frozen block iff a tilt unit ends between its
-/// freeze tick and `target` — otherwise advancing it would seal nothing
-/// and the block is shared as-is. Returns the bytes retained by the new
+/// Re-materializes one shared frame iff a tilt unit ends between its
+/// next tick and `target` — otherwise advancing it would seal nothing
+/// and the frame is shared as-is. Returns the bytes retained by the new
 /// copy (0 when shared). The single sharing condition every realignment
 /// path goes through.
 std::int64_t RealignCellToClock(CellSnapshot& cell, TimeTick target,
@@ -60,7 +60,7 @@ std::int64_t RealignCellToClock(CellSnapshot& cell, TimeTick target,
   return bytes;
 }
 
-/// Aligns every block in `cells` to `target` (copy-on-write per block via
+/// Aligns every frame in `cells` to `target` (copy-on-write per frame via
 /// RealignCellToClock). Parallel across `pool` when available — the
 /// O(all cells) half of boundary rounds and the full-gather baseline.
 void AlignRunToClock(std::vector<CellSnapshot>& cells, TimeTick target,
@@ -187,7 +187,7 @@ Status ShardedStreamEngine::PublishLocked(Shard& shard, GatherStats* stats) {
   pub->cells = std::move(run);
   pub->now = shard.engine.now();
   pub->revision = shard.engine.revision();
-  shard.published.store(std::move(pub), std::memory_order_release);
+  shard.Publish(std::move(pub));
   shard.version.store(shard.engine.revision(), std::memory_order_release);
   return Status::OK();
 }
@@ -201,7 +201,7 @@ ShardedStreamEngine::PublicationFor(size_t i, GatherStats* stats,
   // mutex before the write completed), so it can be served without ever
   // touching the mutex. A mismatch in either direction just means "take
   // the slow path" — a torn view can never be served fresh.
-  auto pub = shard.published.load(std::memory_order_acquire);
+  auto pub = shard.Published();
   if (pub != nullptr &&
       pub->revision == shard.version.load(std::memory_order_acquire)) {
     if (stats != nullptr) {
@@ -218,7 +218,7 @@ ShardedStreamEngine::PublicationFor(size_t i, GatherStats* stats,
     *status = std::move(s);
     return nullptr;
   }
-  return shard.published.load(std::memory_order_acquire);
+  return shard.Published();
 }
 
 void ShardedStreamEngine::MirrorVersionsLocked() {
@@ -239,7 +239,7 @@ IngestReport ShardedStreamEngine::AbsorbIntoShard(
     changed = shard.engine.revision() != before;
     if (changed && ingest_.mode == IngestMode::kAsync) {
       // Owner threads publish eagerly: the successor generation (only
-      // this batch's cells re-frozen) is swapped in before MarkAbsorbed
+      // this batch's cells spliced in) is swapped in before MarkAbsorbed
       // resolves the batch, so a reader returning from Flush() takes the
       // mutex-free path to the flushed data. Best-effort — on a fault-in
       // failure the old generation stays up and readers republish on
@@ -527,7 +527,7 @@ ShardedStreamEngine::GatheredCells ShardedStreamEngine::GatherAlignedCells(
   // A fresh publication (the steady-state async case: the owner thread
   // republished inside its absorb) is served without touching the shard
   // mutex at all; only a stale shard pays a locked republish, and that
-  // refreezes just its changed cells — O(changed cells).
+  // splices in just its changed cells — O(changed cells).
   const size_t n = shards_.size();
   std::vector<std::shared_ptr<const ShardPublication>> pubs(n);
   std::vector<GatherStats> stats(n);
@@ -666,7 +666,7 @@ ShardedStreamEngine::MemberGather ShardedStreamEngine::GatherCellsMatching(
 
   if (lookup == PointLookup::kScan) {
     // Oracle path, fully under the shard locks: every key projected, every
-    // member frozen in place — the pre-index cost model, retained for
+    // member shared in place — the pre-index cost model, retained for
     // bit-identity tests.
     std::vector<Status> statuses(n);
     auto gather_one = [&](std::int64_t idx) {
@@ -913,15 +913,6 @@ std::int64_t ShardedStreamEngine::MemoryBytes() const {
   return bytes;
 }
 
-std::int64_t ShardedStreamEngine::FrozenBytes() const {
-  std::int64_t bytes = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    bytes += shard->engine.FrozenBytes();
-  }
-  return bytes;
-}
-
 std::int64_t ShardedStreamEngine::MemberIndexBytes() const {
   std::int64_t bytes = 0;
   for (const auto& shard : shards_) {
@@ -1045,8 +1036,8 @@ std::int64_t ShardedStreamEngine::ExportDirtyRung(std::int64_t excess) {
 
 std::int64_t ShardedStreamEngine::UsageBytes() const {
   if (tracker_ != nullptr) return tracker_->current_bytes();
-  return MemoryBytes() + FrozenBytes() + MemberIndexBytes() +
-         CubeMemoBytes() + IngestQueueBytes();
+  return MemoryBytes() + MemberIndexBytes() + CubeMemoBytes() +
+         IngestQueueBytes();
 }
 
 std::int64_t ShardedStreamEngine::DropCubeMemoRung() {
@@ -1073,15 +1064,14 @@ std::int64_t ShardedStreamEngine::DropGatherCachesRung() {
       gather_valid_ = false;
     }
   }
-  // Retire each shard's published generation too: the per-cell frozen
-  // blocks are only truly freed once no retained run shares them — which
-  // the drops above and below arrange. Readers that arrive before the
-  // next publish pay one locked full refreeze (the eviction trade).
+  // Retire each shard's published generation too: frames the writers have
+  // cloned since are only truly freed once no retained run shares them —
+  // which the drops above and below arrange. Readers that arrive before
+  // the next publish pay one locked full export (the eviction trade).
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
-    shard->published.store(nullptr, std::memory_order_release);
+    shard->Publish(nullptr);
     freed += shard->engine.DropPublishedRun();
-    freed += shard->engine.DropFrozenBlocks();
   }
   return freed;
 }

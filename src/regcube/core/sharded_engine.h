@@ -49,13 +49,13 @@ struct MemoryBudgetConfig {
 /// every shard and drives all of them to one global clock.
 ///
 /// Reads are snapshot-based, O(changed cells), and — on the steady-state
-/// path — mutex-free: each shard keeps an atomically published generation
-/// (ShardPublication: an immutable sorted run of frozen frames plus the
-/// revision it reflects). In async mode the shard-owner thread absorbs a
-/// drained batch into the engine, refreshes the run (only dirty cells are
-/// re-frozen), and swaps the new generation in with a single
-/// acquire/release pointer publish; GatherAlignedCells / TakeSnapshot /
-/// point-query gathers load the last published generation and never touch
+/// path — free of the shard mutex: each shard keeps a published generation
+/// (ShardPublication: an immutable sorted run of the cells' own
+/// copy-on-write frames plus the revision it reflects). In async mode the
+/// shard-owner thread absorbs a drained batch into the engine, refreshes
+/// the run (only dirty cells are spliced in), and swaps the new generation
+/// in under a pointer-only mutex; GatherAlignedCells / TakeSnapshot /
+/// point-query gathers copy the last published generation and never touch
 /// the shard mutex unless the generation is stale (then a slow path takes
 /// the lock and republishes — which is also how sync-mode writes become
 /// visible). The mutex shrinks to structural edits: absorb/ingest, seal
@@ -63,9 +63,9 @@ struct MemoryBudgetConfig {
 /// compaction re-pointing. A whole-engine cache keyed by the global
 /// revision keeps repeat reads at one revision down to a refcount copy.
 /// Alignment to the global clock happens on copies outside every lock; a
-/// block is re-materialized only when the clock crossed a tilt-unit
-/// boundary since it froze (otherwise advancing is observationally a
-/// no-op and the block is shared as-is). The pre-redesign
+/// frame is re-materialized only when the clock crossed a tilt-unit
+/// boundary since it was published (otherwise advancing is observationally
+/// a no-op and the frame is shared as-is). The pre-redesign
 /// hold-every-lock read survives as ComputeCubeAllLocks, kept as the
 /// baseline oracle for benches and bit-identity tests, and
 /// GatherAlignedCells(GatherMode::kFull) retains the copy-everything
@@ -77,7 +77,7 @@ struct MemoryBudgetConfig {
 /// QueryCell/QueryCellSeries never freeze or copy the whole engine to
 /// answer about a handful of members.
 ///
-/// Read results are *bit-identical for every shard count*: frozen per-cell
+/// Read results are *bit-identical for every shard count*: per-cell
 /// rows are sorted into a canonical key order before any aggregation, so
 /// the floating-point reduction order never depends on how cells happened
 /// to be partitioned.
@@ -161,7 +161,7 @@ class ShardedStreamEngine {
 
   // ---- read side (gather briefly under per-shard locks, then lock-free) -
 
-  /// The gather-under-lock phase shared by every full read: frozen views
+  /// The gather-under-lock phase shared by every full read: shared views
   /// of all cells, aligned to one clock, in canonical key order. Each
   /// shard's lock is held only while its cells are exported; alignment and
   /// merging happen outside. The run is behind a shared_ptr so cache hits
@@ -181,7 +181,7 @@ class ShardedStreamEngine {
     Status status;
   };
 
-  /// kDelta shares frozen blocks for unchanged cells and serves clean
+  /// kDelta shares the cells' own frames and serves clean
   /// shards (or a clean engine) from the caches — O(changed cells).
   /// kFull deep-copies every frame and bypasses every cache — the
   /// O(all cells) pre-redesign baseline, bit-identical to kDelta, kept
@@ -189,7 +189,7 @@ class ShardedStreamEngine {
   enum class GatherMode { kDelta, kFull };
   GatheredCells GatherAlignedCells(GatherMode mode = GatherMode::kDelta);
 
-  /// The member-only gather behind point queries: frozen views of just the
+  /// The member-only gather behind point queries: shared views of just the
   /// m-layer cells that roll up into `key` of `cuboid`, aligned to the
   /// global clock, in canonical key order. With PointLookup::kIndexed (the
   /// default) each shard hash-probes its ingest-maintained per-cuboid
@@ -289,9 +289,6 @@ class ShardedStreamEngine {
   /// Total bytes retained by every shard's tilt frames.
   std::int64_t MemoryBytes() const;
 
-  /// Bytes retained by the per-cell frozen snapshot blocks across shards.
-  std::int64_t FrozenBytes() const;
-
   /// Bytes retained by the per-shard member indexes (the "index.members"
   /// figure), readable without a tracker attached.
   std::int64_t MemberIndexBytes() const;
@@ -307,8 +304,9 @@ class ShardedStreamEngine {
     return revision_.load(std::memory_order_acquire);
   }
 
-  /// Installs analytic memory accounting for the frozen-block and gather
-  /// caches ("snapshot.frozen_frames" / "snapshot.gather_cache"). Not
+  /// Installs analytic memory accounting for the shards' frames, indexes
+  /// and gather caches ("stream.tilt_frames", "index.members",
+  /// "snapshot.gather_cache"), the ingest queues and the cube memo. Not
   /// owned; must outlive the engine. Install before concurrent use.
   void set_memory_tracker(MemoryTracker* tracker);
 
@@ -317,7 +315,7 @@ class ShardedStreamEngine {
   /// Builds the cold tier and/or governor per `config`: opens the frame
   /// store (when a spill dir is configured), attaches it to every shard,
   /// and stands up the MemoryGovernor with the core eviction ladder —
-  /// cube memo (priority 10), gather caches + frozen blocks (21), cold
+  /// cube memo (priority 10), gather caches and published runs (21), cold
   /// spill (30); the api layer adds its snapshot cache at 19. Call once,
   /// after set_memory_tracker and before concurrent use. Enforcement then
   /// runs after every sync ingest and on the owner threads' post-batch
@@ -384,13 +382,14 @@ class ShardedStreamEngine {
   const Options& options() const { return options_; }
 
  private:
-  /// One atomically published generation of a shard's cells: an immutable
-  /// sorted run of frozen frames plus the shard clock and engine revision
-  /// it reflects. The owner (or a slow-path reader under the shard mutex)
-  /// builds a successor and swaps it in with a single release store;
-  /// readers load it with acquire and never touch the mutex on the fast
-  /// path. Retired generations stay alive as long as some reader holds
-  /// them — their frames are freed by the last shared_ptr drop.
+  /// One published generation of a shard's cells: an immutable sorted run
+  /// of shared frames plus the shard clock and engine revision it
+  /// reflects. The owner (or a slow-path reader under the shard mutex)
+  /// builds a successor and swaps it in under the shard's pointer-only
+  /// `pub_mu`; readers copy it under that mutex and never touch the shard
+  /// mutex on the fast path. Retired generations stay alive as long as
+  /// some reader holds them — their frames are freed by the last
+  /// shared_ptr drop.
   struct ShardPublication {
     StreamCubeEngine::FrozenSlice cells;  // canonical order, this shard
     TimeTick now = 0;            // shard clock when published
@@ -399,20 +398,37 @@ class ShardedStreamEngine {
 
   struct Shard {
     mutable std::mutex mu;
-    // The engine holds the per-shard delta state: per-cell frozen blocks,
-    // the dirty list, and the retained published run its publications
-    // share.
+    // The engine holds the per-shard delta state: the copy-on-write
+    // frames, the dirty list, and the retained published run its
+    // publications share.
     StreamCubeEngine engine;
     // Mirror of engine.revision(), stored with release inside the mutex
     // at every mutation site. A reader whose loaded publication carries
     // `revision == version` knows no write completed since the publish —
     // the lock-free freshness check behind the mutex-free gather path.
     std::atomic<std::uint64_t> version{0};
-    // The last published generation. Null until the first publish.
-    std::atomic<std::shared_ptr<const ShardPublication>> published{};
 
     explicit Shard(std::shared_ptr<const CubeSchema> schema, Options options)
         : engine(std::move(schema), std::move(options)) {}
+
+    /// The last published generation (null until the first publish).
+    std::shared_ptr<const ShardPublication> Published() const {
+      std::lock_guard<std::mutex> lock(pub_mu);
+      return published;
+    }
+
+    /// Swaps `pub` in. The retired generation, left in `pub`, is released
+    /// after the lock guard (a local) unlocks pub_mu.
+    void Publish(std::shared_ptr<const ShardPublication> pub) {
+      std::lock_guard<std::mutex> lock(pub_mu);
+      published.swap(pub);
+    }
+
+   private:
+    // Guards only copying or swapping `published`: a handoff TSan can
+    // check, unlike std::atomic<std::shared_ptr>.
+    mutable std::mutex pub_mu;
+    std::shared_ptr<const ShardPublication> published;
   };
 
   int ShardIndex(const CellKey& mapped_key) const;
@@ -471,8 +487,8 @@ class ShardedStreamEngine {
 
   /// Current usage the governor compares against the budget: the
   /// tracker's global total when one is attached (it covers frames,
-  /// frozen blocks, caches, memo, indexes, queues), else the sum of the
-  /// O(1) per-shard counters.
+  /// caches, memo, indexes, queues), else the sum of the O(1) per-shard
+  /// counters.
   std::int64_t UsageBytes() const;
 
   // The eviction ladder's rungs (see ConfigureStorage for the order).

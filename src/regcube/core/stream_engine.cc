@@ -14,15 +14,13 @@
 namespace regcube {
 
 namespace {
-// Frozen snapshot blocks cached per cell, reported through MemoryTracker.
-constexpr char kFrozenCategory[] = "snapshot.frozen_frames";
 // The ingest-maintained per-cuboid member index (see MemberIndex).
 constexpr char kMemberIndexCategory[] = "index.members";
-// Resident per-cell state (keys, map overhead, live tilt frames).
+// Resident per-cell state (keys, map overhead, tilt frames).
 constexpr char kTiltFramesCategory[] = "stream.tilt_frames";
-// The retained published run's entry vector (the frame blocks it points
-// at are shared with the frozen cache and counted there). Same category
-// as the sharded engine's merged run — both are gather-cache state.
+// The retained published run's entry vector (the frames it points at are
+// the cells' own, counted under stream.tilt_frames). Same category as the
+// sharded engine's merged run — both are gather-cache state.
 constexpr char kGatherCacheCategory[] = "snapshot.gather_cache";
 // Estimated unordered_map node overhead per cell, matching the historical
 // MemoryBytes formula.
@@ -35,6 +33,7 @@ StreamCubeEngine::StreamCubeEngine(std::shared_ptr<const CubeSchema> schema,
       lattice_(*schema_),
       options_(std::move(options)),
       now_(options_.start_tick),
+      aligned_now_(options_.start_tick),
       member_index_(&lattice_) {
   RC_CHECK(schema_ != nullptr);
   RC_CHECK(options_.tilt_policy != nullptr);
@@ -54,7 +53,7 @@ StreamCubeEngine::CellState& StreamCubeEngine::CellFor(const CellKey& key) {
   auto it = cells_.find(key);
   if (it == cells_.end()) {
     it = cells_
-             .emplace(key, CellState(std::make_unique<TiltTimeFrame>(
+             .emplace(key, CellState(std::make_shared<TiltTimeFrame>(
                                options_.tilt_policy, options_.start_tick)))
              .first;
     // Creation is observable (num_cells, window errors) even if the first
@@ -92,8 +91,8 @@ void StreamCubeEngine::AccountCell(CellState& state) {
   state.tracked_bytes = bytes;
 }
 
-Result<TiltTimeFrame*> StreamCubeEngine::LiveFrame(CellState& state,
-                                                   GatherStats* stats) {
+Result<const TiltTimeFrame*> StreamCubeEngine::LiveFrame(CellState& state,
+                                                         GatherStats* stats) {
   if (state.frame != nullptr) return state.frame.get();
   // Fault-in. A failed read (injected fault, lost mapping) leaves the cell
   // spilled and its ref intact: the typed error propagates to whatever
@@ -106,7 +105,7 @@ Result<TiltTimeFrame*> StreamCubeEngine::LiveFrame(CellState& state,
   if (!decoded.ok()) return decoded.status();
   auto frame = TiltTimeFrame::FromSnapshot(options_.tilt_policy, *decoded);
   if (!frame.ok()) return frame.status();
-  state.frame = std::make_unique<TiltTimeFrame>(*std::move(frame));
+  state.frame = std::make_shared<TiltTimeFrame>(*std::move(frame));
   if (stats != nullptr) {
     ++stats->fault_ins;
     stats->fault_in_bytes += state.spill.size;
@@ -118,11 +117,23 @@ Result<TiltTimeFrame*> StreamCubeEngine::LiveFrame(CellState& state,
   return state.frame.get();
 }
 
-Result<TiltTimeFrame*> StreamCubeEngine::LiveAlignedFrame(const CellKey& key,
-                                                          CellState& state) {
-  RC_ASSIGN_OR_RETURN(TiltTimeFrame * frame, LiveFrame(state));
-  AlignCellToClock(key, state);
-  return frame;
+Result<TiltTimeFrame*> StreamCubeEngine::WritableFrame(CellState& state) {
+  RC_RETURN_IF_ERROR(LiveFrame(state).status());
+  if (state.shared) {
+    // A published run (and any reader holding it) sees this object: write
+    // to a private copy, and the next publish shares that one. The copy
+    // shares the slot block until it seals (TiltTimeFrame::CopyForWrite).
+    state.frame = std::make_shared<TiltTimeFrame>(state.frame->CopyForWrite());
+    state.shared = false;
+  }
+  return state.frame.get();
+}
+
+Result<const TiltTimeFrame*> StreamCubeEngine::LiveAlignedFrame(
+    const CellKey& key, CellState& state) {
+  RC_RETURN_IF_ERROR(LiveFrame(state).status());
+  AlignCellToClock(key, state, now_);  // may swap in a clone
+  return state.frame.get();
 }
 
 void StreamCubeEngine::EnsureIndexed(CuboidId cuboid) {
@@ -174,7 +185,11 @@ Status StreamCubeEngine::Ingest(const StreamTuple& tuple) {
   const CellKey key =
       options_.key_mapper ? options_.key_mapper(tuple.key) : tuple.key;
   CellState& state = CellFor(key);
-  RC_ASSIGN_OR_RETURN(TiltTimeFrame * frame, LiveFrame(state));
+  RC_ASSIGN_OR_RETURN(TiltTimeFrame * frame, WritableFrame(state));
+  // Catch up to the last seal first: a frame left behind it (shared during
+  // a no-op seal, spilled, or created since) refuses a tick that seal
+  // closed, exactly like a frame the seal advanced in place.
+  AlignCellToClock(key, state, aligned_now_);
   RC_RETURN_IF_ERROR(frame->Add(tuple.tick, tuple.value));
   MarkDirty(key, state);
   AccountCell(state);
@@ -204,31 +219,33 @@ Status StreamCubeEngine::SealThrough(TimeTick t) {
 }
 
 void StreamCubeEngine::AlignFrames() {
+  aligned_now_ = now_;
   for (auto& [key, state] : cells_) {
-    AlignCellToClock(key, state);
+    AlignCellToClock(key, state, now_);
   }
 }
 
-void StreamCubeEngine::AlignCellToClock(const CellKey& key, CellState& state) {
-  if (state.frame == nullptr) {
-    // Spilled: alignment is deferred to fault-in. AdvanceTo over the
-    // skipped ticks is deterministic (missing ticks contribute zero), so
-    // the late advance yields bit-identical slots — and a seal sweep never
-    // has to touch the cold tier.
-    return;
-  }
+void StreamCubeEngine::AlignCellToClock(const CellKey& key, CellState& state,
+                                        TimeTick t) {
+  // Spilled: alignment is deferred to fault-in. AdvanceTo over the skipped
+  // ticks is deterministic (missing ticks contribute zero), so the late
+  // advance yields bit-identical slots — and a seal sweep never has to
+  // touch the cold tier.
+  if (state.frame == nullptr) return;
   const TimeTick from = state.frame->next_tick();
-  if (from >= now_) return;
-  Status s = state.frame->AdvanceTo(now_);
-  RC_CHECK(s.ok()) << s.ToString();
-  AccountCell(state);
+  if (from >= t) return;
   // Only an advance that sealed a slot changes what any read can see;
   // moving next_tick within an open unit leaves every slot untouched, so
-  // the cell's frozen block (and any revision-memoized snapshot) stays
-  // valid.
-  if (options_.tilt_policy->AnyUnitEndIn(from, now_)) {
-    MarkDirty(key, state);
-  }
+  // the published frame (and any revision-memoized snapshot) stays valid
+  // and a shared frame is not worth a clone.
+  const bool seals = options_.tilt_policy->AnyUnitEndIn(from, t);
+  if (state.shared && !seals) return;
+  auto frame = WritableFrame(state);
+  RC_CHECK(frame.ok()) << frame.status().ToString();  // resident: no I/O
+  Status s = (*frame)->AdvanceTo(t);
+  RC_CHECK(s.ok()) << s.ToString();
+  AccountCell(state);
+  if (seals) MarkDirty(key, state);
 }
 
 Result<std::vector<MLayerTuple>> StreamCubeEngine::SnapshotWindow(int level,
@@ -240,7 +257,8 @@ Result<std::vector<MLayerTuple>> StreamCubeEngine::SnapshotWindow(int level,
   std::vector<MLayerTuple> tuples;
   tuples.reserve(cells_.size());
   for (auto& [key, state] : cells_) {
-    RC_ASSIGN_OR_RETURN(TiltTimeFrame * frame, LiveAlignedFrame(key, state));
+    RC_ASSIGN_OR_RETURN(const TiltTimeFrame* frame,
+                        LiveAlignedFrame(key, state));
     auto isb = frame->RegressLastSlots(level, k);
     if (!isb.ok()) return isb.status();
     tuples.push_back(MLayerTuple{key, *isb});
@@ -283,7 +301,8 @@ Result<StreamCubeEngine::DeckSeries> StreamCubeEngine::ObservationDeck(
   const CuboidId o_id = lattice_.o_layer_id();
   for (auto& [key, state] : cells_) {
     const CellKey o_key = lattice_.ProjectMLayerKey(key, o_id);
-    RC_ASSIGN_OR_RETURN(TiltTimeFrame * frame, LiveAlignedFrame(key, state));
+    RC_ASSIGN_OR_RETURN(const TiltTimeFrame* frame,
+                        LiveAlignedFrame(key, state));
     const auto& slots = frame->RawSlots(level);
     auto& dest = acc[o_key];
     if (dest.size() < slots.size()) dest.resize(slots.size());
@@ -347,7 +366,7 @@ Result<Isb> StreamCubeEngine::QueryCell(CuboidId cuboid, const CellKey& key,
   }
   Isb acc;
   for (auto& [m_key, state] : members) {
-    RC_ASSIGN_OR_RETURN(TiltTimeFrame * frame,
+    RC_ASSIGN_OR_RETURN(const TiltTimeFrame* frame,
                         LiveAlignedFrame(*m_key, *state));
     auto isb = frame->RegressLastSlots(level, k);
     if (!isb.ok()) return isb.status();
@@ -367,7 +386,7 @@ Result<std::vector<Isb>> StreamCubeEngine::QueryCellSeries(
   }
   std::vector<MomentSums> acc;
   for (auto& [m_key, state] : members) {
-    RC_ASSIGN_OR_RETURN(TiltTimeFrame * frame,
+    RC_ASSIGN_OR_RETURN(const TiltTimeFrame* frame,
                         LiveAlignedFrame(*m_key, *state));
     const auto& slots = frame->RawSlots(level);
     if (acc.size() < slots.size()) acc.resize(slots.size());
@@ -391,7 +410,6 @@ void StreamCubeEngine::set_memory_tracker(MemoryTracker* tracker) {
   // Hand the registered bytes from the old tracker to the new one, so
   // detach / re-attach keeps every tracker balanced.
   if (tracker_ != nullptr) {
-    if (frozen_bytes_ > 0) tracker_->Release(kFrozenCategory, frozen_bytes_);
     if (member_index_tracked_ > 0) {
       tracker_->Release(kMemberIndexCategory, member_index_tracked_);
     }
@@ -401,7 +419,6 @@ void StreamCubeEngine::set_memory_tracker(MemoryTracker* tracker) {
     }
   }
   if (tracker != nullptr) {
-    if (frozen_bytes_ > 0) tracker->Add(kFrozenCategory, frozen_bytes_);
     if (member_index_tracked_ > 0) {
       tracker->Add(kMemberIndexCategory, member_index_tracked_);
     }
@@ -418,33 +435,11 @@ void StreamCubeEngine::set_frame_store(FrameStore* store, int shard_index) {
   shard_index_ = shard_index;
 }
 
-void StreamCubeEngine::PublishFrozen(
-    CellState& state, std::shared_ptr<const TiltTimeFrame> block) {
-  const std::int64_t new_bytes = block->MemoryBytes();
-  const std::int64_t old_bytes =
-      state.frozen != nullptr ? state.frozen->MemoryBytes() : 0;
-  frozen_bytes_ += new_bytes - old_bytes;
-  if (tracker_ != nullptr) {
-    if (state.frozen != nullptr) tracker_->Release(kFrozenCategory, old_bytes);
-    tracker_->Add(kFrozenCategory, new_bytes);
-  }
-  state.frozen = std::move(block);
-}
-
-Result<std::shared_ptr<const TiltTimeFrame>> StreamCubeEngine::FrozenFor(
+Result<std::shared_ptr<const TiltTimeFrame>> StreamCubeEngine::SharedFrame(
     CellState& state, GatherStats* stats) {
-  if (state.frozen == nullptr ||
-      state.frozen_revision != state.last_modified) {
-    RC_ASSIGN_OR_RETURN(TiltTimeFrame * live, LiveFrame(state, stats));
-    auto block = std::make_shared<const TiltTimeFrame>(*live);
-    if (stats != nullptr) {
-      ++stats->materialized;
-      stats->bytes_copied += block->MemoryBytes();
-    }
-    PublishFrozen(state, std::move(block));
-    state.frozen_revision = state.last_modified;
-  }
-  return state.frozen;
+  RC_RETURN_IF_ERROR(LiveFrame(state, stats).status());
+  state.shared = true;
+  return std::shared_ptr<const TiltTimeFrame>(state.frame);
 }
 
 Status StreamCubeEngine::RefreshPublishedRun(FrozenSlice* out,
@@ -462,15 +457,15 @@ Status StreamCubeEngine::RefreshPublishedRun(FrozenSlice* out,
     auto full = std::make_shared<std::vector<CellSnapshot>>();
     full->reserve(cells_.size());
     for (auto& [key, state] : cells_) {
-      auto frozen = FrozenFor(state, stats);
-      if (!frozen.ok()) return frozen.status();
-      full->push_back({key, *std::move(frozen)});
+      auto frame = SharedFrame(state, stats);
+      if (!frame.ok()) return frame.status();
+      full->push_back({key, *std::move(frame)});
     }
     std::sort(full->begin(), full->end(), CellSnapshotCanonicalLess);
     published_run_ = std::move(full);
   } else {
-    // Patch refresh: re-freeze only the dirty cells, then splice them over
-    // a pointer-copy of the previous run in one tandem merge — O(changed
+    // Patch refresh: share only the dirty cells' frames, then splice them
+    // over a pointer-copy of the previous run in one tandem merge — O(changed
     // cells) frame work, O(cells) pointer moves. (The only revision bump
     // that skips the dirty list is RestoreCell, which requires an empty —
     // and therefore runless — engine, so an empty dirty list here really
@@ -478,13 +473,13 @@ Status StreamCubeEngine::RefreshPublishedRun(FrozenSlice* out,
     std::vector<CellSnapshot> patches;
     patches.reserve(dirty_cells_.size());
     for (auto& [key, state] : dirty_cells_) {
-      auto frozen = FrozenFor(*state, stats);
-      if (!frozen.ok()) {
+      auto frame = SharedFrame(*state, stats);
+      if (!frame.ok()) {
         // Leave the dirty list, the run, and the export revision
         // untouched: the next refresh retries exactly this work.
-        return frozen.status();
+        return frame.status();
       }
-      patches.push_back({key, *std::move(frozen)});
+      patches.push_back({key, *std::move(frame)});
     }
     std::sort(patches.begin(), patches.end(), CellSnapshotCanonicalLess);
     auto next = std::make_shared<std::vector<CellSnapshot>>();
@@ -540,7 +535,7 @@ Status StreamCubeEngine::ExportCellsFull(std::vector<CellSnapshot>* out,
                                          GatherStats* stats) {
   out->reserve(out->size() + cells_.size());
   for (auto& [key, state] : cells_) {
-    RC_ASSIGN_OR_RETURN(TiltTimeFrame * live, LiveFrame(state, stats));
+    RC_ASSIGN_OR_RETURN(const TiltTimeFrame* live, LiveFrame(state, stats));
     auto block = std::make_shared<const TiltTimeFrame>(*live);
     if (stats != nullptr) {
       ++stats->materialized;
@@ -557,9 +552,9 @@ Status StreamCubeEngine::ExportMatchingCells(CuboidId cuboid,
                                              std::vector<CellSnapshot>* out) {
   for (auto& [m_key, state] : cells_) {
     if (!(lattice_.ProjectMLayerKey(m_key, cuboid) == key)) continue;
-    RC_ASSIGN_OR_RETURN(std::shared_ptr<const TiltTimeFrame> frozen,
-                        FrozenFor(state, /*stats=*/nullptr));
-    out->push_back({m_key, std::move(frozen)});
+    RC_ASSIGN_OR_RETURN(std::shared_ptr<const TiltTimeFrame> frame,
+                        SharedFrame(state, /*stats=*/nullptr));
+    out->push_back({m_key, std::move(frame)});
   }
   return Status::OK();
 }
@@ -618,15 +613,8 @@ StreamCubeEngine::SpillSweep StreamCubeEngine::SpillColdFrames(
       break;
     }
     sweep.bytes += state->frame->MemoryBytes();
-    if (state->frozen != nullptr) {
-      const std::int64_t frozen = state->frozen->MemoryBytes();
-      frozen_bytes_ -= frozen;
-      if (tracker_ != nullptr) tracker_->Release(kFrozenCategory, frozen);
-      state->frozen = nullptr;
-      state->frozen_revision = 0;
-      sweep.bytes += frozen;
-    }
-    state->frame.reset();
+    state->frame.reset();  // a run that shares the frame keeps it alive
+    state->shared = false;
     state->spill = *ref;
     ++spilled_cells_;
     ++sweep.cells;
@@ -668,20 +656,6 @@ void StreamCubeEngine::RepointSpilledBlocks(
   }
 }
 
-std::int64_t StreamCubeEngine::DropFrozenBlocks() {
-  std::int64_t freed = 0;
-  for (auto& [key, state] : cells_) {
-    if (state.frozen == nullptr) continue;
-    const std::int64_t bytes = state.frozen->MemoryBytes();
-    frozen_bytes_ -= bytes;
-    if (tracker_ != nullptr) tracker_->Release(kFrozenCategory, bytes);
-    state.frozen = nullptr;
-    state.frozen_revision = 0;
-    freed += bytes;
-  }
-  return freed;
-}
-
 Status StreamCubeEngine::RestoreCell(const CellKey& key, const BlockRef& ref) {
   if (store_ == nullptr) {
     return Status::FailedPrecondition(
@@ -714,7 +688,16 @@ Status StreamCubeEngine::ExportEncodedFrames(
   out->reserve(out->size() + cells_.size());
   for (auto& [key, state] : cells_) {
     if (state.frame != nullptr) {
-      out->push_back({key, EncodeTiltFrameState(state.frame->Snapshot())});
+      // A frame a no-op seal left lagging (or one faulted in since a seal)
+      // encodes as if advanced in place: otherwise a reopened engine would
+      // accept ticks the live one refuses.
+      const TiltTimeFrame* frame = state.frame.get();
+      std::optional<TiltTimeFrame> advanced;
+      if (frame->next_tick() < aligned_now_) {
+        frame = &advanced.emplace(*frame);
+        RC_RETURN_IF_ERROR(advanced->AdvanceTo(aligned_now_));
+      }
+      out->push_back({key, EncodeTiltFrameState(frame->Snapshot())});
     } else {
       // Cold cells are copied block-to-block — no decode/re-encode, no
       // fault-in: checkpointing a mostly-cold engine stays cheap.

@@ -48,23 +48,25 @@ struct IngestReport {
   bool ok() const { return status.ok(); }
 };
 
-/// One m-layer cell frozen for lock-free reads: its key plus a refcounted
-/// immutable view of its tilt frame. The unit of the snapshot read path —
-/// gathered under a shard lock, queried without any. Because the frame is
-/// shared rather than owned, a gather that finds a cell unchanged since the
-/// last freeze copies a pointer, not the frame: snapshot cost scales with
-/// the cells that changed, not the population.
+/// One m-layer cell published for lock-free reads: its key plus a
+/// refcounted read-only view of its tilt frame. The unit of the snapshot
+/// read path — gathered under a shard lock, queried without any. The frame
+/// is the cell's own (copy-on-write: the engine clones it before its next
+/// write), so a gather that finds a cell unchanged since the last publish
+/// copies a pointer, not the frame: snapshot cost scales with the cells
+/// that changed, not the population.
 struct CellSnapshot {
   CellKey key;
   std::shared_ptr<const TiltTimeFrame> frame;
 };
 
 /// What one gather actually paid: how many frames had to be materialized
-/// (deep-copied) versus shared from the frozen cache, and the bytes those
+/// (deep-copied) versus shared with the engine — on the delta path only
+/// realignment across a tilt-unit boundary copies — and the bytes those
 /// copies retain. The bench's delta-vs-full comparison reads these.
 struct GatherStats {
   std::int64_t cells = 0;         // cells in the gather
-  std::int64_t materialized = 0;  // frames deep-copied (dirty or re-aligned)
+  std::int64_t materialized = 0;  // frames deep-copied (realigned, or kFull)
   std::int64_t bytes_copied = 0;  // bytes retained by those copies
   std::int64_t shards_reused = 0; // shards served wholesale from their cache
   std::int64_t fault_ins = 0;       // spilled frames read back for this gather
@@ -126,7 +128,9 @@ class StreamCubeEngine {
 
   /// Declares that no data with tick <= `t` remains in flight: every frame
   /// seals all units ending at or before `t` ("the aggregated data will
-  /// trigger the cube computation once every 15 minutes").
+  /// trigger the cube computation once every 15 minutes"). From then on
+  /// every cell — resident, spilled, or created later — refuses a tick
+  /// <= `t`.
   Status SealThrough(TimeTick t);
 
   /// Latest tick ingested or sealed.
@@ -181,7 +185,7 @@ class StreamCubeEngine {
 
   // ---- the publish half of the snapshot read path -----------------------
 
-  /// An immutable canonical-key-ordered run of frozen cells, shared
+  /// An immutable canonical-key-ordered run of published cells, shared
   /// between the engine's retained published run, the per-shard published
   /// generation, the sharded gather cache, and any snapshots holding them.
   using FrozenSlice = std::shared_ptr<const std::vector<CellSnapshot>>;
@@ -189,13 +193,14 @@ class StreamCubeEngine {
   /// Brings this engine's retained published run up to date and hands it
   /// back. The run is a full sorted export of every cell; the engine keeps
   /// it across calls, so a refresh after writes pays only for the cells on
-  /// the dirty list (each re-frozen, then spliced over a pointer-copy of
-  /// the previous run) and a refresh with no intervening writes returns
-  /// the same run unchanged (counted as shards_reused). Frames are frozen
-  /// at their own clock; callers align to a global clock outside the lock
-  /// (sharing survives the alignment when no tilt-unit boundary was
-  /// crossed, see TiltPolicy::AnyUnitEndIn) and must align *copies*: the
-  /// returned run is immutable and shared.
+  /// the dirty list (each cell's own frame marked shared, then spliced over
+  /// a pointer-copy of the previous run) and a refresh with no intervening
+  /// writes returns the same run unchanged (counted as shards_reused). No
+  /// frame is copied here: the writer clones a shared frame before its
+  /// next mutation. Frames are published at their own clock; callers align
+  /// to a global clock outside the lock (sharing survives the alignment
+  /// when no tilt-unit boundary was crossed, see TiltPolicy::AnyUnitEndIn)
+  /// and must align *copies*: the returned run is immutable and shared.
   ///
   /// On a fault-in failure (typed Unavailable from the store) nothing is
   /// consumed: the dirty list, the retained run, and the export revision
@@ -208,21 +213,21 @@ class StreamCubeEngine {
   /// frames only once the last holder drops it.
   std::int64_t DropPublishedRun();
 
-  /// Same contract, but deep-copies every frame unconditionally and leaves
-  /// the frozen cache untouched — the O(all-cells) baseline the delta path
-  /// is benchmarked (and bit-identity-tested) against. Non-const because a
+  /// Same contract, but deep-copies every frame unconditionally and marks
+  /// nothing shared — the O(all-cells) baseline the delta path is
+  /// benchmarked (and bit-identity-tested) against. Non-const because a
   /// full export must fault spilled cells back in; a fault-in failure
   /// surfaces as a typed Unavailable (out may hold a partial run the
   /// caller must discard).
   Status ExportCellsFull(std::vector<CellSnapshot>* out, GatherStats* stats);
 
-  /// Frozen views of the m-layer cells that roll up into `key` of
+  /// Shared views of the m-layer cells that roll up into `key` of
   /// `cuboid`, found by projecting every key under the caller's lock —
   /// the O(cells) pre-index scan, retained only as the oracle behind the
   /// sharded engine's PointLookup::kScan gather (the production point
   /// path probes AppendMemberKeys and reads the published run instead).
-  /// Shares frozen blocks exactly like ExportFrozenCells. Pre: `cuboid`
-  /// is a valid lattice id (callers validate; see SnapshotBadCuboidError).
+  /// Shares each cell's frame like RefreshPublishedRun. Pre: `cuboid` is
+  /// a valid lattice id (callers validate; see SnapshotBadCuboidError).
   /// Fault-in failures surface as typed Unavailable.
   Status ExportMatchingCells(CuboidId cuboid, const CellKey& key,
                              std::vector<CellSnapshot>* out);
@@ -250,18 +255,15 @@ class StreamCubeEngine {
   std::uint64_t revision() const { return revision_; }
 
   /// Bytes retained by the RAM-resident per-cell state (keys, map overhead,
-  /// live tilt frames — spilled frames excluded). Maintained incrementally
+  /// tilt frames — spilled frames excluded). Maintained incrementally
   /// per mutation, so this is O(1), and mirrored to the tracker under
   /// "stream.tilt_frames".
   std::int64_t MemoryBytes() const { return frame_bytes_; }
 
-  /// Bytes retained by the cached frozen blocks (also accounted to the
-  /// memory tracker, if one is installed, under "snapshot.frozen_frames").
-  std::int64_t FrozenBytes() const { return frozen_bytes_; }
-
-  /// Installs analytic memory accounting for the frozen-block cache (any
-  /// bytes already frozen are registered immediately). Pass nullptr to
-  /// detach. Not owned; must outlive the engine.
+  /// Installs analytic memory accounting ("stream.tilt_frames",
+  /// "index.members", "snapshot.gather_cache"; any bytes already held are
+  /// registered immediately). Pass nullptr to detach. Not owned; must
+  /// outlive the engine.
   void set_memory_tracker(MemoryTracker* tracker);
 
   // ---- the cold tier: spill, fault-in, checkpoint ----------------------
@@ -273,7 +275,7 @@ class StreamCubeEngine {
 
   struct SpillSweep {
     std::int64_t cells = 0;  // cells moved to the cold tier
-    std::int64_t bytes = 0;  // RAM bytes released (frames + dropped frozen)
+    std::int64_t bytes = 0;  // RAM bytes released (the cells' frames)
   };
 
   /// Evicts clean (not dirty-queued) cells to the frame store, least
@@ -314,11 +316,6 @@ class StreamCubeEngine {
   /// Spill write retries that were attempted (successful or not).
   std::int64_t SpillRetries() const { return spill_retries_; }
 
-  /// Drops every cached frozen block (they are rebuilt on demand from the
-  /// live frames) and returns the bytes released — an eviction rung above
-  /// spilling: cheap to rebuild, no disk round trip.
-  std::int64_t DropFrozenBlocks();
-
   /// Installs one checkpointed cell as lazily-spilled state: the key is
   /// registered (indexes, revision) but the frame stays in the mapped file
   /// until first touched. The warm-restart door — OpenFrom's first query
@@ -331,7 +328,9 @@ class StreamCubeEngine {
   void RestoreClock(TimeTick t) { now_ = std::max(now_, t); }
 
   /// Appends (key, encoded tilt-frame payload) for every cell — resident
-  /// frames encode their live state, spilled cells copy their raw block
+  /// frames encode their state advanced to the last seal (a frame a no-op
+  /// seal left behind encodes as if it had been advanced, so a reopened
+  /// engine refuses the same ticks), spilled cells copy their raw block
   /// straight from the store (no decode/re-encode). The checkpoint
   /// writer's per-shard collection step.
   Status ExportEncodedFrames(
@@ -345,28 +344,34 @@ class StreamCubeEngine {
 
  private:
   struct CellState {
-    /// Null while the cell is spilled — then `spill` names the encoded
-    /// frame in the store and LiveFrame faults it back in on first touch.
-    std::unique_ptr<TiltTimeFrame> frame;
+    /// The cell's one frame, copy-on-write: a publish shares this object
+    /// and sets `shared`, and WritableFrame clones it before the next
+    /// write. The bit decides, never use_count() (a relaxed load). Null
+    /// while the cell is spilled — then `spill` names the encoded frame in
+    /// the store and LiveFrame faults it back in on first touch.
+    std::shared_ptr<TiltTimeFrame> frame;
     BlockRef spill;                   // valid iff frame == nullptr
     std::int64_t tracked_bytes = 0;   // this cell's share of frame_bytes_
     std::uint64_t last_modified = 0;  // revision of the last observable change
-    std::shared_ptr<const TiltTimeFrame> frozen;  // immutable copy of `frame`
-    std::uint64_t frozen_revision = 0;  // last_modified captured in `frozen`
     bool queued = false;  // on dirty_cells_, awaiting the next export
+    bool shared = false;  // `frame` may be held by a reader: clone to write
 
-    explicit CellState(std::unique_ptr<TiltTimeFrame> f)
+    explicit CellState(std::shared_ptr<TiltTimeFrame> f)
         : frame(std::move(f)) {}
   };
 
-  /// Advances every frame to the engine clock so slot structures align.
-  /// Bumps the revision (and dirties cells) only when a frame seals a slot.
+  /// Advances every frame to the engine clock so slot structures align,
+  /// and records that clock in aligned_now_. Bumps the revision (and
+  /// dirties cells) only when a frame seals a slot.
   void AlignFrames();
 
-  /// Advances one frame to the engine clock (the per-cell unit AlignFrames
-  /// loops over). Point queries align only the queried members this way,
-  /// so a probe never pays an O(cells) alignment pass.
-  void AlignCellToClock(const CellKey& key, CellState& state);
+  /// Advances one resident frame to `t` (the per-cell unit AlignFrames
+  /// loops over; point queries align only the queried members this way).
+  /// An advance that seals a slot clones a shared frame first and marks
+  /// the cell dirty; one that seals nothing only moves next_tick, which no
+  /// read can see, so a shared frame is left lagging instead of cloned
+  /// (Ingest catches it up to aligned_now_ before its next Add).
+  void AlignCellToClock(const CellKey& key, CellState& state, TimeTick t);
 
   CellState& CellFor(const CellKey& key);
 
@@ -390,30 +395,30 @@ class StreamCubeEngine {
   /// next export patches from.
   void MarkDirty(const CellKey& key, CellState& state);
 
-  /// Replaces a cell's frozen block, keeping frozen_bytes_ and the tracker
-  /// in sync.
-  void PublishFrozen(CellState& state,
-                     std::shared_ptr<const TiltTimeFrame> block);
-
-  /// The cell's current frozen block, refreshed from the live frame if the
-  /// cell changed since the last freeze (counted into `stats`). A spilled
+  /// The cell's frame for a run: faults it in (counted into `stats`) and
+  /// sets `shared`, so the writer clones before it next mutates. A spilled
   /// cell that cannot be faulted in yields a typed Unavailable.
-  Result<std::shared_ptr<const TiltTimeFrame>> FrozenFor(CellState& state,
-                                                         GatherStats* stats);
+  Result<std::shared_ptr<const TiltTimeFrame>> SharedFrame(CellState& state,
+                                                           GatherStats* stats);
 
-  /// The cell's live frame, faulting it in from the frame store if it is
+  /// The cell's frame, faulting it in from the frame store if it is
   /// spilled (fault-ins counted into `stats` when given). The single choke
   /// point every read/write path goes through, which is what makes spill
   /// transparent. A failed fault-in (typed Unavailable from the store)
   /// leaves the cell spilled and intact: the error propagates to the
   /// query/ingest caller and a later touch simply retries.
-  Result<TiltTimeFrame*> LiveFrame(CellState& state,
-                                   GatherStats* stats = nullptr);
+  Result<const TiltTimeFrame*> LiveFrame(CellState& state,
+                                         GatherStats* stats = nullptr);
 
-  /// LiveFrame + AlignCellToClock: the frame, resident and advanced to the
-  /// engine clock — what point queries and window reads consume.
-  Result<TiltTimeFrame*> LiveAlignedFrame(const CellKey& key,
-                                          CellState& state);
+  /// LiveFrame for a mutation: clones a shared frame (and clears the bit)
+  /// so no reader's view ever changes. Ingest and every sealing advance go
+  /// through it.
+  Result<TiltTimeFrame*> WritableFrame(CellState& state);
+
+  /// LiveFrame + AlignCellToClock to now_: the frame, resident and advanced
+  /// to the engine clock — what point queries and window reads consume.
+  Result<const TiltTimeFrame*> LiveAlignedFrame(const CellKey& key,
+                                                CellState& state);
 
   /// Recomputes the cell's resident-byte contribution and folds the delta
   /// into frame_bytes_ (and the tracker). Call after any frame mutation,
@@ -425,8 +430,8 @@ class StreamCubeEngine {
   Options options_;
   std::unordered_map<CellKey, CellState, CellKeyHash> cells_;
   TimeTick now_;
+  TimeTick aligned_now_;  // now_ at the last AlignFrames pass (the seal clock)
   std::uint64_t revision_ = 0;
-  std::int64_t frozen_bytes_ = 0;
   std::int64_t frame_bytes_ = 0;  // resident cell bytes, kept by AccountCell
   MemoryTracker* tracker_ = nullptr;
 
@@ -440,7 +445,7 @@ class StreamCubeEngine {
 
   /// Re-registers the retained published run's entry bytes with the
   /// tracker after the run changed (under "snapshot.gather_cache"; the
-  /// frame blocks it shares are counted by the frozen cache).
+  /// frames it shares are the cells' own, counted as "stream.tilt_frames").
   void AccountPublishedRun();
 
   // Delta-export bookkeeping: published_run_ is the retained full sorted

@@ -23,7 +23,26 @@ TiltTimeFrame::TiltTimeFrame(std::shared_ptr<const TiltPolicy> policy,
     level.capacity = policy_->level(li).capacity;
     offset += level.capacity;
   }
-  slots_.resize(static_cast<size_t>(offset));
+  slots_ = std::make_shared<MomentSums[]>(static_cast<size_t>(offset));
+}
+
+TiltTimeFrame::TiltTimeFrame(const TiltTimeFrame& other, SharedSlots)
+    : policy_(other.policy_), levels_(other.levels_), slots_(other.slots_),
+      slots_shared_(true), start_tick_(other.start_tick_),
+      next_tick_(other.next_tick_) {}
+
+TiltTimeFrame::TiltTimeFrame(const TiltTimeFrame& other)
+    : TiltTimeFrame(other, SharedSlots{}) {
+  OwnSlots();
+}
+
+void TiltTimeFrame::OwnSlots() {
+  if (!slots_shared_) return;
+  const auto n = static_cast<size_t>(policy_->TotalCapacity());
+  auto own = std::make_shared<MomentSums[]>(n);
+  std::copy(slots_.get(), slots_.get() + n, own.get());
+  slots_ = std::move(own);
+  slots_shared_ = false;
 }
 
 void TiltTimeFrame::Accumulate(TimeTick t, double z) {
@@ -42,16 +61,16 @@ void TiltTimeFrame::SealBoundaries(TimeTick t) {
     // contributed zero (additive stream semantics).
     slot.interval.tb = level.pending_start;
     slot.interval.te = t;
+    OwnSlots();
+    MomentSums* first = slots_.get() + level.offset;
     if (level.count == level.capacity) {
       // Full: evict the oldest by shifting the range left by one.
       if (level.capacity > 0) {
-        MomentSums* first = slots_.data() + level.offset;
         std::copy(first + 1, first + level.capacity, first);
         first[level.capacity - 1] = slot;
       }
     } else {
-      slots_[static_cast<size_t>(level.offset + level.count)] = slot;
-      ++level.count;
+      first[level.count++] = slot;
     }
     level.pending = MomentSums();
     level.pending_active = false;
@@ -233,7 +252,7 @@ Result<TiltTimeFrame> TiltTimeFrame::FromSnapshot(
           in.slots.size(), out.capacity));
     }
     std::copy(in.slots.begin(), in.slots.end(),
-              frame.slots_.begin() + out.offset);
+              frame.slots_.get() + out.offset);
     out.count = static_cast<std::int32_t>(in.slots.size());
     out.pending = in.pending;
     out.pending_active = in.pending_active;

@@ -50,14 +50,30 @@ struct TiltFrameState {
 /// live in one contiguous block of TotalCapacity() moment sums allocated at
 /// construction. Level L owns [offset_L, offset_L + capacity_L), oldest
 /// first; sealing into a full level shifts that range left by one. A copy
-/// is therefore two heap blocks (slots and level headers), and no seal
-/// allocates or frees.
+/// is therefore two heap blocks (slots and level headers), and no seal of
+/// an unshared block allocates or frees. CopyForWrite copies only the
+/// headers: the copy shares the slot block until its first seal.
 class TiltTimeFrame {
  public:
   /// Creates a frame that starts at `start_tick` (the first tick of its
   /// first level-0 unit). The policy is shared because one policy object
   /// typically serves every cell of a cube.
   TiltTimeFrame(std::shared_ptr<const TiltPolicy> policy, TimeTick start_tick);
+
+  /// A full copy, slots included.
+  TiltTimeFrame(const TiltTimeFrame& other);
+  TiltTimeFrame(TiltTimeFrame&&) = default;
+  TiltTimeFrame& operator=(const TiltTimeFrame& other) {
+    return *this = TiltTimeFrame(other);
+  }
+  TiltTimeFrame& operator=(TiltTimeFrame&&) = default;
+
+  /// A copy for a writer to mutate in place of this frame: it shares this
+  /// frame's slot block until its first seal copies the block, so a write
+  /// inside the open unit copies no slot. Pre: this frame is not mutated
+  /// while the copy shares its slots (the stream engine copies only frames
+  /// readers hold, which it never writes again).
+  TiltTimeFrame CopyForWrite() const { return {*this, SharedSlots{}}; }
 
   /// Adds observation z at tick `t`. Ticks must be non-decreasing and
   /// >= start_tick; a jump forward seals any completed units in between.
@@ -132,12 +148,19 @@ class TiltTimeFrame {
     bool pending_active = false;
   };
 
+  struct SharedSlots {};
+  TiltTimeFrame(const TiltTimeFrame& other, SharedSlots);
+
+  /// Copies a slot block shared by CopyForWrite before the first write.
+  void OwnSlots();
+
   /// Sealed slots of one level, oldest first (mutable view into slots_).
   std::span<MomentSums> LevelSlots(const LevelState& level) {
-    return {slots_.data() + level.offset, static_cast<size_t>(level.count)};
+    OwnSlots();
+    return {slots_.get() + level.offset, static_cast<size_t>(level.count)};
   }
   std::span<const MomentSums> LevelSlots(const LevelState& level) const {
-    return {slots_.data() + level.offset, static_cast<size_t>(level.count)};
+    return {slots_.get() + level.offset, static_cast<size_t>(level.count)};
   }
 
   /// Seals completed units ending at tick `t` across all levels.
@@ -148,7 +171,10 @@ class TiltTimeFrame {
 
   std::shared_ptr<const TiltPolicy> policy_;
   std::vector<LevelState> levels_;
-  std::vector<MomentSums> slots_;  // every level's range, TotalCapacity()
+  // Every level's range, TotalCapacity() long; shared with the frame this
+  // one was copied from by CopyForWrite until OwnSlots copies it.
+  std::shared_ptr<MomentSums[]> slots_;
+  bool slots_shared_ = false;
   TimeTick start_tick_;
   TimeTick next_tick_;  // first tick not yet fully processed
 };

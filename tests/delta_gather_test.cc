@@ -5,8 +5,10 @@
 // {1, 2, 8}; seals that change nothing must not move the revision; point
 // queries routed through the member-only gather must match a full-snapshot
 // scan and keep the legacy error contract; concurrent churn + TakeSnapshot
-// must be race-free (this test runs in the TSan CI job); and the frozen /
-// gather-cache bytes must show up in the facade's memory tracker.
+// must be race-free (this test runs in the TSan CI job); publishing must
+// share the cells' own copy-on-write frames (only a write changes a frame
+// pointer); and the frame / gather-cache bytes must show up in the
+// facade's memory tracker, each frame counted once.
 //
 // The randomized churn and the oracle comparators come from the shared
 // equivalence harness (tests/equivalence_harness.h).
@@ -34,6 +36,18 @@ using equivalence::UnusedMLayerKey;
 
 WorkloadSpec ChurnSpec(std::int64_t tuples = 120, std::int64_t ticks = 16) {
   return ChurnWorkload(tuples, ticks, /*seed=*/23);
+}
+
+/// Cells whose frame object differs between two runs of the same keys.
+int ChangedFramePointers(const SnapshotCells& before,
+                         const SnapshotCells& after) {
+  EXPECT_EQ(before.size(), after.size());
+  int changed = 0;
+  for (size_t i = 0; i < before.size() && i < after.size(); ++i) {
+    EXPECT_EQ(before[i].key, after[i].key);
+    if (before[i].frame.get() != after[i].frame.get()) ++changed;
+  }
+  return changed;
 }
 
 // ------------------------------------------------------------ equivalence
@@ -100,22 +114,42 @@ TEST(DeltaGatherTest, DeltaGatherCopiesOnlyDirtyCells) {
   ASSERT_TRUE(engine.IngestBatch(gen.GenerateStream()).ok());
   ASSERT_TRUE(engine.SealThrough(spec.series_length - 1).ok());
 
+  // The first publish shares every cell's own frame: nothing is copied.
   auto warm = engine.GatherAlignedCells();
-  EXPECT_EQ(warm.stats.materialized, engine.num_cells());
+  EXPECT_EQ(warm.stats.cells, engine.num_cells());
+  EXPECT_EQ(warm.stats.materialized, 0);
+  EXPECT_EQ(warm.stats.bytes_copied, 0);
 
   // Clean repeat: pure cache reuse, nothing copied.
   auto clean = engine.GatherAlignedCells();
   EXPECT_EQ(clean.stats.materialized, 0);
   EXPECT_EQ(clean.stats.bytes_copied, 0);
   EXPECT_EQ(clean.stats.shards_reused, 4);
+  EXPECT_EQ(ChangedFramePointers(*warm.cells, *clean.cells), 0);
 
-  // One dirty cell at the open tick: exactly one frame is re-frozen.
+  // One write at the open tick: the writer clones that one shared frame,
+  // so exactly one frame pointer moves and every other cell keeps its own.
   ASSERT_TRUE(
       engine.Ingest({gen.cells()[0].key, spec.series_length, 5.0}).ok());
   auto delta = engine.GatherAlignedCells();
-  EXPECT_EQ(delta.stats.materialized, 1);
-  EXPECT_GT(delta.stats.bytes_copied, 0);
-  EXPECT_LT(delta.stats.bytes_copied, warm.stats.bytes_copied);
+  EXPECT_EQ(delta.stats.materialized, 0);
+  EXPECT_EQ(ChangedFramePointers(*clean.cells, *delta.cells), 1);
+
+  // A seal across no tilt-unit boundary only moves next_tick, which no
+  // read can see: shared frames are left lagging, none is cloned.
+  ASSERT_FALSE(
+      SmallTiltPolicy()->AnyUnitEndIn(spec.series_length,
+                                      spec.series_length + 1));
+  ASSERT_TRUE(engine.SealThrough(spec.series_length).ok());
+  auto sealed = engine.GatherAlignedCells();
+  EXPECT_EQ(sealed.stats.materialized, 0);
+  EXPECT_EQ(ChangedFramePointers(*delta.cells, *sealed.cells), 0);
+
+  // The next write behind that seal is refused even though the frame it
+  // lands on was never advanced in place.
+  const Status late =
+      engine.Ingest({gen.cells()[1].key, spec.series_length, 1.0});
+  EXPECT_EQ(late.code(), StatusCode::kOutOfRange) << late.ToString();
 }
 
 // ------------------------------------------------------ revision hygiene
@@ -334,6 +368,9 @@ TEST(DeltaGatherTest, ConcurrentChurnAndSnapshotLoop) {
 // ------------------------------------------------------ memory accounting
 
 TEST(DeltaGatherTest, FrozenAndGatherBytesAreTracked) {
+  // Snapshots share the cells' own frames, counted once under
+  // stream.tilt_frames (nothing under snapshot.frozen_frames), and the
+  // gather caches stay bounded under churn.
   WorkloadSpec spec = ChurnSpec();
   auto schema = MakeWorkloadSchemaPtr(spec);
   ASSERT_TRUE(schema.ok());
@@ -348,16 +385,15 @@ TEST(DeltaGatherTest, FrozenAndGatherBytesAreTracked) {
   ASSERT_TRUE(engine.IngestBatch(gen.GenerateStream()).ok());
   ASSERT_TRUE(engine.SealThrough(spec.series_length - 1).ok());
 
-  EXPECT_EQ(engine.memory_tracker().category_bytes("snapshot.frozen_frames"),
-            0)
-      << "nothing frozen before the first snapshot";
+  const std::int64_t frames_before = engine.MemoryBytes();
   auto snap = engine.TakeSnapshot();
-  const std::int64_t frozen =
-      engine.memory_tracker().category_bytes("snapshot.frozen_frames");
   const std::int64_t cached =
       engine.memory_tracker().category_bytes("snapshot.gather_cache");
-  EXPECT_GT(frozen, 0);
+  EXPECT_EQ(engine.memory_tracker().category_bytes("snapshot.frozen_frames"),
+            0);
   EXPECT_GT(cached, 0);
+  EXPECT_EQ(engine.MemoryBytes(), frames_before)
+      << "publishing copies no frame";
 
   // Churn + re-snapshot: accounting stays balanced (Release would abort on
   // underflow) and the totals stay in the same ballpark, not accumulating.
@@ -367,10 +403,10 @@ TEST(DeltaGatherTest, FrozenAndGatherBytesAreTracked) {
             .ok());
     snap = engine.TakeSnapshot();
   }
-  EXPECT_GT(engine.memory_tracker().category_bytes("snapshot.frozen_frames"),
+  EXPECT_EQ(engine.memory_tracker().category_bytes("snapshot.frozen_frames"),
             0);
-  EXPECT_LE(engine.memory_tracker().category_bytes("snapshot.frozen_frames"),
-            2 * frozen);
+  EXPECT_GT(engine.memory_tracker().category_bytes("snapshot.gather_cache"),
+            0);
   EXPECT_LE(engine.memory_tracker().category_bytes("snapshot.gather_cache"),
             2 * cached);
 

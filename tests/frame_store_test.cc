@@ -3,6 +3,8 @@
 // engine running under a byte budget with a spill directory must stay
 // bit-identical to an unbounded all-RAM oracle through randomized churn
 // for shard counts {1, 2, 8} while actually spilling and faulting in;
+// after SealThrough(t) every cell — resident, spilled or new — refuses a
+// tick <= t, also after Checkpoint -> OpenFrom across a no-op seal;
 // Checkpoint -> OpenFrom must reproduce identical query results (including
 // after resumed ingest, and across a different shard count); cube queries
 // at the maintained cube's revision must be answered without gather work
@@ -510,6 +512,67 @@ TEST(GovernorConvergenceTest, AllDirtyChurnConvergesEightShards) {
   RunAllDirtyConvergence(8);
 }
 
+// ------------------------------------------------------ sealed late ticks
+
+/// Both m-layer CellSeries answers for `key` (level 0), which must match.
+void ExpectSameCellSeries(Engine& a, Engine& b, const CellKey& key) {
+  const QuerySpec q =
+      QuerySpec::CellSeries(a.lattice().m_layer_id(), key, /*level=*/0);
+  auto want = a.Query(q);
+  auto got = b.Query(q);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(want->series(), got->series()) << key.ToString();
+}
+
+TEST(LateTickTest, SealedTicksAreRefusedBySpilledAndNewCells) {
+  // After SealThrough(t) every cell refuses a tick <= t: one the seal
+  // advanced in place, one that sat spilled through the seal (alignment
+  // is deferred to fault-in), and one created after it.
+  WorkloadSpec spec = ChurnWorkload(/*tuples=*/4, /*ticks=*/8, /*seed=*/5,
+                                    /*fanout=*/3);
+  StreamGenerator gen(spec);
+  const std::vector<StreamTuple> stream = gen.GenerateStream();
+  EngineBuilder builder;
+  builder.SetSchema(*MakeWorkloadSchemaPtr(spec))
+      .SetTiltPolicy(SmallTiltPolicy())
+      .SetExceptionPolicy(ExceptionPolicy(0.02))
+      .SetShardCount(2);
+  auto unbounded = builder.Build();
+  ASSERT_TRUE(unbounded.ok()) << unbounded.status().ToString();
+  // A 1-byte budget spills every clean cell at each enforcement point.
+  auto budgeted = builder.SetMemoryBudget(1)
+                      .SetSpillDir(FreshDir("late_tick_spill"))
+                      .Build();
+  ASSERT_TRUE(budgeted.ok()) << budgeted.status().ToString();
+
+  for (Engine* engine : {&*unbounded, &*budgeted}) {
+    ASSERT_TRUE(engine->IngestBatch(stream).ok());
+    ASSERT_TRUE(engine->SealThrough(7).ok());
+    (void)engine->TakeSnapshot();  // cleans every cell
+  }
+  ASSERT_EQ(budgeted->SpillStats().spilled_cells, budgeted->num_cells());
+
+  const CellKey spilled = gen.cells()[0].key;
+  const CellKey fresh = equivalence::UnusedMLayerKey(gen);
+  for (Engine* engine : {&*unbounded, &*budgeted}) {
+    ASSERT_TRUE(engine->SealThrough(20).ok());
+    for (const CellKey& key : {spilled, fresh}) {
+      const Status late = engine->Ingest({key, 15, 1.0});
+      EXPECT_EQ(late.code(), StatusCode::kOutOfRange)
+          << key.ToString() << ": " << late.ToString();
+    }
+    // The open tick is still accepted.
+    ASSERT_TRUE(engine->Ingest({spilled, 21, 2.0}).ok());
+    ASSERT_TRUE(engine->SealThrough(31).ok());
+  }
+  EXPECT_GT(budgeted->SpillStats().fault_ins, 0);
+  EXPECT_EQ(unbounded->num_cells(), budgeted->num_cells());
+  for (const CellKey& key : {spilled, fresh}) {
+    ExpectSameCellSeries(*unbounded, *budgeted, key);
+  }
+}
+
 // --------------------------------------------------- checkpoint / restart
 
 TEST(CheckpointTest, ReopenReproducesIdenticalResults) {
@@ -620,6 +683,54 @@ TEST(CheckpointTest, CheckpointOfSpilledEngineIsComplete) {
   for (size_t i = 0; i < want->size(); ++i) {
     EXPECT_EQ((*want)[i].key, (*got)[i].key);
     EXPECT_EQ((*want)[i].measure, (*got)[i].measure);
+  }
+}
+
+TEST(CheckpointTest, RestartKeepsRefusingSealedTicks) {
+  // A seal across no tilt-unit boundary leaves shared frames lagging
+  // behind it; the checkpoint must still encode them as sealed, or the
+  // reopened engine would accept ticks the live one refuses.
+  WorkloadSpec spec = ChurnWorkload(/*tuples=*/60, /*ticks=*/16,
+                                    /*seed=*/91);
+  StreamGenerator gen(spec);
+  EngineBuilder builder;
+  builder.SetSchema(*MakeWorkloadSchemaPtr(spec))
+      .SetTiltPolicy(SmallTiltPolicy())
+      .SetExceptionPolicy(ExceptionPolicy(0.02))
+      .SetShardCount(2);
+  auto engine = builder.Build();
+  ASSERT_TRUE(engine.ok());
+  ASSERT_TRUE(engine->IngestBatch(gen.GenerateStream()).ok());
+  const TimeTick boundary = spec.series_length - 1;  // a quarter ends here
+  ASSERT_TRUE(SmallTiltPolicy()->AnyUnitEndIn(boundary, boundary + 1));
+  ASSERT_TRUE(engine->SealThrough(boundary).ok());
+  (void)engine->TakeSnapshot();  // every frame is now shared
+  const TimeTick seal = boundary + 1;
+  ASSERT_FALSE(SmallTiltPolicy()->AnyUnitEndIn(seal, seal + 1));
+  ASSERT_TRUE(engine->SealThrough(seal).ok());
+
+  const QuerySpec top = QuerySpec::TopExceptions(5, /*level=*/0, /*k=*/4);
+  auto want = engine->Query(top);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ASSERT_FALSE(want->cells().empty());
+
+  const std::string dir = FreshDir("checkpoint_late_tick");
+  ASSERT_TRUE(engine->Checkpoint(dir).ok());
+  auto reopened = builder.OpenFrom(dir);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+
+  auto got = reopened->Query(top);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_EQ(want->cells().size(), got->cells().size());
+  for (size_t i = 0; i < want->cells().size(); ++i) {
+    EXPECT_EQ(want->cells()[i].cuboid, got->cells()[i].cuboid);
+    EXPECT_EQ(want->cells()[i].key, got->cells()[i].key);
+    EXPECT_EQ(want->cells()[i].isb, got->cells()[i].isb);
+  }
+  for (Engine* e : {&*engine, &*reopened}) {
+    const Status late = e->Ingest({gen.cells()[0].key, seal, 1.0});
+    EXPECT_EQ(late.code(), StatusCode::kOutOfRange) << late.ToString();
+    EXPECT_TRUE(e->Ingest({gen.cells()[0].key, seal + 1, 1.0}).ok());
   }
 }
 

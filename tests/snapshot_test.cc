@@ -1,12 +1,16 @@
 // CubeSnapshot contract tests: a held snapshot is immune to concurrent
-// writers, snapshot results are bit-identical to the pre-redesign locked
-// read path for shard counts {1, 2, 8}, the facade memoizes snapshots by
-// revision, and IngestBatch reports the absorbed prefix on failure.
+// writers (also across a no-op seal and under a spilling budget),
+// snapshot results are bit-identical to the pre-redesign locked read path
+// for shard counts {1, 2, 8}, the facade memoizes snapshots by revision,
+// and IngestBatch reports the absorbed prefix on failure.
 
 #include "regcube/api/regcube.h"
 
+#include <cstdio>
+#include <functional>
 #include <memory>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -212,9 +216,16 @@ TEST(SnapshotTest, ParallelCubingMatchesSerial) {
 
 // --------------------------------------------------- snapshot isolation
 
-TEST(SnapshotTest, HeldSnapshotImmuneToConcurrentWriters) {
-  WorkloadSpec spec = SnapSpec(/*tuples=*/80, /*ticks=*/32);
-  Engine engine = MakeSealedEngine(spec, 8);
+/// The held-snapshot contract over one engine: a snapshot taken before
+/// `between` (a mutation that leaves frames shared, e.g. a no-op seal)
+/// answers exactly as before while 4 writers mutate the engine (later
+/// ticks, from `first_tick` on, plus brand-new cells), and a fresh
+/// snapshot sees the new state. Writers clone every frame the snapshot
+/// shares before touching it; without the clone this test sees its
+/// snapshot change (and TSan reports the writes).
+void ExpectHeldSnapshotImmune(Engine& engine, const WorkloadSpec& spec,
+                              const std::function<void()>& between,
+                              TimeTick first_tick) {
   auto snap = engine.TakeSnapshot();
 
   // Reference answers captured before any mutation.
@@ -226,8 +237,10 @@ TEST(SnapshotTest, HeldSnapshotImmuneToConcurrentWriters) {
   ASSERT_TRUE(cube_before.ok());
   const std::int64_t cells_before = snap->num_cells();
 
-  // 4 writers mutate the engine (later ticks, plus brand-new cells) while
-  // the held snapshot is queried concurrently.
+  between();
+
+  // 4 writers mutate the engine while the held snapshot is queried
+  // concurrently.
   StreamGenerator gen(spec);
   const std::vector<StreamTuple> stream = gen.GenerateStream();
   constexpr int kWriters = 4;
@@ -238,8 +251,7 @@ TEST(SnapshotTest, HeldSnapshotImmuneToConcurrentWriters) {
         if (t.key.Hash() % kWriters != static_cast<std::uint64_t>(w)) {
           continue;
         }
-        StreamTuple shifted{t.key, t.tick + spec.series_length,
-                            t.value * 100.0};
+        StreamTuple shifted{t.key, t.tick + first_tick, t.value * 100.0};
         ASSERT_TRUE(engine.Ingest(shifted).ok());
       }
     });
@@ -254,10 +266,16 @@ TEST(SnapshotTest, HeldSnapshotImmuneToConcurrentWriters) {
     }
   }
   for (std::thread& w : writers) w.join();
-  ASSERT_TRUE(engine.SealThrough(2 * spec.series_length - 1).ok());
+  ASSERT_TRUE(engine.SealThrough(first_tick + spec.series_length - 1).ok());
 
   // The held snapshot answers exactly as before the writes...
   EXPECT_EQ(snap->num_cells(), cells_before);
+  auto window_after = snap->Window(0, 8);
+  ASSERT_TRUE(window_after.ok());
+  ASSERT_EQ(window_after->size(), window_before->size());
+  for (size_t i = 0; i < window_after->size(); ++i) {
+    EXPECT_EQ((*window_before)[i].measure, (*window_after)[i].measure);
+  }
   auto deck_after = snap->ObservationDeck(1);
   ASSERT_TRUE(deck_after.ok());
   EXPECT_EQ(*deck_before, *deck_after);
@@ -271,6 +289,61 @@ TEST(SnapshotTest, HeldSnapshotImmuneToConcurrentWriters) {
   auto fresh_deck = fresh->ObservationDeck(1);
   ASSERT_TRUE(fresh_deck.ok());
   EXPECT_NE(*deck_before, *fresh_deck);
+}
+
+TEST(SnapshotTest, HeldSnapshotImmuneToConcurrentWriters) {
+  WorkloadSpec spec = SnapSpec(/*tuples=*/80, /*ticks=*/32);
+
+  // Writers on a sealed engine: every frame the snapshot holds is shared.
+  {
+    Engine engine = MakeSealedEngine(spec, 8);
+    ExpectHeldSnapshotImmune(engine, spec, [] {}, spec.series_length);
+  }
+
+  // A seal across no tilt-unit boundary between the snapshot and the
+  // writes leaves the shared frames lagging instead of cloning them; the
+  // writers then clone and catch them up.
+  {
+    Engine engine = MakeSealedEngine(spec, 8);
+    const TimeTick seal = spec.series_length;
+    ASSERT_FALSE(SmallPolicy()->AnyUnitEndIn(seal, seal + 1));
+    ExpectHeldSnapshotImmune(
+        engine, spec,
+        [&] { ASSERT_TRUE(engine.SealThrough(seal).ok()); }, seal + 1);
+  }
+
+  // A budgeted engine with a spill dir: the snapshot's gather cleans every
+  // cell and the 1-byte budget spills them, so the writers fault spilled
+  // cells back in (fresh frames) and clone the resident shared ones, while
+  // the eviction ladder keeps dropping the engine-side runs the snapshot
+  // still holds.
+  {
+    auto schema = MakeWorkloadSchemaPtr(spec);
+    ASSERT_TRUE(schema.ok());
+    const std::string spill_dir = ::testing::TempDir() + "/held_snapshot";
+    for (int i = 0; i < 8; ++i) {
+      std::remove((spill_dir + "/spill-" + std::to_string(i) + ".rcs")
+                      .c_str());
+    }
+    auto built = EngineBuilder()
+                     .SetSchema(*schema)
+                     .SetTiltPolicy(SmallPolicy())
+                     .SetExceptionPolicy(ExceptionPolicy(0.02))
+                     .SetShardCount(8)
+                     .SetMemoryBudget(1)
+                     .SetSpillDir(spill_dir)
+                     .Build();
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    Engine engine = std::move(built).value();
+    StreamGenerator gen(spec);
+    ASSERT_TRUE(engine.IngestBatch(gen.GenerateStream()).ok());
+    ASSERT_TRUE(engine.SealThrough(spec.series_length - 1).ok());
+    ExpectHeldSnapshotImmune(
+        engine, spec,
+        [&] { ASSERT_GT(engine.SpillStats().spilled_cells, 0); },
+        spec.series_length);
+    EXPECT_GT(engine.SpillStats().fault_ins, 0);
+  }
 }
 
 TEST(SnapshotTest, SnapshotOutlivesTheEngine) {

@@ -362,6 +362,15 @@ TEST(TiltFrameReferenceTest, CopiesAreIndependent) {
       // Copy-assignment over a frame that holds state behaves the same.
       copy = frame;
       ExpectMatchesReference(ref, copy);
+      // A writer's copy shares the slot block until it seals; driving it
+      // must not move the original either.
+      TiltTimeFrame writer = frame.CopyForWrite();
+      ReferenceTiltFrame writer_ref = ref;
+      for (int i = 0; i < 20; ++i) {
+        RandomStep(rng, c.max_jump, writer_ref, writer);
+      }
+      ExpectMatchesReference(writer_ref, writer);
+      ExpectMatchesReference(ref, frame);
       if (::testing::Test::HasFatalFailure()) return;
     }
   }
