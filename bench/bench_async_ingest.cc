@@ -188,12 +188,12 @@ void Run(int argc, char** argv) {
   }
 
   // ---- Phase 2: sustained churn with concurrent snapshot readers -------
-  // The same churn against both write paths. The sync row is the
-  // mutex-gather baseline: every write holds the shard mutex the reader's
-  // gather must also take, so its reader p99 prices the contention. The
-  // async row reads through the owner threads' published generations —
-  // the steady-state gather takes no shard mutex at all —
-  // `reader_gather_p99_us` is the headline comparison between the rows.
+  // The same churn against both write paths. Writers never publish in
+  // either mode: a take that finds a shard written since its last publish
+  // republishes it under the shard mutex, which the sync row's writers
+  // hold on the caller threads and the async row's owner threads hold once
+  // per drained batch. `reader_gather_p99_us` prices what a gather pays
+  // for that contention and is the headline comparison between the rows.
   const int churn_writers =
       static_cast<int>(bench::ArgInt(argc, argv, "churn_writers", 4));
   const std::int64_t churn_rounds =

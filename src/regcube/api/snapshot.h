@@ -15,23 +15,24 @@ namespace regcube {
 
 /// An immutable, self-contained frozen view of the engine's m-layer —
 /// the read side of the public API. Taking one (Engine::TakeSnapshot)
-/// loads each shard's atomically published run: under steady async ingest
-/// the shard-owner threads republish inside every absorb, so the take
-/// touches no shard mutex at all; only a shard whose publication is stale
-/// (sync-mode writes, or a seal since the last publish) pays a brief
-/// locked republish of its changed cells. Every query afterwards runs
-/// lock-free against the frozen cells, so any number of threads can drill
-/// into one snapshot while ingest keeps flowing on the live engine.
+/// loads each shard's published run: a shard with no write since its last
+/// publish is served without touching its mutex; a shard written since
+/// (by sync ingest or an async owner thread, or sealed) pays one brief
+/// locked republish of its changed cells — writers never publish, so that
+/// cost is paid once per read, not once per absorbed batch. Every query
+/// afterwards runs lock-free against the frozen cells, so any number of
+/// threads can drill into one snapshot while ingest keeps flowing on the
+/// live engine.
 ///
 /// Cost model: the frozen cells are the cells' own refcounted frames,
 /// shared with the shards' published generations (a writer clones a
-/// shared frame before it mutates it), so taking a snapshot splices in
-/// only the cells that changed since the last publish — O(changed cells)
-/// frame work, not O(all cells). QueryCell/QueryCellSeries *on a snapshot*
-/// scan its frozen cells (the snapshot is self-contained and may outlive
-/// the engine); point queries that should skip the snapshot entirely go
-/// through Engine::Query, which routes kCell/kCellSeries to the engine's
-/// member-only gather instead.
+/// shared frame before it mutates it — at most once per read interval),
+/// so taking a snapshot splices in only the cells that changed since the
+/// last publish — O(changed cells) frame work, not O(all cells).
+/// QueryCell/QueryCellSeries *on a snapshot* scan its frozen cells (the
+/// snapshot is self-contained and may outlive the engine); point queries
+/// that should skip the snapshot entirely go through Engine::Query, which
+/// routes kCell/kCellSeries to the engine's member-only gather instead.
 ///
 /// Lifecycle: take → query many → drop.
 ///

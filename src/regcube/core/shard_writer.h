@@ -15,15 +15,11 @@ namespace regcube {
 /// shard's IngestQueue and applies each drained batch through the `absorb`
 /// callback. With a writer attached the shard is single-writer — callers
 /// only ever touch the queue, and the owner takes the shard mutex once
-/// per drained batch, never per tuple. Inside that hold the absorb also
-/// *publishes*: the successor generation (only the batch's cells spliced
-/// in, sharing their copy-on-write frames) is swapped into the shard's
-/// publication pointer, so
-/// readers gather from the last published generation without ever taking
-/// the mutex — the lock is down to absorb vs. the structural edits
-/// (seal, epoch roll, compaction re-pointing). Tilt-frame maintenance,
-/// dirty-list bookkeeping and member-index appends all happen here, off
-/// the callers' threads.
+/// per drained batch, never per tuple. The absorb does not publish: it
+/// mirrors the shard's version, and the next reader republishes the stale
+/// generation once, however many batches were absorbed since. Tilt-frame
+/// maintenance, dirty-list bookkeeping and member-index appends all happen
+/// here, off the callers' threads.
 ///
 /// `absorb` runs on the owner thread only. It returns how many of the
 /// batch's tuples the shard engine accepted plus the first error; the

@@ -180,18 +180,6 @@ void ShardedStreamEngine::set_memory_tracker(MemoryTracker* tracker) {
   cube_memo_->set_memory_tracker(tracker);
 }
 
-Status ShardedStreamEngine::PublishLocked(Shard& shard, GatherStats* stats) {
-  StreamCubeEngine::FrozenSlice run;
-  RC_RETURN_IF_ERROR(shard.engine.RefreshPublishedRun(&run, stats));
-  auto pub = std::make_shared<ShardPublication>();
-  pub->cells = std::move(run);
-  pub->now = shard.engine.now();
-  pub->revision = shard.engine.revision();
-  shard.Publish(std::move(pub));
-  shard.version.store(shard.engine.revision(), std::memory_order_release);
-  return Status::OK();
-}
-
 std::shared_ptr<const ShardedStreamEngine::ShardPublication>
 ShardedStreamEngine::PublicationFor(size_t i, GatherStats* stats,
                                     Status* status) {
@@ -210,15 +198,23 @@ ShardedStreamEngine::PublicationFor(size_t i, GatherStats* stats,
     }
     return pub;
   }
-  // Slow path (stale generation — sync-mode writes, seals, or a publish
-  // the owner skipped on error): republish under the shard mutex.
+  // Slow path (stale generation — any write or seal since the last
+  // publish): republish under the shard mutex. Writers never publish, so
+  // this is the one publish point for both write modes. On a fault-in
+  // failure the old generation stays up (still stale) and the next read
+  // retries the refresh.
   std::lock_guard<std::mutex> lock(shard.mu);
-  Status s = PublishLocked(shard, stats);
+  StreamCubeEngine::FrozenSlice run;
+  Status s = shard.engine.RefreshPublishedRun(&run, stats);
   if (!s.ok()) {
     *status = std::move(s);
     return nullptr;
   }
-  return shard.Published();
+  pub = std::make_shared<const ShardPublication>(ShardPublication{
+      std::move(run), shard.engine.now(), shard.engine.revision()});
+  shard.Publish(pub);
+  shard.version.store(pub->revision, std::memory_order_release);
+  return pub;
 }
 
 void ShardedStreamEngine::MirrorVersionsLocked() {
@@ -237,18 +233,6 @@ IngestReport ShardedStreamEngine::AbsorbIntoShard(
     const std::uint64_t before = shard.engine.revision();
     report = shard.engine.IngestBatch(tuples);
     changed = shard.engine.revision() != before;
-    if (changed && ingest_.mode == IngestMode::kAsync) {
-      // Owner threads publish eagerly: the successor generation (only
-      // this batch's cells spliced in) is swapped in before MarkAbsorbed
-      // resolves the batch, so a reader returning from Flush() takes the
-      // mutex-free path to the flushed data. Best-effort — on a fault-in
-      // failure the old generation stays up and readers republish on
-      // their slow path. Sync writes only mirror the version: readers
-      // republish on demand, which keeps the O(cells) splice off the
-      // writer's critical path.
-      Status published = PublishLocked(shard, nullptr);
-      (void)published;
-    }
     shard.version.store(shard.engine.revision(), std::memory_order_release);
   }
   // The clock follows what actually landed: the shard engine absorbs a
@@ -439,8 +423,10 @@ Status ShardedStreamEngine::AlignLocked() {
     target = std::max(target, shard->engine.now());
   }
   BumpClock(target);
+  // The seal clock, not now(), says whether a shard is aligned: a shard
+  // whose writer already reached the target still has cells behind it.
   for (auto& shard : shards_) {
-    if (shard->engine.now() < target) {
+    if (shard->engine.seal_clock() < target) {
       RC_RETURN_IF_ERROR(shard->engine.SealThrough(target - 1));
     }
   }
@@ -524,10 +510,11 @@ ShardedStreamEngine::GatheredCells ShardedStreamEngine::GatherAlignedCells(
   }
 
   // Phase 1 — publications: load each shard's last published generation.
-  // A fresh publication (the steady-state async case: the owner thread
-  // republished inside its absorb) is served without touching the shard
-  // mutex at all; only a stale shard pays a locked republish, and that
-  // splices in just its changed cells — O(changed cells).
+  // A fresh publication (no write to the shard since the last read) is
+  // served without touching the shard mutex at all; a shard written since
+  // pays one locked republish, and that splices in just the cells changed
+  // since the last read — O(changed cells), however many batches the
+  // writers absorbed in between.
   const size_t n = shards_.size();
   std::vector<std::shared_ptr<const ShardPublication>> pubs(n);
   std::vector<GatherStats> stats(n);
@@ -599,9 +586,9 @@ ShardedStreamEngine::GatheredCells ShardedStreamEngine::GatherAlignedCells(
     gather_valid_ = true;
   }
   // The publish refresh above is the moment cells turn clean (spillable):
-  // writes
-  // and slot-sealing seals re-dirty them, so post-write enforcement can
-  // find nothing to spill in a hot-everywhere stream. Enforcing here —
+  // writes and slot-sealing seals re-dirty them, so post-write enforcement
+  // can find nothing to spill in a hot-everywhere stream (without a reader
+  // only the export.dirty rung can). Enforcing here —
   // after the dirty lists drained, outside every shard lock — is what
   // lets a budgeted engine actually converge under ingest/read churn.
   MaybeEnforceBudget();
@@ -966,9 +953,10 @@ Status ShardedStreamEngine::ConfigureStorage(const MemoryBudgetConfig& config) {
         return SpillColdFramesRung(excess);
       });
       // The last rung handles the all-dirty overshoot: cold spill only
-      // takes clean cells, so a hot-everywhere stream can leave rung 30
-      // with nothing to do. An internal export turns the dirty cells
-      // clean, then the spill sweep re-runs — the ladder converges
+      // takes clean cells, so a hot-everywhere stream — or any stream no
+      // reader has published since (writers never publish) — can leave
+      // rung 30 with nothing to do. An internal export turns the dirty
+      // cells clean, then the spill sweep re-runs — the ladder converges
       // instead of stalling one rung short of its only real lever.
       governor_->AddRung(40, "export.dirty", [this](std::int64_t excess) {
         return ExportDirtyRung(excess);
@@ -1176,6 +1164,8 @@ Status ShardedStreamEngine::CheckpointTo(const std::string& dir) {
   TimeTick clock = clock_.load(std::memory_order_acquire);
   for (const auto& shard : shards_) {
     clock = std::max(clock, shard->engine.now());
+    manifest.seal_clock =
+        std::max(manifest.seal_clock, shard->engine.seal_clock());
   }
   manifest.clock = clock;
   for (std::int64_t c : counts) manifest.num_cells += c;
@@ -1247,7 +1237,7 @@ Status ShardedStreamEngine::RestoreFrom(const std::string& dir) {
   BumpClock(manifest->clock);
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
-    shard->engine.RestoreClock(manifest->clock);
+    shard->engine.RestoreClock(manifest->clock, manifest->seal_clock);
     shard->version.store(shard->engine.revision(), std::memory_order_release);
   }
   revision_.fetch_add(1, std::memory_order_release);

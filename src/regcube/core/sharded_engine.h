@@ -51,14 +51,15 @@ struct MemoryBudgetConfig {
 /// Reads are snapshot-based, O(changed cells), and — on the steady-state
 /// path — free of the shard mutex: each shard keeps a published generation
 /// (ShardPublication: an immutable sorted run of the cells' own
-/// copy-on-write frames plus the revision it reflects). In async mode the
-/// shard-owner thread absorbs a drained batch into the engine, refreshes
-/// the run (only dirty cells are spliced in), and swaps the new generation
-/// in under a pointer-only mutex; GatherAlignedCells / TakeSnapshot /
-/// point-query gathers copy the last published generation and never touch
-/// the shard mutex unless the generation is stale (then a slow path takes
-/// the lock and republishes — which is also how sync-mode writes become
-/// visible). The mutex shrinks to structural edits: absorb/ingest, seal
+/// copy-on-write frames plus the revision it reflects). Writers only
+/// absorb — sync callers and async shard-owner threads alike — and bump the
+/// shard's version; publishing happens on read. GatherAlignedCells /
+/// TakeSnapshot / point-query gathers copy the last published generation
+/// and never touch the shard mutex while it is fresh; a stale one is
+/// republished once under the lock by the first reader (only dirty cells
+/// are spliced in) and swapped in under a pointer-only mutex, so a shard
+/// publishes at most once per read however many batches it absorbed in
+/// between. The mutex shrinks to structural edits: absorb/ingest, seal
 /// and epoch roll (SealThrough / ComputeCubeAllLocks force-align), and
 /// compaction re-pointing. A whole-engine cache keyed by the global
 /// revision keeps repeat reads at one revision down to a refcount copy.
@@ -124,9 +125,10 @@ class ShardedStreamEngine {
   /// order preserved) and enqueues each partition on its shard's queue,
   /// returning as soon as every tuple is accepted, evicted-for, or refused
   /// per the backpressure policy. Absorption happens on the shard-owner
-  /// threads; the data becomes visible to reads as it is drained, and
-  /// Flush() waits for everything accepted so far. Callable from many
-  /// threads concurrently. Pre: async mode (RC_CHECK).
+  /// threads; a read sees the data as soon as it is absorbed (it
+  /// republishes the stale shard), and Flush() waits for everything
+  /// accepted so far. Callable from many threads concurrently. Pre: async
+  /// mode (RC_CHECK).
   IngestTicket IngestAsync(const std::vector<StreamTuple>& tuples);
 
   /// Drain barrier: blocks until every tuple accepted by any queue before
@@ -134,8 +136,10 @@ class ShardedStreamEngine {
   /// under kDropOldest), then reports the first shard-engine absorb error
   /// since the last Flush (clearing it). Tuples enqueued concurrently
   /// *after* Flush begins are not waited for. When Flush returns, all
-  /// waited-for absorption happens-before the return — a subsequent read
-  /// on this thread sees it. No-op OK in sync mode.
+  /// waited-for absorption (and each shard's version store) happens-before
+  /// the return — a subsequent read on this thread finds every shard the
+  /// flush touched stale and republishes it once under its shard mutex,
+  /// so it sees the flushed data. No-op OK in sync mode.
   Status Flush();
 
   /// Queue observability (mode/policy/capacity, per-shard depth and
@@ -384,8 +388,8 @@ class ShardedStreamEngine {
  private:
   /// One published generation of a shard's cells: an immutable sorted run
   /// of shared frames plus the shard clock and engine revision it
-  /// reflects. The owner (or a slow-path reader under the shard mutex)
-  /// builds a successor and swaps it in under the shard's pointer-only
+  /// reflects. The first reader to find it stale builds a successor under
+  /// the shard mutex and swaps it in under the shard's pointer-only
   /// `pub_mu`; readers copy it under that mutex and never touch the shard
   /// mutex on the fast path. Retired generations stay alive as long as
   /// some reader holds them — their frames are freed by the last
@@ -453,25 +457,18 @@ class ShardedStreamEngine {
   /// The one absorb step every write path goes through (sync Ingest, each
   /// partition of sync IngestBatch, each batch an owner thread drains):
   /// under one acquisition of shard `i`'s lock, ingest `tuples` (already
-  /// key-mapped), diff the shard revision, publish the new generation when
-  /// running on an async owner thread, and mirror the version; then raise
-  /// the global clock to the max tick of the absorbed prefix and bump the
-  /// global revision iff the shard changed. The owner-thread publish lands
-  /// before MarkAbsorbed resolves the batch, so a reader that returned from
-  /// Flush() gathers the flushed data without touching the shard mutex;
-  /// sync writes leave publishing to the readers' slow path.
+  /// key-mapped), diff the shard revision and mirror the version; then
+  /// raise the global clock to the max tick of the absorbed prefix and bump
+  /// the global revision iff the shard changed. It never publishes: the
+  /// version store lands before MarkAbsorbed resolves the batch, so a
+  /// reader that returned from Flush() sees the generation stale and
+  /// republishes it once under the shard mutex (PublicationFor).
   IngestReport AbsorbIntoShard(size_t i, std::span<const StreamTuple> tuples);
 
   /// Maps each tuple's key and buckets it by owning shard, preserving
   /// per-shard arrival order.
   std::vector<std::vector<StreamTuple>> PartitionByShard(
       const std::vector<StreamTuple>& tuples) const;
-
-  /// Pre: shard.mu held. Refreshes the engine's published run and stores
-  /// a new generation (and the version mirror). On a fault-in failure the
-  /// old generation stays published (stale → readers take the slow path
-  /// and retry the refresh) and the error is returned.
-  Status PublishLocked(Shard& shard, GatherStats* stats);
 
   /// The shard's current publication, fresh as of this call: lock-free
   /// when the published generation's revision matches the version mirror,

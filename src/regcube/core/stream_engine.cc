@@ -688,16 +688,7 @@ Status StreamCubeEngine::ExportEncodedFrames(
   out->reserve(out->size() + cells_.size());
   for (auto& [key, state] : cells_) {
     if (state.frame != nullptr) {
-      // A frame a no-op seal left lagging (or one faulted in since a seal)
-      // encodes as if advanced in place: otherwise a reopened engine would
-      // accept ticks the live one refuses.
-      const TiltTimeFrame* frame = state.frame.get();
-      std::optional<TiltTimeFrame> advanced;
-      if (frame->next_tick() < aligned_now_) {
-        frame = &advanced.emplace(*frame);
-        RC_RETURN_IF_ERROR(advanced->AdvanceTo(aligned_now_));
-      }
-      out->push_back({key, EncodeTiltFrameState(frame->Snapshot())});
+      out->push_back({key, EncodeTiltFrameState(state.frame->Snapshot())});
     } else {
       // Cold cells are copied block-to-block — no decode/re-encode, no
       // fault-in: checkpointing a mostly-cold engine stays cheap.

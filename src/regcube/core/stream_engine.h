@@ -323,15 +323,23 @@ class StreamCubeEngine {
   /// store is attached; the key must be new.
   Status RestoreCell(const CellKey& key, const BlockRef& ref);
 
-  /// Moves the clock forward to `t` (no-op if already past) without
-  /// touching any frame — restores the engine clock after RestoreCell.
-  void RestoreClock(TimeTick t) { now_ = std::max(now_, t); }
+  /// Moves the clock to `now` and the seal clock to `seal_clock` (each a
+  /// no-op if already past) without touching any frame — restores both
+  /// after RestoreCell, so a restored frame that lags the last seal is
+  /// caught up to it before its next Add, like a live one.
+  void RestoreClock(TimeTick now, TimeTick seal_clock) {
+    now_ = std::max(now_, now);
+    aligned_now_ = std::max(aligned_now_, seal_clock);
+  }
+
+  /// The clock of the last seal (AlignFrames pass): every cell refuses a
+  /// tick below it. Checkpoints record it next to now().
+  TimeTick seal_clock() const { return aligned_now_; }
 
   /// Appends (key, encoded tilt-frame payload) for every cell — resident
-  /// frames encode their state advanced to the last seal (a frame a no-op
-  /// seal left behind encodes as if it had been advanced, so a reopened
-  /// engine refuses the same ticks), spilled cells copy their raw block
-  /// straight from the store (no decode/re-encode). The checkpoint
+  /// frames encode their state as-is (one a no-op seal left lagging is
+  /// caught up by the restored seal clock), spilled cells copy their raw
+  /// block straight from the store (no decode/re-encode). The checkpoint
   /// writer's per-shard collection step.
   Status ExportEncodedFrames(
       std::vector<std::pair<CellKey, std::string>>* out);

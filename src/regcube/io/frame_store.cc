@@ -25,6 +25,9 @@ constexpr std::uint32_t kManifestMagic = 0x314D4352;  // "RCM1"
 // table, so a torn write inside a payload fails at attach instead of
 // decoding differently.
 constexpr std::uint32_t kFormatVersion = 2;
+// Manifest version 3 records the seal clock; a version-2 manifest (which
+// did not) is refused rather than reopened with every cell unsealed.
+constexpr std::uint32_t kManifestVersion = 3;
 
 // header: magic u32 + version u32 + shard u32 + reserved u32.
 constexpr std::int64_t kFileHeaderBytes = 16;
@@ -565,12 +568,13 @@ std::string EncodeCheckpointShardFile(
 std::string EncodeCheckpointManifest(const CheckpointManifest& manifest) {
   ByteWriter w;
   w.WriteU32(kManifestMagic);
-  w.WriteU32(kFormatVersion);
+  w.WriteU32(kManifestVersion);
   w.WriteU32(static_cast<std::uint32_t>(manifest.num_shard_files));
   w.WriteU32(static_cast<std::uint32_t>(manifest.num_dims));
   w.WriteU32(static_cast<std::uint32_t>(manifest.num_levels));
   w.WriteI64(manifest.start_tick);
   w.WriteI64(manifest.clock);
+  w.WriteI64(manifest.seal_clock);
   w.WriteI64(manifest.num_cells);
   return w.Release();
 }
@@ -583,7 +587,7 @@ Result<CheckpointManifest> DecodeCheckpointManifest(std::string_view data) {
         StrPrintf("bad checkpoint manifest magic 0x%08x", magic));
   }
   RC_ASSIGN_OR_RETURN(std::uint32_t version, r.ReadU32());
-  if (version != kFormatVersion) {
+  if (version != kManifestVersion) {
     return Status::InvalidArgument(
         StrPrintf("unsupported checkpoint manifest version %u", version));
   }
@@ -596,6 +600,7 @@ Result<CheckpointManifest> DecodeCheckpointManifest(std::string_view data) {
   m.num_levels = static_cast<std::int32_t>(levels);
   RC_ASSIGN_OR_RETURN(m.start_tick, r.ReadI64());
   RC_ASSIGN_OR_RETURN(m.clock, r.ReadI64());
+  RC_ASSIGN_OR_RETURN(m.seal_clock, r.ReadI64());
   RC_ASSIGN_OR_RETURN(m.num_cells, r.ReadI64());
   return m;
 }

@@ -55,13 +55,16 @@ struct CompactionStats {
 /// What a checkpoint directory's manifest records: enough to validate the
 /// configuration at OpenFrom and to resume the stream where it stopped.
 /// `num_dims`/`num_levels` guard against reopening under a different
-/// schema or tilt structure; `clock` restores the global engine clock.
+/// schema or tilt structure; `clock` restores the global engine clock and
+/// `seal_clock` the clock of the last seal, so every cell of the reopened
+/// engine (spilled, lagging or new) refuses the ticks that seal closed.
 struct CheckpointManifest {
   std::int32_t num_shard_files = 0;
   std::int32_t num_dims = 0;
   std::int32_t num_levels = 0;
   TimeTick start_tick = 0;
   TimeTick clock = 0;
+  TimeTick seal_clock = 0;
   std::int64_t num_cells = 0;
 };
 

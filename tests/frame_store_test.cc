@@ -4,7 +4,8 @@
 // bit-identical to an unbounded all-RAM oracle through randomized churn
 // for shard counts {1, 2, 8} while actually spilling and faulting in;
 // after SealThrough(t) every cell — resident, spilled or new — refuses a
-// tick <= t, also after Checkpoint -> OpenFrom across a no-op seal;
+// tick <= t, also after Checkpoint -> OpenFrom (the manifest carries the
+// seal clock to lagging, spilled and new cells);
 // Checkpoint -> OpenFrom must reproduce identical query results (including
 // after resumed ingest, and across a different shard count); cube queries
 // at the maintained cube's revision must be answered without gather work
@@ -688,8 +689,8 @@ TEST(CheckpointTest, CheckpointOfSpilledEngineIsComplete) {
 
 TEST(CheckpointTest, RestartKeepsRefusingSealedTicks) {
   // A seal across no tilt-unit boundary leaves shared frames lagging
-  // behind it; the checkpoint must still encode them as sealed, or the
-  // reopened engine would accept ticks the live one refuses.
+  // behind it; the reopened engine must still treat them as sealed, or it
+  // would accept ticks the live one refuses.
   WorkloadSpec spec = ChurnWorkload(/*tuples=*/60, /*ticks=*/16,
                                     /*seed=*/91);
   StreamGenerator gen(spec);
@@ -731,6 +732,53 @@ TEST(CheckpointTest, RestartKeepsRefusingSealedTicks) {
     const Status late = e->Ingest({gen.cells()[0].key, seal, 1.0});
     EXPECT_EQ(late.code(), StatusCode::kOutOfRange) << late.ToString();
     EXPECT_TRUE(e->Ingest({gen.cells()[0].key, seal + 1, 1.0}).ok());
+  }
+}
+
+TEST(CheckpointTest, RestartKeepsTheSealClockForSpilledAndNewCells) {
+  // A cell that sat spilled through the last seal is checkpointed as its
+  // raw (lagging) block, and a cell created after the reopen starts at the
+  // engine's start tick: both catch up to the seal only if the manifest
+  // carries the seal clock across the restart.
+  WorkloadSpec spec = ChurnWorkload(/*tuples=*/4, /*ticks=*/8, /*seed=*/5,
+                                    /*fanout=*/3);
+  StreamGenerator gen(spec);
+  EngineBuilder builder;
+  builder.SetSchema(*MakeWorkloadSchemaPtr(spec))
+      .SetTiltPolicy(SmallTiltPolicy())
+      .SetExceptionPolicy(ExceptionPolicy(0.02))
+      .SetShardCount(2)
+      .SetMemoryBudget(1)  // every enforcement spills every clean cell
+      .SetSpillDir(FreshDir("checkpoint_seal_clock_spill"));
+  auto engine = builder.Build();
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  ASSERT_TRUE(engine->IngestBatch(gen.GenerateStream()).ok());
+  ASSERT_TRUE(engine->SealThrough(7).ok());
+  (void)engine->TakeSnapshot();  // cleans every cell, which then spills
+  ASSERT_EQ(engine->SpillStats().spilled_cells, engine->num_cells());
+  ASSERT_TRUE(engine->SealThrough(20).ok());  // spilled cells stay behind
+
+  const std::string dir = FreshDir("checkpoint_seal_clock");
+  ASSERT_TRUE(engine->Checkpoint(dir).ok());
+  // Its own spill dir: spill segments are truncated when first opened.
+  auto reopened =
+      builder.SetSpillDir(FreshDir("checkpoint_seal_clock_reopen_spill"))
+          .OpenFrom(dir);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  EXPECT_EQ(reopened->now(), engine->now());
+
+  const CellKey spilled = gen.cells()[0].key;
+  const CellKey fresh = equivalence::UnusedMLayerKey(gen);
+  for (Engine* e : {&*engine, &*reopened}) {
+    for (const CellKey& key : {spilled, fresh}) {
+      const Status late = e->Ingest({key, 15, 1.0});
+      EXPECT_EQ(late.code(), StatusCode::kOutOfRange)
+          << key.ToString() << ": " << late.ToString();
+    }
+    EXPECT_TRUE(e->Ingest({spilled, 21, 2.0}).ok());
+  }
+  for (const CellKey& key : {spilled, fresh}) {
+    ExpectSameCellSeries(*engine, *reopened, key);
   }
 }
 

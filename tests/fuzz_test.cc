@@ -133,6 +133,41 @@ TEST(DecoderFuzzTest, CheckpointShardFileRoundTripsRandomCells) {
   std::remove(path.c_str());
 }
 
+TEST(DecoderFuzzTest, CheckpointManifestRoundTripsRandomFields) {
+  // Every manifest field (the seal clock included) survives the encoding
+  // exactly, and every truncation fails with a typed error.
+  Pcg32 rng(411);
+  for (int trial = 0; trial < 50; ++trial) {
+    CheckpointManifest m;
+    m.num_shard_files = 1 + static_cast<std::int32_t>(rng.Uniform(16));
+    m.num_dims = 1 + static_cast<std::int32_t>(rng.Uniform(8));
+    m.num_levels = 1 + static_cast<std::int32_t>(rng.Uniform(6));
+    m.start_tick = static_cast<TimeTick>(rng.Uniform(1000));
+    m.seal_clock = m.start_tick + static_cast<TimeTick>(rng.Uniform(1000));
+    m.clock = m.seal_clock + static_cast<TimeTick>(rng.Uniform(100));
+    m.num_cells = static_cast<std::int64_t>(rng.Uniform(1u << 20));
+    const std::string encoded = EncodeCheckpointManifest(m);
+    auto decoded = DecodeCheckpointManifest(encoded);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(decoded->num_shard_files, m.num_shard_files);
+    EXPECT_EQ(decoded->num_dims, m.num_dims);
+    EXPECT_EQ(decoded->num_levels, m.num_levels);
+    EXPECT_EQ(decoded->start_tick, m.start_tick);
+    EXPECT_EQ(decoded->clock, m.clock);
+    EXPECT_EQ(decoded->seal_clock, m.seal_clock);
+    EXPECT_EQ(decoded->num_cells, m.num_cells);
+    for (size_t cut = 0; cut < encoded.size(); ++cut) {
+      auto torn = DecodeCheckpointManifest(
+          std::string_view(encoded).substr(0, cut));
+      ASSERT_FALSE(torn.ok()) << "cut at " << cut;
+      const StatusCode code = torn.status().code();
+      EXPECT_TRUE(code == StatusCode::kInvalidArgument ||
+                  code == StatusCode::kOutOfRange)
+          << "cut at " << cut << ": " << torn.status().ToString();
+    }
+  }
+}
+
 TEST(CheckpointTornWriteFuzzTest, EveryTruncationRestoresOrFailsTyped) {
   // A torn checkpoint write (power cut mid-write: an arbitrary prefix of
   // one file survives) must never crash OpenFrom and never half-restore:

@@ -295,6 +295,28 @@ TEST(ShardedEngineTest, LaggingShardAlignsToGlobalClock) {
   }
 }
 
+// SealThrough(t) closes every tick <= t in every cell, also on a shard
+// whose own clock a writer already pushed past t: with the cell that ran
+// ahead and a lagging cell on one shard, the lagging one must refuse a
+// sealed tick exactly as it does when the two sit on different shards.
+TEST(ShardedEngineTest, SealClosesLaggingCellsOnAShardThatRanAhead) {
+  WorkloadSpec spec = ShardSpec(10, 16);
+  auto schema = MakeWorkloadSchemaPtr(spec);
+  ASSERT_TRUE(schema.ok());
+  const CellKey lagging = equivalence::Key2(0, 0);
+  const CellKey ahead = equivalence::Key2(1, 1);
+  for (int shards : {1, 2, 8}) {
+    SCOPED_TRACE(shards);
+    ShardedStreamEngine engine(*schema, ShardOptions(), shards);
+    ASSERT_TRUE(engine.Ingest({lagging, 0, 1.0}).ok());
+    ASSERT_TRUE(engine.Ingest({ahead, 10, 1.0}).ok());
+    ASSERT_TRUE(engine.SealThrough(5).ok());
+    EXPECT_EQ(engine.Ingest({lagging, 3, 1.0}).code(),
+              StatusCode::kOutOfRange);
+    EXPECT_TRUE(engine.Ingest({lagging, 10, 1.0}).ok());
+  }
+}
+
 // A batch that fails part-way keeps what the earlier shards absorbed, and
 // now() must follow those tuples in both write modes: shard 0 takes a tuple
 // ahead of the sealed clock, then shard 1 refuses a late one.
