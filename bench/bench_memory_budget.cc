@@ -215,9 +215,9 @@ void Run(int argc, char** argv) {
   Stopwatch persist;
   RC_CHECK(budgeted.Checkpoint(ckpt_dir).ok());
   const double persist_s = persist.ElapsedSeconds();
-  // Reopen unbounded and WITHOUT the live engine's spill dir: FrameStore
-  // truncates its spill segments at open, so two engines must never share
-  // one. Checkpoint files are attached read-only and are safe.
+  // Reopen unbounded and WITHOUT the live engine's spill dir: the live
+  // engine holds that directory's lock, so a second engine there would be
+  // refused. Checkpoint files are attached read-only and are safe.
   EngineBuilder reopener;
   reopener.SetSchema(*schema)
       .SetTiltPolicy(

@@ -1,14 +1,19 @@
 // M1 — micro-benchmarks of the regression-measure primitives: direct LSE
 // fit, the two lossless aggregations, moment round trips, tilt-frame
-// ingestion, NCR updates/solves, and H-tree construction. Complements the
+// ingestion, the frame block codec and its checksum, NCR updates/solves,
+// and H-tree construction. Complements the
 // figure harnesses with per-operation costs.
 
 #include <memory>
+#include <string>
 
 #include "benchmark/benchmark.h"
 #include "regcube/common/pcg_random.h"
 #include "regcube/gen/stream_generator.h"
 #include "regcube/htree/htree.h"
+#include "regcube/io/binary_io.h"
+#include "regcube/io/cube_io.h"
+#include "regcube/io/frame_store.h"
 #include "regcube/regression/aggregate.h"
 #include "regcube/regression/linear_fit.h"
 #include "regcube/regression/ncr.h"
@@ -122,6 +127,53 @@ void BM_RegressLastSlots(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RegressLastSlots)->Arg(1)->Arg(4)->Arg(8);
+
+// One frame block written straight from the slot block: what every spill
+// and every resident cell of a checkpoint pays.
+void BM_FrameEncode(benchmark::State& state) {
+  const TiltTimeFrame frame = FullCalendarFrame();
+  const std::size_t bytes = EncodedTiltFrameSize(frame);
+  for (auto _ : state) {
+    ByteWriter w;
+    w.Reserve(bytes);
+    EncodeTiltFrame(frame, &w);
+    benchmark::DoNotOptimize(w.buffer().data());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_FrameEncode);
+
+// One frame rebuilt from its block with every check: what every fault-in
+// pays.
+void BM_FrameDecode(benchmark::State& state) {
+  const TiltTimeFrame frame = FullCalendarFrame();
+  ByteWriter w;
+  EncodeTiltFrame(frame, &w);
+  const std::string block = w.Release();
+  const auto policy = std::shared_ptr<const TiltPolicy>(
+      MakeNaturalCalendarTiltPolicy());
+  for (auto _ : state) {
+    auto decoded = DecodeTiltFrame(policy, block);
+    benchmark::DoNotOptimize(decoded);
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(block.size()));
+}
+BENCHMARK(BM_FrameDecode);
+
+// The checkpoint table checksum over one block (2.4 KB) and over a
+// shard-sized run of bytes (4 MB), hashed once on write and once on open.
+void BM_BlockChecksum(benchmark::State& state) {
+  Pcg32 rng(5);
+  std::string data(static_cast<std::size_t>(state.range(0)), '\0');
+  for (char& c : data) c = static_cast<char>(rng.Next());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(BlockChecksum(data));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_BlockChecksum)->Arg(2476)->Arg(4 << 20);
 
 void BM_NcrAddObservation(benchmark::State& state) {
   auto basis = MakePolynomialTimeBasis(static_cast<int>(state.range(0)));

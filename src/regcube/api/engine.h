@@ -253,6 +253,8 @@ class EngineBuilder {
   /// Directory cold frames spill to (default unset = no cold tier; the
   /// ladder then stops at the cache rungs). Created if missing; spill
   /// segments are scratch files, deleted when the engine is destroyed.
+  /// One live engine per directory: Build/OpenFrom of a second engine on
+  /// a directory another live engine holds fail with FailedPrecondition.
   EngineBuilder& SetSpillDir(std::string dir);
 
   /// Online-compaction trigger: a shard's spill segment is rewritten when

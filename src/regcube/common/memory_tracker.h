@@ -3,9 +3,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace regcube {
@@ -30,11 +32,11 @@ class MemoryTracker {
   MemoryTracker& operator=(const MemoryTracker&) = delete;
 
   /// Adds `bytes` under `category`.
-  void Add(const std::string& category, std::int64_t bytes);
+  void Add(std::string_view category, std::int64_t bytes);
 
   /// Subtracts `bytes` under `category`. The per-category total must not go
   /// negative (checked).
-  void Release(const std::string& category, std::int64_t bytes);
+  void Release(std::string_view category, std::int64_t bytes);
 
   /// Current total bytes across all categories.
   std::int64_t current_bytes() const;
@@ -43,11 +45,11 @@ class MemoryTracker {
   std::int64_t peak_bytes() const;
 
   /// Current bytes in one category (0 if never touched).
-  std::int64_t category_bytes(const std::string& category) const;
+  std::int64_t category_bytes(std::string_view category) const;
 
   /// Highest value one category has reached (0 if never touched) — the
   /// per-pool high-water mark the memory governor sizes budgets against.
-  std::int64_t category_peak_bytes(const std::string& category) const;
+  std::int64_t category_peak_bytes(std::string_view category) const;
 
   /// Snapshot of all categories, sorted by name.
   std::vector<std::pair<std::string, std::int64_t>> Snapshot() const;
@@ -72,7 +74,10 @@ class MemoryTracker {
     std::int64_t current = 0;
     std::int64_t peak = 0;
   };
-  std::map<std::string, Pool> by_category_;
+  // Transparent comparator: lookups by string_view build no std::string, so
+  // accounting a category whose name outgrows the small-string buffer
+  // allocates only when the category is first created.
+  std::map<std::string, Pool, std::less<>> by_category_;
   std::int64_t current_ = 0;
   std::int64_t peak_ = 0;
 };

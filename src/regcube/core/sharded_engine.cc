@@ -1143,14 +1143,15 @@ Status ShardedStreamEngine::CheckpointTo(const std::string& dir) {
   std::vector<std::int64_t> counts(n, 0);
   auto write_one = [&](std::int64_t idx) {
     const size_t i = static_cast<size_t>(idx);
-    std::vector<std::pair<CellKey, std::string>> cells;
-    Status s = shards_[i]->engine.ExportEncodedFrames(&cells);
-    if (s.ok()) {
-      counts[i] = static_cast<std::int64_t>(cells.size());
-      s = WriteFile(CheckpointShardFilePath(dir, static_cast<int>(i)),
-                    EncodeCheckpointShardFile(static_cast<int>(i), cells));
+    const StreamCubeEngine& engine = shards_[i]->engine;
+    auto bytes = engine.EncodeCheckpointShard(static_cast<int>(i));
+    if (!bytes.ok()) {
+      statuses[i] = bytes.status();
+      return;
     }
-    statuses[i] = std::move(s);
+    counts[i] = engine.num_cells();
+    statuses[i] =
+        WriteFile(CheckpointShardFilePath(dir, static_cast<int>(i)), *bytes);
   };
   ParallelForOrSerial(pool_.get(), static_cast<std::int64_t>(n), write_one);
   for (const Status& s : statuses) {

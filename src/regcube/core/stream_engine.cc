@@ -101,9 +101,7 @@ Result<const TiltTimeFrame*> StreamCubeEngine::LiveFrame(CellState& state,
   if (store_ == nullptr) {
     return Status::Internal("spilled cell without a frame store");
   }
-  auto decoded = store_->ReadFrame(state.spill);
-  if (!decoded.ok()) return decoded.status();
-  auto frame = TiltTimeFrame::FromSnapshot(options_.tilt_policy, *decoded);
+  auto frame = store_->ReadFrame(state.spill, options_.tilt_policy);
   if (!frame.ok()) return frame.status();
   state.frame = std::make_shared<TiltTimeFrame>(*std::move(frame));
   if (stats != nullptr) {
@@ -601,7 +599,7 @@ StreamCubeEngine::SpillSweep StreamCubeEngine::SpillColdFrames(
         std::this_thread::sleep_for(
             std::chrono::microseconds(50ll << attempt));
       }
-      ref = store_->AppendFrame(shard_index_, state->frame->Snapshot());
+      ref = store_->AppendFrame(shard_index_, *state->frame);
       if (ref.ok() || ref.status().code() != StatusCode::kUnavailable) {
         break;  // success, or an error a retry cannot fix
       }
@@ -683,21 +681,25 @@ Status StreamCubeEngine::RestoreCell(const CellKey& key, const BlockRef& ref) {
   return Status::OK();
 }
 
-Status StreamCubeEngine::ExportEncodedFrames(
-    std::vector<std::pair<CellKey, std::string>>* out) {
-  out->reserve(out->size() + cells_.size());
-  for (auto& [key, state] : cells_) {
+Result<std::string> StreamCubeEngine::EncodeCheckpointShard(
+    int shard) const {
+  std::size_t block_bytes = 0;
+  for (const auto& [key, state] : cells_) {
+    block_bytes += state.frame != nullptr
+                       ? EncodedTiltFrameSize(*state.frame)
+                       : static_cast<std::size_t>(state.spill.size);
+  }
+  CheckpointShardWriter writer(shard, cells_.size(), block_bytes);
+  for (const auto& [key, state] : cells_) {
     if (state.frame != nullptr) {
-      out->push_back({key, EncodeTiltFrameState(state.frame->Snapshot())});
+      writer.AddFrame(key, *state.frame);
     } else {
       // Cold cells are copied block-to-block — no decode/re-encode, no
       // fault-in: checkpointing a mostly-cold engine stays cheap.
-      auto raw = store_->ReadRawBlock(state.spill);
-      if (!raw.ok()) return raw.status();
-      out->push_back({key, *std::move(raw)});
+      RC_RETURN_IF_ERROR(writer.AddStoredBlock(key, *store_, state.spill));
     }
   }
-  return Status::OK();
+  return std::move(writer).Finish();
 }
 
 }  // namespace regcube

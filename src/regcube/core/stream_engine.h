@@ -336,13 +336,13 @@ class StreamCubeEngine {
   /// tick below it. Checkpoints record it next to now().
   TimeTick seal_clock() const { return aligned_now_; }
 
-  /// Appends (key, encoded tilt-frame payload) for every cell — resident
-  /// frames encode their state as-is (one a no-op seal left lagging is
-  /// caught up by the restored seal clock), spilled cells copy their raw
-  /// block straight from the store (no decode/re-encode). The checkpoint
-  /// writer's per-shard collection step.
-  Status ExportEncodedFrames(
-      std::vector<std::pair<CellKey, std::string>>* out);
+  /// The bytes of one checkpoint shard file holding every cell, built in
+  /// one pre-sized buffer (CheckpointShardWriter): resident frames encode
+  /// straight from their slot blocks as-is (one a no-op seal left lagging
+  /// is caught up by the restored seal clock), spilled cells copy their
+  /// raw block from the store (no fault-in, no decode/re-encode). The
+  /// checkpoint writer's per-shard step.
+  Result<std::string> EncodeCheckpointShard(int shard) const;
 
   /// Cells currently cold (frame on disk, BlockRef in RAM).
   std::int64_t SpilledCells() const { return spilled_cells_; }

@@ -1,5 +1,6 @@
 #include "regcube/io/binary_io.h"
 
+#include <bit>
 #include <cstdio>
 #include <cstring>
 
@@ -10,11 +11,17 @@ namespace {
 
 template <typename T>
 void AppendLe(std::string* out, T v) {
-  // Serialize explicitly byte-by-byte so the format is identical on any
-  // host endianness.
-  for (std::size_t i = 0; i < sizeof(T); ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+  // The format is little-endian on any host: a little-endian host appends
+  // the value's bytes as they are, any other serializes byte by byte.
+  char bytes[sizeof(T)];
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(bytes, &v, sizeof(T));
+  } else {
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      bytes[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+    }
   }
+  out->append(bytes, sizeof(T));
 }
 
 template <typename T>

@@ -27,6 +27,10 @@ class ByteWriter {
   /// whose sizes live in a table elsewhere (the frame-store format).
   void WriteRaw(std::string_view s);
 
+  /// Pre-sizes the buffer for `n` bytes in total, so a caller that knows
+  /// its output size appends without reallocating.
+  void Reserve(std::size_t n) { buffer_.reserve(n); }
+
   /// Bytes written so far — the offset the next WriteRaw lands at.
   std::size_t size() const { return buffer_.size(); }
 

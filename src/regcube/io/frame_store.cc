@@ -1,11 +1,14 @@
 #include "regcube/io/frame_store.h"
 
 #include <fcntl.h>
+#include <sys/file.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
+#include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <utility>
@@ -21,10 +24,11 @@ namespace {
 constexpr std::uint32_t kStoreMagic = 0x31534352;  // "RCS1" shard/segment file
 constexpr std::uint32_t kTableMagic = 0x31544352;  // "RCT1" footer
 constexpr std::uint32_t kManifestMagic = 0x314D4352;  // "RCM1"
-// Version 2 added a per-block FNV-1a checksum to the checkpoint cell
-// table, so a torn write inside a payload fails at attach instead of
-// decoding differently.
-constexpr std::uint32_t kFormatVersion = 2;
+// Version 2 added a per-block checksum to the checkpoint cell table, so a
+// torn write inside a payload fails at attach instead of decoding
+// differently. Version 3 replaced its byte-serial FNV-1a with the
+// word-wise BlockChecksum; the blocks themselves are unchanged.
+constexpr std::uint32_t kFormatVersion = 3;
 // Manifest version 3 records the seal clock; a version-2 manifest (which
 // did not) is refused rather than reopened with every cell unsealed.
 constexpr std::uint32_t kManifestVersion = 3;
@@ -33,15 +37,6 @@ constexpr std::uint32_t kManifestVersion = 3;
 constexpr std::int64_t kFileHeaderBytes = 16;
 // footer: table_offset u64 + cell count u64 + table magic u32.
 constexpr std::int64_t kFooterBytes = 20;
-
-std::uint64_t Fnv1a64(std::string_view data) {
-  std::uint64_t hash = 1469598103934665603ull;
-  for (const char c : data) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
 
 std::int64_t NowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -74,13 +69,145 @@ Status MakeDirs(const std::string& dir) {
   return Status::OK();
 }
 
+/// Validates a checkpoint shard file's structure over `data` and returns
+/// its cell table, with refs naming no file yet. Pre: `data` is at least
+/// a header and a footer long.
+Result<std::vector<FrameStore::CheckpointEntry>> ParseCheckpointFile(
+    const std::string& path, std::string_view data) {
+  ByteReader r(data);
+  RC_ASSIGN_OR_RETURN(std::uint32_t magic, r.ReadU32());
+  if (magic != kStoreMagic) {
+    return Status::InvalidArgument(
+        StrPrintf("%s: bad frame-store magic 0x%08x", path.c_str(), magic));
+  }
+  RC_ASSIGN_OR_RETURN(std::uint32_t version, r.ReadU32());
+  if (version != kFormatVersion) {
+    return Status::InvalidArgument(StrPrintf(
+        "%s: unsupported frame-store version %u (this build reads version "
+        "%u; re-create the checkpoint)",
+        path.c_str(), version, kFormatVersion));
+  }
+  RC_RETURN_IF_ERROR(r.SeekTo(data.size() - kFooterBytes));
+  RC_ASSIGN_OR_RETURN(std::uint64_t table_offset, r.ReadU64());
+  RC_ASSIGN_OR_RETURN(std::uint64_t cell_count, r.ReadU64());
+  RC_ASSIGN_OR_RETURN(std::uint32_t table_magic, r.ReadU32());
+  if (table_magic != kTableMagic) {
+    return Status::InvalidArgument(
+        StrPrintf("%s: bad table magic 0x%08x (truncated checkpoint?)",
+                  path.c_str(), table_magic));
+  }
+  if (table_offset < static_cast<std::uint64_t>(kFileHeaderBytes) ||
+      table_offset > data.size() - kFooterBytes) {
+    return Status::OutOfRange(StrPrintf(
+        "%s: table offset %llu outside file", path.c_str(),
+        static_cast<unsigned long long>(table_offset)));
+  }
+  RC_RETURN_IF_ERROR(r.SeekTo(table_offset));
+
+  std::vector<FrameStore::CheckpointEntry> entries;
+  entries.reserve(static_cast<std::size_t>(
+      std::min<std::uint64_t>(cell_count, data.size() / 16)));
+  const std::uint32_t frame_magic = TiltFrameMagic();
+  for (std::uint64_t i = 0; i < cell_count; ++i) {
+    FrameStore::CheckpointEntry e;
+    RC_ASSIGN_OR_RETURN(e.key, DecodeCellKey(&r));
+    RC_ASSIGN_OR_RETURN(std::uint64_t offset, r.ReadU64());
+    RC_ASSIGN_OR_RETURN(std::uint64_t size, r.ReadU64());
+    RC_ASSIGN_OR_RETURN(std::uint64_t checksum, r.ReadU64());
+    if (offset < static_cast<std::uint64_t>(kFileHeaderBytes) || size < 4 ||
+        size > table_offset || offset > table_offset - size) {
+      return Status::OutOfRange(StrPrintf(
+          "%s: cell %llu block [%llu, +%llu) outside payload region",
+          path.c_str(), static_cast<unsigned long long>(i),
+          static_cast<unsigned long long>(offset),
+          static_cast<unsigned long long>(size)));
+    }
+    // Cheap per-block integrity probe: every payload must lead with the
+    // tilt-frame magic. Full decode is deferred to fault-in.
+    const std::string_view payload = data.substr(offset, size);
+    ByteReader block(payload);
+    RC_ASSIGN_OR_RETURN(std::uint32_t lead, block.ReadU32());
+    if (lead != frame_magic) {
+      return Status::InvalidArgument(StrPrintf(
+          "%s: cell %llu payload at %llu is not a tilt-frame block",
+          path.c_str(), static_cast<unsigned long long>(i),
+          static_cast<unsigned long long>(offset)));
+    }
+    // The checksum catches what the magic cannot: a torn write anywhere
+    // inside the payload would otherwise decode into different numbers
+    // silently.
+    if (BlockChecksum(payload) != checksum) {
+      return Status::InvalidArgument(StrPrintf(
+          "%s: cell %llu payload at %llu fails its checksum (torn write?)",
+          path.c_str(), static_cast<unsigned long long>(i),
+          static_cast<unsigned long long>(offset)));
+    }
+    e.ref.offset = static_cast<std::int64_t>(offset);
+    e.ref.size = static_cast<std::int64_t>(size);
+    entries.push_back(std::move(e));
+  }
+  return entries;
+}
+
 }  // namespace
 
-Result<std::unique_ptr<FrameStore>> FrameStore::Open(const std::string& dir) {
-  if (!dir.empty()) {
-    RC_RETURN_IF_ERROR(MakeDirs(dir));
+std::uint64_t BlockChecksum(std::string_view data) {
+  // An odd multiplier and a right xor-shift are both invertible, so each
+  // step maps the running state one to one: a difference in one word or
+  // tail byte survives every later step. Four lanes take every fourth
+  // word so the multiplies overlap; the fold keeps each lane's difference.
+  constexpr std::uint64_t kMul = 0x9E3779B97F4A7C15ull;
+  auto mix = [](std::uint64_t x) {
+    x *= kMul;
+    return x ^ (x >> 29);
+  };
+  auto load = [](const char* p) {
+    std::uint64_t word;
+    std::memcpy(&word, p, sizeof(word));
+    if constexpr (std::endian::native == std::endian::big) {
+      word = __builtin_bswap64(word);
+    }
+    return word;
+  };
+  std::uint64_t lane[4] = {0x6A09E667F3BCC908ull, 0xBB67AE8584CAA73Bull,
+                           0x3C6EF372FE94F82Bull, 0xA54FF53A5F1D36F1ull};
+  const char* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 32; p += 32, n -= 32) {
+    for (int i = 0; i < 4; ++i) lane[i] = mix(lane[i] ^ load(p + 8 * i));
   }
-  return std::unique_ptr<FrameStore>(new FrameStore(dir));
+  std::uint64_t h = lane[0];
+  for (int i = 1; i < 4; ++i) h = mix(h ^ lane[i]);
+  for (; n >= 8; p += 8, n -= 8) h = mix(h ^ load(p));
+  for (; n > 0; ++p, --n) h = mix(h ^ static_cast<unsigned char>(*p));
+  return mix(h ^ static_cast<std::uint64_t>(data.size()));
+}
+
+Result<std::unique_ptr<FrameStore>> FrameStore::Open(const std::string& dir) {
+  if (dir.empty()) return std::unique_ptr<FrameStore>(new FrameStore("", -1));
+  RC_RETURN_IF_ERROR(MakeDirs(dir));
+  // Spill segments are opened with O_TRUNC, so a second live store on the
+  // same directory would wipe this one's blocks: the flock makes the
+  // directory one store's at a time. The kernel drops it if the process
+  // dies, so a crashed run never leaves the directory locked.
+  const std::string lock_path = dir + "/LOCK";
+  const int fd = ::open(lock_path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
+  if (fd < 0) {
+    return Status::Internal(
+        StrPrintf("cannot open lock file %s", lock_path.c_str()));
+  }
+  if (::flock(fd, LOCK_EX | LOCK_NB) != 0) {
+    const int err = errno;
+    ::close(fd);
+    if (err == EWOULDBLOCK) {
+      return Status::FailedPrecondition(StrPrintf(
+          "spill directory %s is in use by another engine (give each live "
+          "engine its own spill directory)",
+          dir.c_str()));
+    }
+    return Status::Internal(StrPrintf("cannot lock %s", lock_path.c_str()));
+  }
+  return std::unique_ptr<FrameStore>(new FrameStore(dir, fd));
 }
 
 FrameStore::~FrameStore() {
@@ -94,6 +221,9 @@ FrameStore::~FrameStore() {
     if (f.writable) ::unlink(f.path.c_str());
   }
   files_.clear();
+  // Released last: the next store on this directory finds no segment of
+  // ours left to collide with.
+  if (lock_fd_ >= 0) ::close(lock_fd_);
 }
 
 Status FrameStore::CheckFaultLocked(FaultOp op) const {
@@ -197,8 +327,11 @@ Result<std::string_view> FrameStore::ViewLocked(const BlockRef& ref) {
 }
 
 Result<BlockRef> FrameStore::AppendFrame(int shard,
-                                         const TiltFrameState& state) {
-  const std::string payload = EncodeTiltFrameState(state);
+                                         const TiltTimeFrame& frame) {
+  ByteWriter w;
+  w.Reserve(EncodedTiltFrameSize(frame));
+  EncodeTiltFrame(frame, &w);
+  const std::string& payload = w.buffer();
   std::lock_guard<std::mutex> lock(mu_);
   RC_ASSIGN_OR_RETURN(std::int32_t id, SegmentForLocked(shard));
   RC_RETURN_IF_ERROR(CheckFaultLocked(FaultOp::kWrite));
@@ -219,27 +352,29 @@ Result<BlockRef> FrameStore::AppendFrame(int shard,
   return BlockRef{id, offset, size};
 }
 
-Result<TiltFrameState> FrameStore::ReadFrame(const BlockRef& ref) {
+Result<TiltTimeFrame> FrameStore::ReadFrame(
+    const BlockRef& ref, std::shared_ptr<const TiltPolicy> policy) {
   const std::int64_t start_ns = NowNs();
   std::lock_guard<std::mutex> lock(mu_);
   RC_RETURN_IF_ERROR(CheckFaultLocked(FaultOp::kRead));
   RC_ASSIGN_OR_RETURN(std::string_view payload, ViewLocked(ref));
   // Decode under the mutex: a concurrent append's remap must never pull
   // the mapping out from under this view.
-  auto state = DecodeTiltFrameState(payload);
-  if (!state.ok()) return state.status();
+  auto frame = DecodeTiltFrame(std::move(policy), payload);
+  if (!frame.ok()) return frame.status();
   fault_ins_ += 1;
   fault_in_bytes_ += ref.size;
   RecordFaultInLocked(NowNs() - start_ns);
-  return state;
+  return frame;
 }
 
-Result<std::string> FrameStore::ReadRawBlock(const BlockRef& ref) const {
+Status FrameStore::CopyRawBlock(const BlockRef& ref, ByteWriter* out) const {
   auto* self = const_cast<FrameStore*>(this);
   std::lock_guard<std::mutex> lock(mu_);
   RC_RETURN_IF_ERROR(CheckFaultLocked(FaultOp::kRead));
   RC_ASSIGN_OR_RETURN(std::string_view payload, self->ViewLocked(ref));
-  return std::string(payload);
+  out->WriteRaw(payload);
+  return Status::OK();
 }
 
 void FrameStore::Release(const BlockRef& ref) {
@@ -395,99 +530,63 @@ CompactionStats FrameStore::Compactions() const {
 
 Result<std::vector<FrameStore::CheckpointEntry>>
 FrameStore::AttachCheckpointFile(const std::string& path) {
-  // Parse via a plain read first; the mmap view is installed only after
-  // the structure validates, so a corrupt file never enters the ref space.
-  RC_ASSIGN_OR_RETURN(std::string data, ReadFile(path));
-  ByteReader r(data);
-  RC_ASSIGN_OR_RETURN(std::uint32_t magic, r.ReadU32());
-  if (magic != kStoreMagic) {
-    return Status::InvalidArgument(
-        StrPrintf("%s: bad frame-store magic 0x%08x", path.c_str(), magic));
+  // Map, then validate over the mapping: the file enters the ref space
+  // only once its whole structure holds, so a corrupt file never does.
+  auto check_fault = [this](FaultOp op) {
+    std::lock_guard<std::mutex> lock(mu_);
+    return CheckFaultLocked(op);
+  };
+  RC_RETURN_IF_ERROR(check_fault(FaultOp::kOpen));
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    if (errno == ENOENT) {
+      return Status::NotFound(StrPrintf("cannot open %s", path.c_str()));
+    }
+    return Status::Unavailable(StrPrintf("cannot open %s", path.c_str()));
   }
-  RC_ASSIGN_OR_RETURN(std::uint32_t version, r.ReadU32());
-  if (version != kFormatVersion) {
-    return Status::InvalidArgument(
-        StrPrintf("%s: unsupported frame-store version %u", path.c_str(),
-                  version));
+  struct stat st;
+  if (::fstat(fd, &st) != 0) {
+    ::close(fd);
+    return Status::Unavailable(StrPrintf("cannot stat %s", path.c_str()));
   }
-  if (data.size() < static_cast<std::size_t>(kFileHeaderBytes + kFooterBytes)) {
+  const auto size = static_cast<std::size_t>(st.st_size);
+  if (size < static_cast<std::size_t>(kFileHeaderBytes + kFooterBytes)) {
+    ::close(fd);
     return Status::OutOfRange(
         StrPrintf("%s: truncated below header + footer", path.c_str()));
   }
-  RC_RETURN_IF_ERROR(r.SeekTo(data.size() - kFooterBytes));
-  RC_ASSIGN_OR_RETURN(std::uint64_t table_offset, r.ReadU64());
-  RC_ASSIGN_OR_RETURN(std::uint64_t cell_count, r.ReadU64());
-  RC_ASSIGN_OR_RETURN(std::uint32_t table_magic, r.ReadU32());
-  if (table_magic != kTableMagic) {
-    return Status::InvalidArgument(
-        StrPrintf("%s: bad table magic 0x%08x (truncated checkpoint?)",
-                  path.c_str(), table_magic));
+  Status fault = check_fault(FaultOp::kMmap);
+  if (!fault.ok()) {
+    ::close(fd);
+    return fault;
   }
-  if (table_offset < static_cast<std::uint64_t>(kFileHeaderBytes) ||
-      table_offset > data.size() - kFooterBytes) {
-    return Status::OutOfRange(StrPrintf(
-        "%s: table offset %llu outside file", path.c_str(),
-        static_cast<unsigned long long>(table_offset)));
+  void* map = ::mmap(nullptr, size, PROT_READ, MAP_SHARED, fd, 0);
+  if (map == MAP_FAILED) {
+    ::close(fd);
+    return Status::Internal(StrPrintf("mmap of %s (%zu bytes) failed",
+                                      path.c_str(), size));
   }
-  RC_RETURN_IF_ERROR(r.SeekTo(table_offset));
-
-  std::vector<CheckpointEntry> entries;
-  entries.reserve(static_cast<std::size_t>(
-      std::min<std::uint64_t>(cell_count, data.size() / 16)));
-  const auto frame_magic = TiltFrameStateMagic();
-  for (std::uint64_t i = 0; i < cell_count; ++i) {
-    CheckpointEntry e;
-    RC_ASSIGN_OR_RETURN(e.key, DecodeCellKey(&r));
-    RC_ASSIGN_OR_RETURN(std::uint64_t offset, r.ReadU64());
-    RC_ASSIGN_OR_RETURN(std::uint64_t size, r.ReadU64());
-    RC_ASSIGN_OR_RETURN(std::uint64_t checksum, r.ReadU64());
-    if (offset < static_cast<std::uint64_t>(kFileHeaderBytes) || size < 4 ||
-        offset + size > table_offset) {
-      return Status::OutOfRange(StrPrintf(
-          "%s: cell %llu block [%llu, +%llu) outside payload region",
-          path.c_str(), static_cast<unsigned long long>(i),
-          static_cast<unsigned long long>(offset),
-          static_cast<unsigned long long>(size)));
-    }
-    // Cheap per-block integrity probe: every payload must lead with the
-    // tilt-frame magic. Full decode is deferred to fault-in.
-    const std::string_view payload = std::string_view(data).substr(offset,
-                                                                   size);
-    ByteReader block(payload);
-    RC_ASSIGN_OR_RETURN(std::uint32_t lead, block.ReadU32());
-    if (lead != frame_magic) {
-      return Status::InvalidArgument(StrPrintf(
-          "%s: cell %llu payload at %llu is not a tilt-frame block",
-          path.c_str(), static_cast<unsigned long long>(i),
-          static_cast<unsigned long long>(offset)));
-    }
-    // The checksum catches what the magic cannot: a torn write anywhere
-    // inside the payload would otherwise decode into different numbers
-    // silently.
-    if (Fnv1a64(payload) != checksum) {
-      return Status::InvalidArgument(StrPrintf(
-          "%s: cell %llu payload at %llu fails its checksum (torn write?)",
-          path.c_str(), static_cast<unsigned long long>(i),
-          static_cast<unsigned long long>(offset)));
-    }
-    e.ref.offset = static_cast<std::int64_t>(offset);
-    e.ref.size = static_cast<std::int64_t>(size);
-    entries.push_back(std::move(e));
+  auto entries = ParseCheckpointFile(
+      path, std::string_view(static_cast<const char*>(map), size));
+  if (!entries.ok()) {
+    ::munmap(map, size);
+    ::close(fd);
+    return entries.status();
   }
 
-  // Structure is sound: install the file read-only in the ref space.
+  // Structure is sound: install the file read-only in the ref space, with
+  // the validated mapping as the one fault-ins read through.
   MappedFile f;
   f.path = path;
-  std::lock_guard<std::mutex> lock(mu_);
-  RC_RETURN_IF_ERROR(CheckFaultLocked(FaultOp::kOpen));
-  f.fd = ::open(path.c_str(), O_RDONLY);
-  if (f.fd < 0) {
-    return Status::Unavailable(StrPrintf("cannot reopen %s", path.c_str()));
-  }
+  f.fd = fd;
   f.writable = false;
-  f.file_size = static_cast<std::int64_t>(data.size());
+  f.file_size = static_cast<std::int64_t>(size);
+  f.map = map;
+  f.map_size = size;
+  std::lock_guard<std::mutex> lock(mu_);
   const auto id = static_cast<std::int32_t>(files_.size());
-  for (CheckpointEntry& e : entries) {
+  f.refs.reserve(entries->size());
+  for (CheckpointEntry& e : *entries) {
     e.ref.file = id;
     f.refs[e.ref.offset] = BlockMeta{1, e.ref.size};
     f.live_bytes += e.ref.size;
@@ -542,27 +641,51 @@ double FrameStore::FaultInP99Locked() const {
   return 0.0;
 }
 
-std::string EncodeCheckpointShardFile(
-    int shard, const std::vector<std::pair<CellKey, std::string>>& cells) {
-  ByteWriter w;
-  w.WriteRaw(FileHeader(shard));
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> spans;
-  spans.reserve(cells.size());
-  for (const auto& [key, payload] : cells) {
-    spans.emplace_back(w.size(), payload.size());
-    w.WriteRaw(payload);
+CheckpointShardWriter::CheckpointShardWriter(int shard,
+                                             std::size_t num_cells,
+                                             std::size_t block_bytes) {
+  // A table row is the key (u8 count + u32 per dimension) plus offset,
+  // size and checksum.
+  constexpr std::size_t kMaxRowBytes = 1 + 4 * kMaxDims + 3 * 8;
+  w_.Reserve(static_cast<std::size_t>(kFileHeaderBytes) + block_bytes +
+             num_cells * kMaxRowBytes + static_cast<std::size_t>(kFooterBytes));
+  w_.WriteRaw(FileHeader(shard));
+  table_.reserve(num_cells);
+}
+
+void CheckpointShardWriter::AddFrame(const CellKey& key,
+                                     const TiltTimeFrame& frame) {
+  const std::size_t offset = w_.size();
+  EncodeTiltFrame(frame, &w_);
+  EndBlock(key, offset);
+}
+
+Status CheckpointShardWriter::AddStoredBlock(const CellKey& key,
+                                             const FrameStore& store,
+                                             const BlockRef& ref) {
+  const std::size_t offset = w_.size();
+  RC_RETURN_IF_ERROR(store.CopyRawBlock(ref, &w_));
+  EndBlock(key, offset);
+  return Status::OK();
+}
+
+void CheckpointShardWriter::EndBlock(const CellKey& key, std::size_t offset) {
+  const std::string_view block = std::string_view(w_.buffer()).substr(offset);
+  table_.push_back({key, offset, block.size(), BlockChecksum(block)});
+}
+
+std::string CheckpointShardWriter::Finish() && {
+  const std::uint64_t table_offset = w_.size();
+  for (const TableEntry& e : table_) {
+    EncodeCellKey(&w_, e.key);
+    w_.WriteU64(e.offset);
+    w_.WriteU64(e.size);
+    w_.WriteU64(e.checksum);
   }
-  const std::uint64_t table_offset = w.size();
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    EncodeCellKey(&w, cells[i].first);
-    w.WriteU64(spans[i].first);
-    w.WriteU64(spans[i].second);
-    w.WriteU64(Fnv1a64(cells[i].second));
-  }
-  w.WriteU64(table_offset);
-  w.WriteU64(static_cast<std::uint64_t>(cells.size()));
-  w.WriteU32(kTableMagic);
-  return w.Release();
+  w_.WriteU64(table_offset);
+  w_.WriteU64(static_cast<std::uint64_t>(table_.size()));
+  w_.WriteU32(kTableMagic);
+  return w_.Release();
 }
 
 std::string EncodeCheckpointManifest(const CheckpointManifest& manifest) {

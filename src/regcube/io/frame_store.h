@@ -5,11 +5,13 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "regcube/common/status.h"
 #include "regcube/cube/cell.h"
+#include "regcube/io/binary_io.h"
 #include "regcube/io/fault_injector.h"
 #include "regcube/time/tilt_frame.h"
 
@@ -87,14 +89,20 @@ struct CheckpointManifest {
 ///
 /// Every method is thread-safe behind one store mutex; decode happens
 /// under it so a concurrent append's remap can never invalidate a view
-/// mid-read. Payloads are the bit-exact "RGF1" tilt-frame encoding
+/// mid-read. Payloads are the bit-exact "RGF1" tilt-frame block encoding
 /// (io/cube_io), so spill → fault-in is bitwise lossless.
+///
+/// A spill directory belongs to one live store: Open takes an exclusive
+/// flock on "<dir>/LOCK" and holds it until the store is destroyed, so a
+/// second engine pointed at the same directory is refused instead of
+/// truncating the first one's segments.
 class FrameStore {
  public:
-  /// Opens a store rooted at `dir` (created if missing). An empty `dir`
-  /// yields an attach-only store: checkpoint files can be mapped and read
-  /// but AppendFrame is FailedPrecondition — the shape of an engine opened
-  /// from a checkpoint with no spill directory configured.
+  /// Opens a store rooted at `dir` (created if missing) and locks it:
+  /// FailedPrecondition if another live store holds the directory. An
+  /// empty `dir` yields an attach-only store: checkpoint files can be
+  /// mapped and read but AppendFrame is FailedPrecondition — the shape of
+  /// an engine opened from a checkpoint with no spill directory configured.
   static Result<std::unique_ptr<FrameStore>> Open(const std::string& dir);
 
   ~FrameStore();
@@ -102,19 +110,21 @@ class FrameStore {
   FrameStore(const FrameStore&) = delete;
   FrameStore& operator=(const FrameStore&) = delete;
 
-  /// Encodes `state` and appends it to `shard`'s spill segment. The
+  /// Encodes `frame` and appends it to `shard`'s spill segment. The
   /// returned ref starts with one reference (the caller's cell).
-  Result<BlockRef> AppendFrame(int shard, const TiltFrameState& state);
+  Result<BlockRef> AppendFrame(int shard, const TiltTimeFrame& frame);
 
-  /// Fault-in: decodes the block behind `ref` from the mapping. Typed
-  /// errors on a stale/corrupt ref (InvalidArgument) or a truncated file
-  /// (OutOfRange); counted into the fault-in stats.
-  Result<TiltFrameState> ReadFrame(const BlockRef& ref);
+  /// Fault-in: decodes the block behind `ref` from the mapping into a
+  /// frame under `policy`. Typed errors on a stale/corrupt ref
+  /// (InvalidArgument) or a truncated file (OutOfRange); counted into the
+  /// fault-in stats.
+  Result<TiltTimeFrame> ReadFrame(const BlockRef& ref,
+                                  std::shared_ptr<const TiltPolicy> policy);
 
-  /// The raw encoded payload behind `ref` — checkpoint writing copies
-  /// spilled cells without a decode/encode round trip. Not counted as a
-  /// fault-in.
-  Result<std::string> ReadRawBlock(const BlockRef& ref) const;
+  /// Appends the raw encoded block behind `ref` to `out` — checkpoint
+  /// writing copies spilled cells without a decode/encode round trip. Not
+  /// counted as a fault-in.
+  Status CopyRawBlock(const BlockRef& ref, ByteWriter* out) const;
 
   /// Drops the cell's reference; the block's bytes become garbage.
   void Release(const BlockRef& ref);
@@ -165,9 +175,11 @@ class FrameStore {
 
   /// Maps a "frames-<i>.rcs" checkpoint file read-only into this store's
   /// ref space and returns its cell table (each entry holding one
-  /// reference). Validates structure up front — header and footer magics,
-  /// table bounds, every block range and its payload magic — so a corrupt
-  /// or truncated file fails here with a typed error, not mid-query.
+  /// reference). Validates structure over the mapping up front — header
+  /// and footer magics, version, table bounds, every block range, its
+  /// payload magic and checksum — so a corrupt or truncated file fails
+  /// here with a typed error, not mid-query, and never enters the ref
+  /// space.
   Result<std::vector<CheckpointEntry>> AttachCheckpointFile(
       const std::string& path);
 
@@ -178,7 +190,8 @@ class FrameStore {
   std::int64_t DiskBytes() const;
 
  private:
-  explicit FrameStore(std::string dir) : dir_(std::move(dir)) {}
+  FrameStore(std::string dir, int lock_fd)
+      : dir_(std::move(dir)), lock_fd_(lock_fd) {}
 
   struct BlockMeta {
     std::int32_t count = 0;  // references held by cells
@@ -217,6 +230,7 @@ class FrameStore {
   Status CheckFaultLocked(FaultOp op) const;
 
   const std::string dir_;
+  const int lock_fd_;  // holds the flock on <dir_>/LOCK; -1 if attach-only
 
   mutable std::mutex mu_;
   FaultInjector* injector_ = nullptr;
@@ -234,12 +248,51 @@ class FrameStore {
   std::int64_t latency_samples_ = 0;
 };
 
-/// Builds the bytes of one checkpoint shard file: "RCS1" header, the
-/// cells' encoded frame payloads back to back, the cell table, and a
-/// fixed-size footer pointing at the table. Written atomically with
-/// WriteFile; AttachCheckpointFile is the reader.
-std::string EncodeCheckpointShardFile(
-    int shard, const std::vector<std::pair<CellKey, std::string>>& cells);
+/// The checksum of one checkpoint block, stored in the cell table and
+/// verified at attach: a 64-bit hash over 8-byte little-endian words (a
+/// multiply/xor-shift mix per word, four interleaved lanes folded
+/// together), then the tail bytes one at a time, with the length folded
+/// in. Every step is a bijection of the running state, so a block that
+/// differs from the written one in exactly one byte (or one 8-byte word)
+/// never hashes the same.
+std::uint64_t BlockChecksum(std::string_view data);
+
+/// Builds the bytes of one checkpoint shard file in one buffer sized up
+/// front: "RCS1" header, the cells' encoded frame blocks back to back, the
+/// cell table (key, offset, size, BlockChecksum), and a fixed-size footer
+/// pointing at the table. Written atomically with WriteFile;
+/// AttachCheckpointFile is the reader.
+class CheckpointShardWriter {
+ public:
+  /// Reserves room for `num_cells` cells whose blocks total
+  /// `block_bytes`.
+  CheckpointShardWriter(int shard, std::size_t num_cells,
+                        std::size_t block_bytes);
+
+  /// Appends `frame`'s block under `key`.
+  void AddFrame(const CellKey& key, const TiltTimeFrame& frame);
+
+  /// Appends the block behind `ref` in `store` (a spilled cell) as is.
+  Status AddStoredBlock(const CellKey& key, const FrameStore& store,
+                        const BlockRef& ref);
+
+  /// Appends the table and footer and returns the file's bytes.
+  std::string Finish() &&;
+
+ private:
+  struct TableEntry {
+    CellKey key;
+    std::uint64_t offset = 0;
+    std::uint64_t size = 0;
+    std::uint64_t checksum = 0;
+  };
+
+  /// Records the block written since `offset` in the table.
+  void EndBlock(const CellKey& key, std::size_t offset);
+
+  ByteWriter w_;
+  std::vector<TableEntry> table_;
+};
 
 /// Manifest codec ("RCM1") — the commit point of a checkpoint directory:
 /// written last, so a directory with a valid manifest has complete shard

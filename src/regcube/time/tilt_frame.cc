@@ -213,54 +213,6 @@ Status TiltTimeFrame::MergeStandardDim(const TiltTimeFrame& other) {
   return Status::OK();
 }
 
-TiltFrameState TiltTimeFrame::Snapshot() const {
-  TiltFrameState state;
-  state.start_tick = start_tick_;
-  state.next_tick = next_tick_;
-  state.levels.reserve(levels_.size());
-  for (const LevelState& level : levels_) {
-    TiltFrameState::Level out;
-    const std::span<const MomentSums> slots = LevelSlots(level);
-    out.slots.assign(slots.begin(), slots.end());
-    out.pending = level.pending;
-    out.pending_active = level.pending_active;
-    out.pending_start = level.pending_start;
-    state.levels.push_back(std::move(out));
-  }
-  return state;
-}
-
-Result<TiltTimeFrame> TiltTimeFrame::FromSnapshot(
-    std::shared_ptr<const TiltPolicy> policy, const TiltFrameState& state) {
-  RC_CHECK(policy != nullptr);
-  if (static_cast<int>(state.levels.size()) != policy->num_levels()) {
-    return Status::InvalidArgument(StrPrintf(
-        "snapshot has %zu levels, policy %s has %d", state.levels.size(),
-        policy->name().c_str(), policy->num_levels()));
-  }
-  if (state.next_tick < state.start_tick) {
-    return Status::InvalidArgument("snapshot clock precedes its start tick");
-  }
-  TiltTimeFrame frame(std::move(policy), state.start_tick);
-  frame.next_tick_ = state.next_tick;
-  for (size_t li = 0; li < state.levels.size(); ++li) {
-    const TiltFrameState::Level& in = state.levels[li];
-    LevelState& out = frame.levels_[li];
-    if (static_cast<int>(in.slots.size()) > out.capacity) {
-      return Status::InvalidArgument(StrPrintf(
-          "snapshot level %zu holds %zu slots, capacity is %d", li,
-          in.slots.size(), out.capacity));
-    }
-    std::copy(in.slots.begin(), in.slots.end(),
-              frame.slots_.get() + out.offset);
-    out.count = static_cast<std::int32_t>(in.slots.size());
-    out.pending = in.pending;
-    out.pending_active = in.pending_active;
-    out.pending_start = in.pending_start;
-  }
-  return frame;
-}
-
 std::string TiltTimeFrame::ToString() const {
   std::string out = StrPrintf("TiltTimeFrame(policy=%s, next_tick=%lld)\n",
                               policy_->name().c_str(),

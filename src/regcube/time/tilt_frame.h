@@ -5,6 +5,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "regcube/common/status.h"
@@ -14,19 +15,7 @@
 
 namespace regcube {
 
-/// Serializable snapshot of a TiltTimeFrame (checkpoint/restore across
-/// process restarts; the binary encoding lives in regcube/io/cube_io.h).
-struct TiltFrameState {
-  struct Level {
-    std::vector<MomentSums> slots;  // sealed units, oldest first
-    MomentSums pending;
-    bool pending_active = false;
-    TimeTick pending_start = 0;
-  };
-  TimeTick start_tick = 0;
-  TimeTick next_tick = 0;
-  std::vector<Level> levels;
-};
+class ByteWriter;
 
 /// The tilt time frame (§4.1, Fig 4): a per-cell time container that keeps
 /// the most recent time at the finest granularity and progressively coarser
@@ -130,15 +119,16 @@ class TiltTimeFrame {
   /// match: both frames must have been driven to the same tick.
   Status MergeStandardDim(const TiltTimeFrame& other);
 
-  /// Checkpointing: captures the complete mutable state. Restoring with the
-  /// same policy yields a frame that continues exactly where this one was.
-  TiltFrameState Snapshot() const;
-  static Result<TiltTimeFrame> FromSnapshot(
-      std::shared_ptr<const TiltPolicy> policy, const TiltFrameState& state);
-
   std::string ToString() const;
 
  private:
+  // The block codec (regcube/io/cube_io.h) reads and writes the slot block
+  // and level headers directly: a spill, fault-in or checkpoint copies
+  // each level's slots as one range.
+  friend void EncodeTiltFrame(const TiltTimeFrame& frame, ByteWriter* w);
+  friend Result<TiltTimeFrame> DecodeTiltFrame(
+      std::shared_ptr<const TiltPolicy> policy, std::string_view data);
+
   struct LevelState {
     MomentSums pending;            // in-progress unit ([] if no ticks yet)
     TimeTick pending_start = 0;    // first tick of the in-progress unit

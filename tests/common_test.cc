@@ -112,6 +112,31 @@ TEST(MemoryTrackerTest, PerCategoryAccounting) {
   EXPECT_EQ(snapshot[1].first, "htree");
 }
 
+TEST(MemoryTrackerTest, StringViewCategoriesShareOnePool) {
+  // A name past the small-string buffer, passed as views into a larger
+  // buffer (not NUL-terminated at the category's end), as a std::string
+  // and as a literal: all three must land in the same pool.
+  const std::string buffer = "stream.tilt_frames|trailing";
+  const std::string_view name = std::string_view(buffer).substr(0, 18);
+  MemoryTracker tracker;
+  tracker.Add(name, 40);
+  tracker.Add(std::string("stream.tilt_frames"), 2);
+  tracker.Add("other", 8);
+  EXPECT_EQ(tracker.category_bytes("stream.tilt_frames"), 42);
+  EXPECT_EQ(tracker.category_bytes(name), 42);
+  tracker.Release(name, 30);
+  tracker.Add(name, 5);
+  EXPECT_EQ(tracker.category_bytes(name), 17);
+  EXPECT_EQ(tracker.category_peak_bytes(name), 42);
+  EXPECT_EQ(tracker.current_bytes(), 25);
+  EXPECT_EQ(tracker.peak_bytes(), 50);
+  auto snapshot = tracker.Snapshot();
+  ASSERT_EQ(snapshot.size(), 2u);
+  EXPECT_EQ(snapshot[0].first, "other");
+  EXPECT_EQ(snapshot[1].first, "stream.tilt_frames");
+  EXPECT_EQ(tracker.category_bytes(std::string_view(buffer)), 0);
+}
+
 TEST(MemoryTrackerTest, ResetClearsEverything) {
   MemoryTracker tracker;
   tracker.Add("x", 10);

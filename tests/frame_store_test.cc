@@ -10,8 +10,9 @@
 // after resumed ingest, and across a different shard count); cube queries
 // at the maintained cube's revision must be answered without gather work
 // (no fault-in, no enforcement) even under a budget the cube cannot fit;
-// and corrupt / truncated checkpoint files must fail with the typed error
-// contract (InvalidArgument / OutOfRange / NotFound), never mid-query.
+// corrupt / truncated / older-version checkpoint files must fail with the
+// typed error contract (InvalidArgument / OutOfRange / NotFound), never
+// mid-query; and a spill dir serves one live engine at a time.
 //
 // The randomized churn and the bitwise comparators come from the shared
 // equivalence harness (tests/equivalence_harness.h).
@@ -20,6 +21,7 @@
 #include <atomic>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -29,6 +31,7 @@
 #include "regcube/api/regcube.h"
 #include "equivalence_harness.h"
 #include "test_util.h"
+#include "tilt_frame_state.h"
 
 namespace regcube {
 namespace {
@@ -40,6 +43,7 @@ using equivalence::ExpectGathersIdentical;
 using equivalence::Key2;
 using equivalence::RunChurnRounds;
 using equivalence::SmallTiltPolicy;
+using testing_util::EncodeFrameBytes;
 
 std::string FreshDir(const std::string& name) {
   const std::string dir = ::testing::TempDir() + "/" + name;
@@ -59,7 +63,7 @@ std::shared_ptr<const CubeSchema> TinySchema() {
   return *schema;
 }
 
-TiltFrameState MakeState(std::uint64_t seed, TimeTick ticks) {
+TiltTimeFrame MakeFrame(std::uint64_t seed, TimeTick ticks) {
   StreamCubeEngine engine(TinySchema(), ChurnEngineOptions());
   Pcg32 rng(seed, 3);
   const CellKey key = Key2(1, 2);
@@ -69,13 +73,7 @@ TiltFrameState MakeState(std::uint64_t seed, TimeTick ticks) {
   std::vector<CellSnapshot> cells;
   engine.ExportCellsFull(&cells, nullptr);
   EXPECT_EQ(cells.size(), 1u);
-  return cells[0].frame->Snapshot();
-}
-
-void ExpectStatesIdentical(const TiltFrameState& a, const TiltFrameState& b) {
-  const std::string ea = EncodeTiltFrameState(a);
-  const std::string eb = EncodeTiltFrameState(b);
-  EXPECT_EQ(ea, eb);
+  return *cells[0].frame;
 }
 
 // ------------------------------------------------------------- store basics
@@ -84,20 +82,21 @@ TEST(FrameStoreTest, AppendReadRoundTripsBitwise) {
   auto store = FrameStore::Open(FreshDir("frame_store_roundtrip"));
   ASSERT_TRUE(store.ok()) << store.status().ToString();
 
-  std::vector<TiltFrameState> states;
+  const auto policy = ChurnEngineOptions().tilt_policy;
+  std::vector<TiltTimeFrame> frames;
   std::vector<BlockRef> refs;
   for (int i = 0; i < 8; ++i) {
-    states.push_back(MakeState(/*seed=*/100 + i, /*ticks=*/5 + 3 * i));
-    auto ref = (*store)->AppendFrame(i % 3, states.back());
+    frames.push_back(MakeFrame(/*seed=*/100 + i, /*ticks=*/5 + 3 * i));
+    auto ref = (*store)->AppendFrame(i % 3, frames.back());
     ASSERT_TRUE(ref.ok()) << ref.status().ToString();
     ASSERT_TRUE(ref->valid());
     refs.push_back(*ref);
   }
   // Read back out of order: offsets are independent.
   for (int i = 7; i >= 0; --i) {
-    auto state = (*store)->ReadFrame(refs[i]);
-    ASSERT_TRUE(state.ok()) << state.status().ToString();
-    ExpectStatesIdentical(states[i], *state);
+    auto frame = (*store)->ReadFrame(refs[i], policy);
+    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+    EXPECT_EQ(EncodeFrameBytes(frames[i]), EncodeFrameBytes(*frame));
   }
   const FrameStoreStats stats = (*store)->Stats();
   EXPECT_EQ(stats.spilled_blocks, 8);
@@ -111,7 +110,7 @@ TEST(FrameStoreTest, ReleaseTurnsBytesIntoGarbage) {
   auto store = FrameStore::Open(FreshDir("frame_store_release"));
   ASSERT_TRUE(store.ok()) << store.status().ToString();
 
-  auto ref = (*store)->AppendFrame(0, MakeState(7, 12));
+  auto ref = (*store)->AppendFrame(0, MakeFrame(7, 12));
   ASSERT_TRUE(ref.ok());
   EXPECT_EQ((*store)->Stats().garbage_bytes, 0);
   (*store)->Release(*ref);
@@ -119,31 +118,51 @@ TEST(FrameStoreTest, ReleaseTurnsBytesIntoGarbage) {
   EXPECT_EQ(stats.live_blocks, 0);
   EXPECT_EQ(stats.garbage_bytes, stats.spilled_bytes);
   // A released ref is stale: reading it is a typed error, not UB.
-  EXPECT_EQ((*store)->ReadFrame(*ref).status().code(),
+  EXPECT_EQ((*store)->ReadFrame(*ref, ChurnEngineOptions().tilt_policy)
+                .status()
+                .code(),
             StatusCode::kInvalidArgument);
 }
 
 TEST(FrameStoreTest, AttachOnlyStoreRefusesAppends) {
   auto store = FrameStore::Open("");
   ASSERT_TRUE(store.ok()) << store.status().ToString();
-  EXPECT_EQ((*store)->AppendFrame(0, MakeState(9, 6)).status().code(),
+  EXPECT_EQ((*store)->AppendFrame(0, MakeFrame(9, 6)).status().code(),
             StatusCode::kFailedPrecondition);
 }
 
 TEST(FrameStoreTest, InvalidRefsAreTypedErrors) {
   auto store = FrameStore::Open(FreshDir("frame_store_badref"));
   ASSERT_TRUE(store.ok()) << store.status().ToString();
-  auto ref = (*store)->AppendFrame(0, MakeState(11, 10));
+  auto ref = (*store)->AppendFrame(0, MakeFrame(11, 10));
   ASSERT_TRUE(ref.ok());
+  const auto policy = ChurnEngineOptions().tilt_policy;
 
   BlockRef bad_file = *ref;
   bad_file.file = 99;
-  EXPECT_EQ((*store)->ReadFrame(bad_file).status().code(),
+  EXPECT_EQ((*store)->ReadFrame(bad_file, policy).status().code(),
             StatusCode::kInvalidArgument);
 
   BlockRef past_end = *ref;
   past_end.offset += (*store)->DiskBytes();
-  EXPECT_FALSE((*store)->ReadFrame(past_end).ok());
+  EXPECT_FALSE((*store)->ReadFrame(past_end, policy).ok());
+}
+
+TEST(FrameStoreTest, SpillDirHoldsOneLiveStore) {
+  const std::string dir = FreshDir("frame_store_lock");
+  auto first = FrameStore::Open(dir);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  auto ref = (*first)->AppendFrame(0, MakeFrame(13, 9));
+  ASSERT_TRUE(ref.ok());
+  auto second = FrameStore::Open(dir);
+  ASSERT_FALSE(second.ok());
+  EXPECT_EQ(second.status().code(), StatusCode::kFailedPrecondition);
+  // The refused open touched nothing: the first store's block still reads.
+  EXPECT_TRUE(
+      (*first)->ReadFrame(*ref, ChurnEngineOptions().tilt_policy).ok());
+  first->reset();
+  auto reused = FrameStore::Open(dir);
+  EXPECT_TRUE(reused.ok()) << reused.status().ToString();
 }
 
 // ---------------------------------------------- budgeted churn equivalence
@@ -687,6 +706,86 @@ TEST(CheckpointTest, CheckpointOfSpilledEngineIsComplete) {
   }
 }
 
+TEST(CheckpointTest, SecondEngineOnALiveSpillDirIsRefused) {
+  // A second engine on the writer's spill dir (here: OpenFrom through the
+  // writer's own builder) would truncate the writer's segments. It is
+  // refused, the writer keeps faulting its cells in, and the directory is
+  // free again once the writer is gone.
+  WorkloadSpec spec = ChurnWorkload(/*tuples=*/100, /*ticks=*/16,
+                                    /*seed=*/78);
+  StreamGenerator gen(spec);
+  EngineBuilder builder;
+  builder.SetSchema(*MakeWorkloadSchemaPtr(spec))
+      .SetTiltPolicy(SmallTiltPolicy())
+      .SetExceptionPolicy(ExceptionPolicy(0.02))
+      .SetShardCount(2)
+      .SetMemoryBudget(1)
+      .SetSpillDir(FreshDir("spill_dir_shared"));
+  auto writer = builder.Build();
+  ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+  ASSERT_TRUE(writer->IngestBatch(gen.GenerateStream()).ok());
+  (void)writer->TakeSnapshot();  // cleans the dirty set
+  ASSERT_TRUE(
+      writer->Ingest({gen.cells()[0].key, spec.series_length, 0.5}).ok());
+  ASSERT_GT(writer->SpillStats().spilled_cells, 0);
+  const std::string dir = FreshDir("spill_dir_shared_ckpt");
+  ASSERT_TRUE(writer->Checkpoint(dir).ok());
+
+  auto second = builder.Build();
+  ASSERT_FALSE(second.ok());
+  EXPECT_EQ(second.status().code(), StatusCode::kFailedPrecondition)
+      << second.status().ToString();
+  auto reopened = builder.OpenFrom(dir);
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_EQ(reopened.status().code(), StatusCode::kFailedPrecondition)
+      << reopened.status().ToString();
+
+  const std::int64_t faults_before = writer->SpillStats().fault_ins;
+  auto want = writer->TakeSnapshot()->Window(0, 4);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  EXPECT_GT(writer->SpillStats().fault_ins, faults_before);
+
+  std::optional<Engine> live(std::move(writer).value());
+  live.reset();
+  reopened = builder.OpenFrom(dir);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  auto got = reopened->TakeSnapshot()->Window(0, 4);
+  ASSERT_TRUE(got.ok());
+  ASSERT_EQ(want->size(), got->size());
+  for (size_t i = 0; i < want->size(); ++i) {
+    EXPECT_EQ((*want)[i].key, (*got)[i].key);
+    EXPECT_EQ((*want)[i].measure, (*got)[i].measure);
+  }
+}
+
+TEST(CheckpointTest, OlderFileVersionIsInvalidArgument) {
+  // Version 2 files carry FNV-1a block checksums this build does not
+  // compute: they are refused up front, not misread as torn blocks.
+  WorkloadSpec spec = ChurnWorkload(/*tuples=*/40, /*ticks=*/12, /*seed=*/9);
+  StreamGenerator gen(spec);
+  EngineBuilder builder;
+  builder.SetSchema(*MakeWorkloadSchemaPtr(spec))
+      .SetTiltPolicy(SmallTiltPolicy());
+  auto engine = builder.Build();
+  ASSERT_TRUE(engine.ok());
+  ASSERT_TRUE(engine->IngestBatch(gen.GenerateStream()).ok());
+  const std::string dir = FreshDir("ckpt_old_version");
+  ASSERT_TRUE(engine->Checkpoint(dir).ok());
+
+  const std::string victim = CheckpointShardFilePath(dir, 0);
+  auto bytes = ReadFile(victim);
+  ASSERT_TRUE(bytes.ok());
+  std::string old = *bytes;
+  ASSERT_EQ(old[4], 3) << "the version word follows the file magic";
+  old[4] = 2;
+  ASSERT_TRUE(WriteFile(victim, old).ok());
+  auto opened = builder.OpenFrom(dir);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(opened.status().message().find("version 2"), std::string::npos)
+      << opened.status().ToString();
+}
+
 TEST(CheckpointTest, RestartKeepsRefusingSealedTicks) {
   // A seal across no tilt-unit boundary leaves shared frames lagging
   // behind it; the reopened engine must still treat them as sealed, or it
@@ -760,7 +859,7 @@ TEST(CheckpointTest, RestartKeepsTheSealClockForSpilledAndNewCells) {
 
   const std::string dir = FreshDir("checkpoint_seal_clock");
   ASSERT_TRUE(engine->Checkpoint(dir).ok());
-  // Its own spill dir: spill segments are truncated when first opened.
+  // Its own spill dir: the writer still holds the lock on its own.
   auto reopened =
       builder.SetSpillDir(FreshDir("checkpoint_seal_clock_reopen_spill"))
           .OpenFrom(dir);

@@ -24,10 +24,12 @@
 #include "regcube/io/cube_io.h"
 #include "equivalence_harness.h"
 #include "test_util.h"
+#include "tilt_frame_state.h"
 
 namespace regcube {
 namespace {
 
+using testing_util::EncodeFrameBytes;
 using testing_util::ExpectCellMapsEqual;
 using testing_util::ExpectIsbNear;
 using testing_util::MakeSmallWorkload;
@@ -70,17 +72,38 @@ TEST(DecoderFuzzTest, RandomByteFlipsNeverCrash) {
   }
 }
 
-TEST(DecoderFuzzTest, TiltFrameStateTruncations) {
+TEST(DecoderFuzzTest, TiltFrameBlockByteFlipsNeverCrash) {
+  // Random flips anywhere in a block either decode (a flip inside a
+  // moment's bytes) or fail with a typed error; a decoded frame is
+  // internally consistent enough to re-encode to the flipped bytes.
   auto policy = std::shared_ptr<const TiltPolicy>(
       MakeUniformTiltPolicy({{"q", 4}, {"h", 6}}, {1, 4}));
   TiltTimeFrame frame(policy, 0);
   for (TimeTick t = 0; t < 30; ++t) {
     ASSERT_TRUE(frame.Add(t, static_cast<double>(t)).ok());
   }
-  const std::string encoded = EncodeTiltFrameState(frame.Snapshot());
-  for (size_t cut = 0; cut < encoded.size(); cut += 3) {
-    EXPECT_FALSE(
-        DecodeTiltFrameState(std::string_view(encoded).substr(0, cut)).ok());
+  const std::string encoded = EncodeFrameBytes(frame);
+  Pcg32 rng(407);
+  for (int trial = 0; trial < 300; ++trial) {
+    std::string corrupted = encoded;
+    const size_t pos =
+        rng.Uniform(static_cast<std::uint32_t>(corrupted.size()));
+    corrupted[pos] = static_cast<char>(corrupted[pos] ^ (1 << rng.Uniform(8)));
+    auto decoded = DecodeTiltFrame(policy, corrupted);
+    if (!decoded.ok()) {
+      EXPECT_TRUE(decoded.status().code() == StatusCode::kInvalidArgument ||
+                  decoded.status().code() == StatusCode::kOutOfRange)
+          << decoded.status().ToString();
+      continue;
+    }
+    // Only the pending-active byte is read as a bool: any nonzero value
+    // re-encodes as 1.
+    const std::string again = EncodeFrameBytes(*decoded);
+    if (again != corrupted) {
+      std::string normalized = corrupted;
+      normalized[pos] = 1;
+      EXPECT_EQ(again, normalized) << "pos " << pos;
+    }
   }
 }
 
@@ -91,7 +114,7 @@ TEST(DecoderFuzzTest, CheckpointShardFileRoundTripsRandomCells) {
   auto policy = std::shared_ptr<const TiltPolicy>(
       MakeUniformTiltPolicy({{"q", 4}, {"h", 6}}, {1, 4}));
   Pcg32 rng(409);
-  std::vector<std::pair<CellKey, std::string>> cells;
+  std::vector<std::pair<CellKey, TiltTimeFrame>> cells;
   for (int i = 0; i < 20; ++i) {
     CellKey key(2);
     key.set(0, static_cast<ValueId>(rng.Uniform(64)));
@@ -102,9 +125,15 @@ TEST(DecoderFuzzTest, CheckpointShardFileRoundTripsRandomCells) {
       if (rng.Uniform(4) == 0) continue;  // gaps
       ASSERT_TRUE(frame.Add(t, rng.NextDouble() * 8.0 - 4.0).ok());
     }
-    cells.emplace_back(key, EncodeTiltFrameState(frame.Snapshot()));
+    cells.emplace_back(key, std::move(frame));
   }
-  const std::string file = EncodeCheckpointShardFile(0, cells);
+  std::size_t block_bytes = 0;
+  for (const auto& [key, frame] : cells) {
+    block_bytes += EncodedTiltFrameSize(frame);
+  }
+  CheckpointShardWriter writer(0, cells.size(), block_bytes);
+  for (const auto& [key, frame] : cells) writer.AddFrame(key, frame);
+  const std::string file = std::move(writer).Finish();
 
   const std::string path =
       ::testing::TempDir() + "/regcube_fuzz_ckpt_shard.rcs";
@@ -116,11 +145,13 @@ TEST(DecoderFuzzTest, CheckpointShardFileRoundTripsRandomCells) {
   ASSERT_EQ(entries->size(), cells.size());
   for (size_t i = 0; i < entries->size(); ++i) {
     EXPECT_EQ((*entries)[i].key, cells[i].first);
-    auto raw = (*store)->ReadRawBlock((*entries)[i].ref);
-    ASSERT_TRUE(raw.ok());
-    EXPECT_EQ(*raw, cells[i].second);  // bitwise round trip
-    auto state = (*store)->ReadFrame((*entries)[i].ref);
-    ASSERT_TRUE(state.ok()) << state.status().ToString();
+    ByteWriter raw;
+    ASSERT_TRUE((*store)->CopyRawBlock((*entries)[i].ref, &raw).ok());
+    // Bitwise round trip.
+    EXPECT_EQ(raw.buffer(), EncodeFrameBytes(cells[i].second));
+    auto frame = (*store)->ReadFrame((*entries)[i].ref, policy);
+    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+    EXPECT_EQ(EncodeFrameBytes(*frame), raw.buffer());
   }
 
   for (size_t cut = 0; cut < file.size(); cut += 7) {
@@ -129,6 +160,60 @@ TEST(DecoderFuzzTest, CheckpointShardFileRoundTripsRandomCells) {
     ASSERT_TRUE(broken.ok());
     EXPECT_FALSE((*broken)->AttachCheckpointFile(path).ok())
         << "cut at " << cut;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(DecoderFuzzTest, CheckpointBlockByteFlipsAreAllCaught) {
+  // Every single-byte change of a checkpoint block changes its checksum
+  // (each hash step is a bijection of the running state), and attaching a
+  // file with any one byte of a block flipped fails with InvalidArgument
+  // before the file enters the ref space.
+  auto policy = std::shared_ptr<const TiltPolicy>(
+      MakeUniformTiltPolicy({{"q", 4}, {"h", 6}}, {1, 4}));
+  TiltTimeFrame frame(policy, 0);
+  for (TimeTick t = 0; t < 37; ++t) {
+    ASSERT_TRUE(frame.Add(t, 0.25 * static_cast<double>(t % 11)).ok());
+  }
+  CellKey key(2);
+  key.set(0, 3);
+  key.set(1, 5);
+  CheckpointShardWriter writer(0, 1, EncodedTiltFrameSize(frame));
+  writer.AddFrame(key, frame);
+  const std::string file = std::move(writer).Finish();
+  const std::string block = EncodeFrameBytes(frame);
+  ASSERT_NE(block.size() % 8, 0u) << "the sweep should cover a byte tail";
+  const size_t block_offset = 16;  // right after the file header
+  ASSERT_EQ(file.substr(block_offset, block.size()), block);
+
+  const std::uint64_t sum = BlockChecksum(block);
+  for (size_t pos = 0; pos < block.size(); ++pos) {
+    for (int mask : {0x01, 0x10, 0x80, 0xFF}) {
+      std::string flipped = block;
+      flipped[pos] = static_cast<char>(flipped[pos] ^ mask);
+      ASSERT_NE(BlockChecksum(flipped), sum)
+          << "pos " << pos << " mask " << mask;
+    }
+  }
+  // The length is folded in: a zero byte appended or dropped is caught.
+  EXPECT_NE(BlockChecksum(block + std::string(1, '\0')), sum);
+  EXPECT_NE(BlockChecksum(std::string_view(block).substr(1)),
+            BlockChecksum(std::string_view(block).substr(0, 1)));
+
+  const std::string path =
+      ::testing::TempDir() + "/regcube_fuzz_ckpt_flip.rcs";
+  for (size_t pos = 0; pos < block.size(); ++pos) {
+    std::string flipped = file;
+    flipped[block_offset + pos] =
+        static_cast<char>(flipped[block_offset + pos] ^ 0xFF);
+    ASSERT_TRUE(WriteFile(path, flipped).ok());
+    auto store = FrameStore::Open("");
+    ASSERT_TRUE(store.ok());
+    auto attached = (*store)->AttachCheckpointFile(path);
+    ASSERT_FALSE(attached.ok()) << "flip at " << pos;
+    EXPECT_EQ(attached.status().code(), StatusCode::kInvalidArgument)
+        << attached.status().ToString();
+    EXPECT_EQ((*store)->DiskBytes(), 0) << "flip at " << pos;
   }
   std::remove(path.c_str());
 }

@@ -6,14 +6,30 @@
 #include "regcube/core/mo_cubing.h"
 #include "regcube/io/binary_io.h"
 #include "test_util.h"
+#include "tilt_frame_state.h"
 
 namespace regcube {
 namespace {
 
+using testing_util::EncodeFrameBytes;
+using testing_util::EncodeTiltFrameState;
 using testing_util::ExpectCellMapsEqual;
 using testing_util::ExpectIsbNear;
 using testing_util::MakeSmallWorkload;
+using testing_util::FrameFromState;
 using testing_util::SmallWorkload;
+using testing_util::SnapshotOf;
+using testing_util::TiltFrameState;
+
+TEST(ByteIoTest, WritesLittleEndianOnAnyHost) {
+  ByteWriter w;
+  w.Reserve(12);
+  w.WriteU32(0x01020304u);
+  w.WriteU64(0x0A0B0C0D0E0F1011ull);
+  EXPECT_EQ(w.buffer(), std::string("\x04\x03\x02\x01\x11\x10\x0F\x0E"
+                                    "\x0D\x0C\x0B\x0A",
+                                    12));
+}
 
 TEST(ByteIoTest, PrimitiveRoundTrips) {
   ByteWriter w;
@@ -159,10 +175,9 @@ TEST(TiltFrameIoTest, CheckpointRestoreContinuesExactly) {
     ASSERT_TRUE(original.Add(t, 0.5 * static_cast<double>(t % 7)).ok());
   }
 
-  std::string encoded = EncodeTiltFrameState(original.Snapshot());
-  auto state = DecodeTiltFrameState(encoded);
-  ASSERT_TRUE(state.ok()) << state.status().ToString();
-  auto restored = TiltTimeFrame::FromSnapshot(policy, *state);
+  const std::string encoded = EncodeFrameBytes(original);
+  EXPECT_EQ(encoded.size(), EncodedTiltFrameSize(original));
+  auto restored = DecodeTiltFrame(policy, encoded);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
 
   for (TimeTick t = 50; t < 100; ++t) {
@@ -185,31 +200,72 @@ TEST(TiltFrameIoTest, CheckpointRestoreContinuesExactly) {
   ASSERT_TRUE(reg_a.ok());
   ASSERT_TRUE(reg_b.ok());
   ExpectIsbNear(*reg_a, *reg_b, 0.0);
+  EXPECT_EQ(EncodeFrameBytes(original), EncodeFrameBytes(*restored));
 }
 
-TEST(TiltFrameIoTest, RestoreValidatesAgainstPolicy) {
+TEST(TiltFrameIoTest, DecodeRejectsEveryCorruptField) {
   auto policy2 = std::shared_ptr<const TiltPolicy>(MakeUniformTiltPolicy(
       {{"a", 4}, {"b", 4}}, {1, 4}));
   auto policy3 = std::shared_ptr<const TiltPolicy>(MakeUniformTiltPolicy(
       {{"a", 4}, {"b", 4}, {"c", 4}}, {1, 4, 16}));
   TiltTimeFrame frame(policy2, 0);
-  ASSERT_TRUE(frame.Add(5, 1.0).ok());
-  TiltFrameState state = frame.Snapshot();
-  // Wrong level count.
-  EXPECT_FALSE(TiltTimeFrame::FromSnapshot(policy3, state).ok());
-  // Over-capacity slots.
+  for (TimeTick t = 0; t < 9; ++t) {
+    ASSERT_TRUE(frame.Add(t, 1.0 + static_cast<double>(t)).ok());
+  }
+  const TiltFrameState state = SnapshotOf(frame);
+  const std::string good = EncodeTiltFrameState(state);
+  ASSERT_EQ(good, EncodeFrameBytes(frame));
+  ASSERT_TRUE(DecodeTiltFrame(policy2, good).ok());
+
+  auto expect_invalid = [](const Result<TiltTimeFrame>& got,
+                           const char* what) {
+    ASSERT_FALSE(got.ok()) << what;
+    EXPECT_EQ(got.status().code(), StatusCode::kInvalidArgument)
+        << what << ": " << got.status().ToString();
+  };
+  // Bad magic.
+  std::string bad_magic = good;
+  bad_magic[0] = static_cast<char>(bad_magic[0] ^ 0x01);
+  expect_invalid(DecodeTiltFrame(policy2, bad_magic), "bad magic");
+  // Level count other than the policy's, both ways.
+  expect_invalid(DecodeTiltFrame(policy3, good), "fewer levels than policy");
+  TiltFrameState extra_level = state;
+  extra_level.levels.push_back(state.levels.back());
+  expect_invalid(FrameFromState(policy2, extra_level),
+                 "more levels than policy");
+  // Slot count over a level's capacity (level 0 holds 4).
   TiltFrameState bloated = state;
-  for (int i = 0; i < 10; ++i) {
+  while (bloated.levels[0].slots.size() <= 4) {
     bloated.levels[0].slots.push_back(MomentSums{{0, 0}, 1.0, 0.0});
   }
-  EXPECT_FALSE(TiltTimeFrame::FromSnapshot(policy2, bloated).ok());
-  // Clock before start.
+  expect_invalid(FrameFromState(policy2, bloated), "slots over capacity");
+  // Clock before the start tick.
   TiltFrameState warped = state;
   warped.next_tick = warped.start_tick - 1;
-  EXPECT_FALSE(TiltTimeFrame::FromSnapshot(policy2, warped).ok());
+  expect_invalid(FrameFromState(policy2, warped), "next_tick < start_tick");
+  // Trailing bytes.
+  expect_invalid(DecodeTiltFrame(policy2, good + std::string(1, '\0')),
+                 "trailing bytes");
 }
 
-TEST(TiltFrameIoTest, EncodedStateSurvivesDisk) {
+TEST(TiltFrameIoTest, EveryTruncationIsTyped) {
+  auto policy = std::shared_ptr<const TiltPolicy>(MakeUniformTiltPolicy(
+      {{"q", 4}, {"h", 6}}, {1, 4}));
+  TiltTimeFrame frame(policy, 0);
+  for (TimeTick t = 0; t < 30; ++t) {
+    ASSERT_TRUE(frame.Add(t, static_cast<double>(t)).ok());
+  }
+  const std::string encoded = EncodeFrameBytes(frame);
+  for (size_t cut = 0; cut < encoded.size(); ++cut) {
+    auto got = DecodeTiltFrame(policy, std::string_view(encoded).substr(0, cut));
+    ASSERT_FALSE(got.ok()) << "cut at " << cut;
+    EXPECT_TRUE(got.status().code() == StatusCode::kOutOfRange ||
+                got.status().code() == StatusCode::kInvalidArgument)
+        << "cut at " << cut << ": " << got.status().ToString();
+  }
+}
+
+TEST(TiltFrameIoTest, EncodedBlockSurvivesDisk) {
   auto policy = std::shared_ptr<const TiltPolicy>(MakeUniformTiltPolicy(
       {{"q", 4}}, {1}));
   TiltTimeFrame frame(policy, 10);
@@ -217,12 +273,10 @@ TEST(TiltFrameIoTest, EncodedStateSurvivesDisk) {
     ASSERT_TRUE(frame.Add(t, static_cast<double>(t)).ok());
   }
   const std::string path = ::testing::TempDir() + "/regcube_frame.bin";
-  ASSERT_TRUE(WriteFile(path, EncodeTiltFrameState(frame.Snapshot())).ok());
+  ASSERT_TRUE(WriteFile(path, EncodeFrameBytes(frame)).ok());
   auto data = ReadFile(path);
   ASSERT_TRUE(data.ok());
-  auto state = DecodeTiltFrameState(*data);
-  ASSERT_TRUE(state.ok());
-  auto restored = TiltTimeFrame::FromSnapshot(policy, *state);
+  auto restored = DecodeTiltFrame(policy, *data);
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ(restored->next_tick(), frame.next_tick());
   std::remove(path.c_str());

@@ -10,6 +10,7 @@
 #include "regcube/common/str.h"
 #include "regcube/regression/aggregate.h"
 #include "regcube/time/tilt_frame.h"
+#include "tilt_frame_state.h"
 
 namespace regcube {
 namespace testing_util {

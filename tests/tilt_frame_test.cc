@@ -5,6 +5,7 @@
 
 #include "gtest/gtest.h"
 #include "regcube/common/pcg_random.h"
+#include "regcube/io/cube_io.h"
 #include "regcube/regression/linear_fit.h"
 #include "regcube/time/calendar.h"
 #include "test_util.h"
@@ -15,7 +16,11 @@ namespace {
 
 using testing_util::ExpectIsbNear;
 using testing_util::MustFit;
+using testing_util::EncodeFrameBytes;
+using testing_util::EncodeTiltFrameState;
 using testing_util::ReferenceTiltFrame;
+using testing_util::SnapshotOf;
+using testing_util::TiltFrameState;
 
 std::shared_ptr<const TiltPolicy> QuarterHourDayPolicy() {
   // Ticks are quarters: hour = 4 ticks, day = 96 ticks.
@@ -261,7 +266,8 @@ void ExpectSameState(const TiltFrameState& want, const TiltFrameState& got) {
 /// Every observable of the flat frame against the reference: raw slots and
 /// the pending unit on every level, the window regression for every k from
 /// 0 to one past the sealed count (the out-of-range errors included), and
-/// the checkpoint state that pins the spill and checkpoint bytes.
+/// the block bytes the spill and checkpoint paths write: the library
+/// codec's block must equal the byte oracle's encoding of the reference.
 void ExpectMatchesReference(const ReferenceTiltFrame& ref,
                             const TiltTimeFrame& frame) {
   ASSERT_EQ(ref.next_tick(), frame.next_tick());
@@ -279,7 +285,8 @@ void ExpectMatchesReference(const ReferenceTiltFrame& ref,
                           frame.RegressLastSlots(li, k));
     }
   }
-  ExpectSameState(ref.Snapshot(), frame.Snapshot());
+  ExpectSameState(ref.Snapshot(), SnapshotOf(frame));
+  EXPECT_EQ(EncodeTiltFrameState(ref.Snapshot()), EncodeFrameBytes(frame));
 }
 
 /// One seeded step on both frames: an Add at the open tick or after a jump
@@ -385,13 +392,86 @@ TEST(TiltFrameReferenceTest, SnapshotRoundTripContinuesBitwise) {
     for (int step = 0; step < c.steps; ++step) {
       RandomStep(rng, c.max_jump, ref, frame);
       if (step % 15 != 0) continue;
-      auto restored = TiltTimeFrame::FromSnapshot(c.policy, frame.Snapshot());
+      auto restored = DecodeTiltFrame(c.policy, EncodeFrameBytes(frame));
       ASSERT_TRUE(restored.ok()) << restored.status().ToString();
       ExpectMatchesReference(ref, *restored);
       // The restored frame continues exactly like the original would.
       frame = std::move(*restored);
       if (::testing::Test::HasFatalFailure()) return;
     }
+  }
+}
+
+TEST(TiltFrameReferenceTest, CodecCoversEveryLevelShape) {
+  // Seeded drives over the three policies, encoding at every step: the
+  // library block must equal the oracle's bytes for the reference, and a
+  // decoded frame must continue bitwise, also when it was encoded while
+  // lagging behind the drive's clock and is caught up only after decode.
+  // The shape counters prove the drives reached every level state the
+  // codec distinguishes.
+  for (const ReferenceCase& c : ReferenceCases()) {
+    SCOPED_TRACE(c.name);
+    int pending_active = 0, pending_idle = 0, empty = 0, partial = 0,
+        full = 0, lagging = 0;
+    for (std::uint64_t seed : {21u, 22u}) {
+      Pcg32 rng(seed);
+      ReferenceTiltFrame ref(c.policy, 1);
+      TiltTimeFrame frame(c.policy, 1);
+      std::string lag_bytes;
+      ReferenceTiltFrame lag_ref = ref;
+      for (int step = 0; step < c.steps; ++step) {
+        RandomStep(rng, c.max_jump, ref, frame);
+        const std::string bytes = EncodeFrameBytes(frame);
+        ASSERT_EQ(EncodeTiltFrameState(ref.Snapshot()), bytes);
+        const TiltFrameState state = SnapshotOf(frame);
+        for (int li = 0; li < c.policy->num_levels(); ++li) {
+          const auto& level = state.levels[static_cast<size_t>(li)];
+          const int count = static_cast<int>(level.slots.size());
+          ++(level.pending_active ? pending_active : pending_idle);
+          if (count == 0) {
+            ++empty;
+          } else if (count == c.policy->level(li).capacity) {
+            ++full;
+          } else {
+            ++partial;
+          }
+        }
+        auto decoded = DecodeTiltFrame(c.policy, bytes);
+        ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+        ASSERT_EQ(EncodeFrameBytes(*decoded), bytes);
+        if (step % 9 == 0) {
+          // Continue the decoded frame and a reference copy a few steps.
+          ReferenceTiltFrame cont_ref = ref;
+          Pcg32 cont_rng(seed * 1000 + static_cast<std::uint64_t>(step));
+          for (int i = 0; i < 6; ++i) {
+            RandomStep(cont_rng, c.max_jump, cont_ref, *decoded);
+          }
+          ExpectMatchesReference(cont_ref, *decoded);
+        }
+        if (step % 25 == 0) {
+          if (!lag_bytes.empty() && lag_ref.next_tick() < frame.next_tick()) {
+            // Decode the frame held back 25 steps ago and catch it up to
+            // the drive's clock, the way a restored seal clock aligns a
+            // lagging cell.
+            auto behind = DecodeTiltFrame(c.policy, lag_bytes);
+            ASSERT_TRUE(behind.ok()) << behind.status().ToString();
+            ASSERT_TRUE(behind->AdvanceTo(frame.next_tick()).ok());
+            ASSERT_TRUE(lag_ref.AdvanceTo(frame.next_tick()).ok());
+            ExpectMatchesReference(lag_ref, *behind);
+            ++lagging;
+          }
+          lag_bytes = bytes;
+          lag_ref = ref;
+        }
+        if (::testing::Test::HasFatalFailure()) return;
+      }
+    }
+    EXPECT_GT(pending_active, 0);
+    EXPECT_GT(pending_idle, 0);
+    EXPECT_GT(empty, 0);
+    EXPECT_GT(partial, 0);
+    EXPECT_GT(full, 0);
+    EXPECT_GT(lagging, 0);
   }
 }
 

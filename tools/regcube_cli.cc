@@ -520,8 +520,14 @@ Status RunStream(const Args& args) {
     // Warm restart drill: reopen from the files just written and serve a
     // query straight off the mapped frames — the restart-to-first-query
     // number a recovering deployment would see.
+    // The live engine still holds its spill dir, so the reopened one
+    // spills into a directory of its own.
+    EngineBuilder reopener = builder;
+    if (args.Has("spill-dir")) {
+      reopener.SetSpillDir(args.GetStringOr("spill-dir", "") + "/reopen");
+    }
     Stopwatch restart;
-    auto reopened = builder.OpenFrom(dir);
+    auto reopened = reopener.OpenFrom(dir);
     if (!reopened.ok()) {
       std::printf("warm restart from %s failed (typed): %s\n", dir.c_str(),
                   reopened.status().ToString().c_str());
