@@ -194,17 +194,14 @@ void Run(int argc, char** argv) {
   // hold on the caller threads and the async row's owner threads hold once
   // per drained batch. `reader_gather_p99_us` prices what a gather pays
   // for that contention and is the headline comparison between the rows.
-  // The churn runs at least `churn_rounds` rounds and then keeps going
-  // until the reader has timed kChurnGathers fresh gathers, so the p99 has
-  // four samples above it rather than being the run's maximum; each row
-  // reports its sample count. kChurnMaxRounds only stops a reader that
-  // cannot keep up from running the phase forever.
-  constexpr std::int64_t kChurnGathers = 400;
-  constexpr std::int64_t kChurnMaxRounds = 5000;
+  // Both rows run the same `churn_rounds` rounds, so they price the same
+  // work. The default is long enough for the reader to time well over 400
+  // fresh gathers in either mode, so the p99 has samples above it rather
+  // than being the run's maximum; each row reports its sample count.
   const int churn_writers =
       static_cast<int>(bench::ArgInt(argc, argv, "churn_writers", 4));
   const std::int64_t churn_rounds =
-      bench::ArgInt(argc, argv, "churn_rounds", 4);
+      bench::ArgInt(argc, argv, "churn_rounds", 160);
   bench::PrintHeader(StrPrintf(
       "Sustained churn, %d writers + 1 snapshot reader (sync vs async)",
       churn_writers));
@@ -220,8 +217,7 @@ void Run(int argc, char** argv) {
     // including those ~50ns samples would bury the number this phase
     // exists to compare — what a real gather pays while writers churn.
     std::vector<double> gather_s;
-    std::atomic<std::int64_t> fresh_gathers{0};
-    std::thread reader([&engine, &done, &gather_s, &fresh_gathers] {
+    std::thread reader([&engine, &done, &gather_s] {
       std::uint64_t last_rev = 0;
       bool first = true;
       while (!done.load(std::memory_order_acquire)) {
@@ -231,7 +227,6 @@ void Run(int argc, char** argv) {
         RC_CHECK(snapshot != nullptr);
         if (first || snapshot->revision() != last_rev) {
           gather_s.push_back(s);
-          fresh_gathers.fetch_add(1, std::memory_order_relaxed);
           last_rev = snapshot->revision();
           first = false;
         }
@@ -239,17 +234,13 @@ void Run(int argc, char** argv) {
     });
     std::vector<double> submit_s;
     Stopwatch churn_timer;
-    std::int64_t rounds = 0;
-    for (; rounds < kChurnMaxRounds &&
-           (rounds < churn_rounds ||
-            fresh_gathers.load(std::memory_order_relaxed) < kChurnGathers);
-         ++rounds) {
+    for (std::int64_t round = 0; round < churn_rounds; ++round) {
       // Each round replays the workload shifted one series forward, so
       // the stream keeps advancing (re-sending sealed ticks would be
       // refused as late).
       std::vector<StreamTuple> round_stream = stream;
       const TimeTick shift =
-          static_cast<TimeTick>(rounds) * spec.series_length;
+          static_cast<TimeTick>(round) * spec.series_length;
       for (StreamTuple& t : round_stream) t.tick += shift;
       RunIngest(engine, round_stream, churn_writers, chunk, &submit_s);
     }
@@ -260,12 +251,13 @@ void Run(int argc, char** argv) {
     const IngestStats stats = engine.IngestStats();
     RC_CHECK(stats.total.rejected == 0 && stats.total.dropped == 0);
     const double churn_tuples =
-        static_cast<double>(stream.size()) * static_cast<double>(rounds);
+        static_cast<double>(stream.size()) *
+        static_cast<double>(churn_rounds);
     const bench::LatencySummary reader_lat =
         bench::SummarizeLatencies(gather_s);
     bench::PrintRow(
         {is_async ? "async" : "sync",
-         StrPrintf("%lld", static_cast<long long>(rounds)),
+         StrPrintf("%lld", static_cast<long long>(churn_rounds)),
          StrPrintf("%.0f", churn_tuples / seconds),
          StrPrintf("%lld", static_cast<long long>(reader_lat.samples)),
          StrPrintf("%.3f", reader_lat.p99 * 1e3),
@@ -276,7 +268,8 @@ void Run(int argc, char** argv) {
               {"mode", is_async ? "\"async\"" : "\"sync\""},
               {"writers", StrPrintf("%d", churn_writers)},
               {"shards", StrPrintf("%d", shards)},
-              {"rounds", StrPrintf("%lld", static_cast<long long>(rounds))},
+              {"rounds",
+               StrPrintf("%lld", static_cast<long long>(churn_rounds))},
               {"tuples_per_s", StrPrintf("%.1f", churn_tuples / seconds)},
               {"snapshots",
                StrPrintf("%lld", static_cast<long long>(reader_lat.samples))},

@@ -132,11 +132,11 @@ BENCHMARK(BM_RegressLastSlots)->Arg(1)->Arg(4)->Arg(8);
 // and every resident cell of a checkpoint pays.
 void BM_FrameEncode(benchmark::State& state) {
   const TiltTimeFrame frame = FullCalendarFrame();
-  const std::size_t bytes = EncodedTiltFrameSize(frame);
+  const std::size_t bytes = frame.BlockSize();
   for (auto _ : state) {
     ByteWriter w;
     w.Reserve(bytes);
-    EncodeTiltFrame(frame, &w);
+    frame.AppendBlock(&w);
     benchmark::DoNotOptimize(w.buffer().data());
   }
   state.SetBytesProcessed(state.iterations() *
@@ -149,12 +149,12 @@ BENCHMARK(BM_FrameEncode);
 void BM_FrameDecode(benchmark::State& state) {
   const TiltTimeFrame frame = FullCalendarFrame();
   ByteWriter w;
-  EncodeTiltFrame(frame, &w);
+  frame.AppendBlock(&w);
   const std::string block = w.Release();
   const auto policy = std::shared_ptr<const TiltPolicy>(
       MakeNaturalCalendarTiltPolicy());
   for (auto _ : state) {
-    auto decoded = DecodeTiltFrame(policy, block);
+    auto decoded = TiltTimeFrame::FromBlock(policy, block);
     benchmark::DoNotOptimize(decoded);
   }
   state.SetBytesProcessed(state.iterations() *

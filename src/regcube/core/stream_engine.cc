@@ -686,7 +686,7 @@ Result<std::string> StreamCubeEngine::EncodeCheckpointShard(
   std::size_t block_bytes = 0;
   for (const auto& [key, state] : cells_) {
     block_bytes += state.frame != nullptr
-                       ? EncodedTiltFrameSize(*state.frame)
+                       ? state.frame->BlockSize()
                        : static_cast<std::size_t>(state.spill.size);
   }
   CheckpointShardWriter writer(shard, cells_.size(), block_bytes);

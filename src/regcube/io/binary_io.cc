@@ -1,6 +1,5 @@
 #include "regcube/io/binary_io.h"
 
-#include <bit>
 #include <cstdio>
 #include <cstring>
 
@@ -11,15 +10,11 @@ namespace {
 
 template <typename T>
 void AppendLe(std::string* out, T v) {
-  // The format is little-endian on any host: a little-endian host appends
-  // the value's bytes as they are, any other serializes byte by byte.
+  // Serialized byte by byte, so the format is little-endian on any host;
+  // the bytes go out in one append.
   char bytes[sizeof(T)];
-  if constexpr (std::endian::native == std::endian::little) {
-    std::memcpy(bytes, &v, sizeof(T));
-  } else {
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      bytes[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-    }
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    bytes[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
   }
   out->append(bytes, sizeof(T));
 }

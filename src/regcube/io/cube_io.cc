@@ -1,10 +1,5 @@
 #include "regcube/io/cube_io.h"
 
-#include <bit>
-#include <cstddef>
-#include <cstring>
-
-#include "regcube/common/logging.h"
 #include "regcube/common/str.h"
 #include "regcube/io/binary_io.h"
 
@@ -13,7 +8,6 @@ namespace {
 
 constexpr std::uint32_t kTuplesMagic = 0x31544752;  // "RGT1"
 constexpr std::uint32_t kCubeMagic = 0x31434752;    // "RGC1"
-constexpr std::uint32_t kFrameMagic = 0x31464752;   // "RGF1"
 
 /// Rejects element counts that cannot possibly fit in the remaining input
 /// (corrupt data must not drive a giant reserve()).
@@ -83,20 +77,6 @@ Result<CellMap> DecodeCellMap(ByteReader* r, int expected_dims) {
     }
   }
   return cells;
-}
-
-void EncodeMoments(ByteWriter* w, const MomentSums& m) {
-  EncodeInterval(w, m.interval);
-  w->WriteDouble(m.sum_z);
-  w->WriteDouble(m.sum_tz);
-}
-
-Result<MomentSums> DecodeMoments(ByteReader* r) {
-  MomentSums m;
-  RC_ASSIGN_OR_RETURN(m.interval, DecodeInterval(r));
-  RC_ASSIGN_OR_RETURN(m.sum_z, r->ReadDouble());
-  RC_ASSIGN_OR_RETURN(m.sum_tz, r->ReadDouble());
-  return m;
 }
 
 Status ExpectMagic(ByteReader* r, std::uint32_t magic, const char* what) {
@@ -189,111 +169,6 @@ Result<RegressionCube> DecodeRegressionCube(
   }
   return cube;
 }
-
-namespace {
-
-// A block's slots are MomentSums written field by field (tb, te, sum_z,
-// sum_tz, each 8 bytes little-endian). On a little-endian host that is the
-// struct's own layout, so a level's slots copy as one range both ways.
-constexpr bool kMomentsAreWireLayout =
-    std::endian::native == std::endian::little &&
-    sizeof(MomentSums) == 32 && offsetof(MomentSums, interval) == 0 &&
-    offsetof(TimeInterval, tb) == 0 && offsetof(TimeInterval, te) == 8 &&
-    offsetof(MomentSums, sum_z) == 16 && offsetof(MomentSums, sum_tz) == 24;
-constexpr std::size_t kMomentsBytes = 32;
-// Per level: slot count u32 + pending moments + active u8 + pending start.
-constexpr std::size_t kLevelHeaderBytes = 4 + kMomentsBytes + 1 + 8;
-// magic u32 + start tick + next tick + level count u32.
-constexpr std::size_t kFrameHeaderBytes = 4 + 8 + 8 + 4;
-
-void EncodeMomentsRange(ByteWriter* w, const MomentSums* m, std::size_t n) {
-  if constexpr (kMomentsAreWireLayout) {
-    w->WriteRaw({reinterpret_cast<const char*>(m), n * kMomentsBytes});
-  } else {
-    for (std::size_t i = 0; i < n; ++i) EncodeMoments(w, m[i]);
-  }
-}
-
-Status DecodeMomentsRange(ByteReader* r, MomentSums* out, std::size_t n) {
-  if constexpr (kMomentsAreWireLayout) {
-    RC_ASSIGN_OR_RETURN(std::string_view bytes, r->ReadRaw(n * kMomentsBytes));
-    std::memcpy(static_cast<void*>(out), bytes.data(), bytes.size());
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      RC_ASSIGN_OR_RETURN(out[i], DecodeMoments(r));
-    }
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-std::size_t EncodedTiltFrameSize(const TiltTimeFrame& frame) {
-  return kFrameHeaderBytes +
-         static_cast<std::size_t>(frame.policy().num_levels()) *
-             kLevelHeaderBytes +
-         static_cast<std::size_t>(frame.RetainedSlots()) * kMomentsBytes;
-}
-
-void EncodeTiltFrame(const TiltTimeFrame& frame, ByteWriter* w) {
-  w->WriteU32(kFrameMagic);
-  w->WriteI64(frame.start_tick_);
-  w->WriteI64(frame.next_tick_);
-  w->WriteU32(static_cast<std::uint32_t>(frame.levels_.size()));
-  for (const TiltTimeFrame::LevelState& level : frame.levels_) {
-    w->WriteU32(static_cast<std::uint32_t>(level.count));
-    EncodeMomentsRange(w, frame.slots_.get() + level.offset,
-                       static_cast<std::size_t>(level.count));
-    EncodeMomentsRange(w, &level.pending, 1);
-    w->WriteU8(level.pending_active ? 1 : 0);
-    w->WriteI64(level.pending_start);
-  }
-}
-
-Result<TiltTimeFrame> DecodeTiltFrame(std::shared_ptr<const TiltPolicy> policy,
-                                      std::string_view data) {
-  RC_CHECK(policy != nullptr);
-  ByteReader r(data);
-  RC_RETURN_IF_ERROR(ExpectMagic(&r, kFrameMagic, "tilt frame"));
-  RC_ASSIGN_OR_RETURN(TimeTick start_tick, r.ReadI64());
-  RC_ASSIGN_OR_RETURN(TimeTick next_tick, r.ReadI64());
-  RC_ASSIGN_OR_RETURN(std::uint32_t num_levels, r.ReadU32());
-  if (num_levels != static_cast<std::uint32_t>(policy->num_levels())) {
-    return Status::InvalidArgument(StrPrintf(
-        "tilt frame block has %u levels, policy %s has %d", num_levels,
-        policy->name().c_str(), policy->num_levels()));
-  }
-  if (next_tick < start_tick) {
-    return Status::InvalidArgument(
-        "tilt frame block's clock precedes its start tick");
-  }
-  // The frame's own slot block is the decode target: each level's slots
-  // land in its range directly, with no intermediate copy.
-  TiltTimeFrame frame(std::move(policy), start_tick);
-  frame.next_tick_ = next_tick;
-  for (std::size_t li = 0; li < frame.levels_.size(); ++li) {
-    TiltTimeFrame::LevelState& level = frame.levels_[li];
-    RC_ASSIGN_OR_RETURN(std::uint32_t count, r.ReadU32());
-    if (count > static_cast<std::uint32_t>(level.capacity)) {
-      return Status::InvalidArgument(StrPrintf(
-          "tilt frame level %zu holds %u slots, capacity is %d", li, count,
-          level.capacity));
-    }
-    RC_RETURN_IF_ERROR(
-        DecodeMomentsRange(&r, frame.slots_.get() + level.offset, count));
-    level.count = static_cast<std::int32_t>(count);
-    RC_RETURN_IF_ERROR(DecodeMomentsRange(&r, &level.pending, 1));
-    RC_ASSIGN_OR_RETURN(std::uint8_t active, r.ReadU8());
-    level.pending_active = active != 0;
-    RC_ASSIGN_OR_RETURN(level.pending_start, r.ReadI64());
-  }
-  if (!r.exhausted()) {
-    return Status::InvalidArgument("trailing bytes after tilt frame");
-  }
-  return frame;
-}
-
-std::uint32_t TiltFrameMagic() { return kFrameMagic; }
 
 void EncodeCellKey(ByteWriter* w, const CellKey& key) {
   w->WriteU8(static_cast<std::uint8_t>(key.num_dims()));

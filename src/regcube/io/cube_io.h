@@ -10,7 +10,6 @@
 #include "regcube/core/regression_cube.h"
 #include "regcube/htree/htree.h"
 #include "regcube/io/binary_io.h"
-#include "regcube/time/tilt_frame.h"
 
 namespace regcube {
 
@@ -23,7 +22,9 @@ namespace regcube {
 /// Encoded artifacts:
 ///  * m-layer tuple sets  — a computed analysis window (4 numbers/cell);
 ///  * regression cubes    — both critical layers + exception cells;
-///  * tilt-frame blocks   — per-cell stream state (spill and checkpoints).
+///  * tilt-frame blocks   — per-cell stream state (spill and checkpoints);
+///    their codec is TiltTimeFrame::AppendBlock / FromBlock, next to the
+///    frame's layout (regcube/time/tilt_frame.h).
 
 /// m-layer tuples ("RGT1").
 std::string EncodeMLayerTuples(const std::vector<MLayerTuple>& tuples);
@@ -34,23 +35,6 @@ Result<std::vector<MLayerTuple>> DecodeMLayerTuples(std::string_view data);
 std::string EncodeRegressionCube(const RegressionCube& cube);
 Result<RegressionCube> DecodeRegressionCube(
     std::shared_ptr<const CubeSchema> schema, std::string_view data);
-
-/// Tilt-frame block ("RGF1"): one cell's frame, the unit the frame store
-/// spills and checkpoints. EncodeTiltFrame appends the block to `w`
-/// straight from the frame's slot block, EncodedTiltFrameSize() bytes.
-/// DecodeTiltFrame builds a frame under `policy` from exactly one block:
-/// truncation is OutOfRange; a bad magic, a level count other than the
-/// policy's, a level over its capacity, a clock before the start tick or
-/// trailing bytes are InvalidArgument. A decoded frame continues exactly
-/// where the encoded one stopped.
-void EncodeTiltFrame(const TiltTimeFrame& frame, ByteWriter* w);
-std::size_t EncodedTiltFrameSize(const TiltTimeFrame& frame);
-Result<TiltTimeFrame> DecodeTiltFrame(std::shared_ptr<const TiltPolicy> policy,
-                                      std::string_view data);
-
-/// The leading magic word of a tilt-frame block — the cheap per-block
-/// probe the frame store runs when attaching a checkpoint file.
-std::uint32_t TiltFrameMagic();
 
 /// Cell-key codec shared by the tuple/cube formats and the frame store's
 /// checkpoint tables (u8 dimension count + u32 per value; decode rejects

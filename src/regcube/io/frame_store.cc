@@ -107,7 +107,7 @@ Result<std::vector<FrameStore::CheckpointEntry>> ParseCheckpointFile(
   std::vector<FrameStore::CheckpointEntry> entries;
   entries.reserve(static_cast<std::size_t>(
       std::min<std::uint64_t>(cell_count, data.size() / 16)));
-  const std::uint32_t frame_magic = TiltFrameMagic();
+  const std::uint32_t frame_magic = TiltTimeFrame::kBlockMagic;
   for (std::uint64_t i = 0; i < cell_count; ++i) {
     FrameStore::CheckpointEntry e;
     RC_ASSIGN_OR_RETURN(e.key, DecodeCellKey(&r));
@@ -329,8 +329,8 @@ Result<std::string_view> FrameStore::ViewLocked(const BlockRef& ref) {
 Result<BlockRef> FrameStore::AppendFrame(int shard,
                                          const TiltTimeFrame& frame) {
   ByteWriter w;
-  w.Reserve(EncodedTiltFrameSize(frame));
-  EncodeTiltFrame(frame, &w);
+  w.Reserve(frame.BlockSize());
+  frame.AppendBlock(&w);
   const std::string& payload = w.buffer();
   std::lock_guard<std::mutex> lock(mu_);
   RC_ASSIGN_OR_RETURN(std::int32_t id, SegmentForLocked(shard));
@@ -360,7 +360,7 @@ Result<TiltTimeFrame> FrameStore::ReadFrame(
   RC_ASSIGN_OR_RETURN(std::string_view payload, ViewLocked(ref));
   // Decode under the mutex: a concurrent append's remap must never pull
   // the mapping out from under this view.
-  auto frame = DecodeTiltFrame(std::move(policy), payload);
+  auto frame = TiltTimeFrame::FromBlock(std::move(policy), payload);
   if (!frame.ok()) return frame.status();
   fault_ins_ += 1;
   fault_in_bytes_ += ref.size;
@@ -656,7 +656,7 @@ CheckpointShardWriter::CheckpointShardWriter(int shard,
 void CheckpointShardWriter::AddFrame(const CellKey& key,
                                      const TiltTimeFrame& frame) {
   const std::size_t offset = w_.size();
-  EncodeTiltFrame(frame, &w_);
+  frame.AppendBlock(&w_);
   EndBlock(key, offset);
 }
 

@@ -2,9 +2,13 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <cstddef>
+#include <cstring>
 
 #include "regcube/common/logging.h"
 #include "regcube/common/str.h"
+#include "regcube/io/binary_io.h"
 #include "regcube/regression/aggregate.h"
 
 namespace regcube {
@@ -211,6 +215,119 @@ Status TiltTimeFrame::MergeStandardDim(const TiltTimeFrame& other) {
     mine.pending_active = mine.pending_active || theirs.pending_active;
   }
   return Status::OK();
+}
+
+namespace {
+
+// A block's slots are MomentSums written field by field (tb, te, sum_z,
+// sum_tz, each 8 bytes little-endian). On a little-endian host that is the
+// struct's own layout, so a level's slots copy as one range both ways.
+constexpr bool kMomentsAreWireLayout =
+    std::endian::native == std::endian::little &&
+    sizeof(MomentSums) == 32 && offsetof(MomentSums, interval) == 0 &&
+    offsetof(TimeInterval, tb) == 0 && offsetof(TimeInterval, te) == 8 &&
+    offsetof(MomentSums, sum_z) == 16 && offsetof(MomentSums, sum_tz) == 24;
+constexpr std::size_t kMomentsBytes = 32;
+// Per level: slot count u32 + pending moments + active u8 + pending start.
+constexpr std::size_t kLevelHeaderBytes = 4 + kMomentsBytes + 1 + 8;
+// magic u32 + start tick + next tick + level count u32.
+constexpr std::size_t kFrameHeaderBytes = 4 + 8 + 8 + 4;
+
+void EncodeMomentsRange(ByteWriter* w, const MomentSums* m, std::size_t n) {
+  if constexpr (kMomentsAreWireLayout) {
+    w->WriteRaw({reinterpret_cast<const char*>(m), n * kMomentsBytes});
+  } else {
+    for (std::size_t i = 0; i < n; ++i) {
+      w->WriteI64(m[i].interval.tb);
+      w->WriteI64(m[i].interval.te);
+      w->WriteDouble(m[i].sum_z);
+      w->WriteDouble(m[i].sum_tz);
+    }
+  }
+}
+
+Status DecodeMomentsRange(ByteReader* r, MomentSums* out, std::size_t n) {
+  if constexpr (kMomentsAreWireLayout) {
+    RC_ASSIGN_OR_RETURN(std::string_view bytes, r->ReadRaw(n * kMomentsBytes));
+    std::memcpy(static_cast<void*>(out), bytes.data(), bytes.size());
+  } else {
+    for (std::size_t i = 0; i < n; ++i) {
+      RC_ASSIGN_OR_RETURN(out[i].interval.tb, r->ReadI64());
+      RC_ASSIGN_OR_RETURN(out[i].interval.te, r->ReadI64());
+      RC_ASSIGN_OR_RETURN(out[i].sum_z, r->ReadDouble());
+      RC_ASSIGN_OR_RETURN(out[i].sum_tz, r->ReadDouble());
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+std::size_t TiltTimeFrame::BlockSize() const {
+  return kFrameHeaderBytes + levels_.size() * kLevelHeaderBytes +
+         static_cast<std::size_t>(RetainedSlots()) * kMomentsBytes;
+}
+
+void TiltTimeFrame::AppendBlock(ByteWriter* w) const {
+  w->WriteU32(kBlockMagic);
+  w->WriteI64(start_tick_);
+  w->WriteI64(next_tick_);
+  w->WriteU32(static_cast<std::uint32_t>(levels_.size()));
+  for (const LevelState& level : levels_) {
+    w->WriteU32(static_cast<std::uint32_t>(level.count));
+    EncodeMomentsRange(w, slots_.get() + level.offset,
+                       static_cast<std::size_t>(level.count));
+    EncodeMomentsRange(w, &level.pending, 1);
+    w->WriteU8(level.pending_active ? 1 : 0);
+    w->WriteI64(level.pending_start);
+  }
+}
+
+Result<TiltTimeFrame> TiltTimeFrame::FromBlock(
+    std::shared_ptr<const TiltPolicy> policy, std::string_view block) {
+  RC_CHECK(policy != nullptr);
+  ByteReader r(block);
+  RC_ASSIGN_OR_RETURN(std::uint32_t magic, r.ReadU32());
+  if (magic != kBlockMagic) {
+    return Status::InvalidArgument(
+        StrPrintf("bad magic for tilt frame: got 0x%08x", magic));
+  }
+  RC_ASSIGN_OR_RETURN(TimeTick start_tick, r.ReadI64());
+  RC_ASSIGN_OR_RETURN(TimeTick next_tick, r.ReadI64());
+  RC_ASSIGN_OR_RETURN(std::uint32_t num_levels, r.ReadU32());
+  if (num_levels != static_cast<std::uint32_t>(policy->num_levels())) {
+    return Status::InvalidArgument(StrPrintf(
+        "tilt frame block has %u levels, policy %s has %d", num_levels,
+        policy->name().c_str(), policy->num_levels()));
+  }
+  if (next_tick < start_tick) {
+    return Status::InvalidArgument(
+        "tilt frame block's clock precedes its start tick");
+  }
+  // The frame's own slot block is the decode target: each level's slots
+  // land in its range directly, with no intermediate copy.
+  TiltTimeFrame frame(std::move(policy), start_tick);
+  frame.next_tick_ = next_tick;
+  for (std::size_t li = 0; li < frame.levels_.size(); ++li) {
+    LevelState& level = frame.levels_[li];
+    RC_ASSIGN_OR_RETURN(std::uint32_t count, r.ReadU32());
+    if (count > static_cast<std::uint32_t>(level.capacity)) {
+      return Status::InvalidArgument(StrPrintf(
+          "tilt frame level %zu holds %u slots, capacity is %d", li, count,
+          level.capacity));
+    }
+    RC_RETURN_IF_ERROR(
+        DecodeMomentsRange(&r, frame.slots_.get() + level.offset, count));
+    level.count = static_cast<std::int32_t>(count);
+    RC_RETURN_IF_ERROR(DecodeMomentsRange(&r, &level.pending, 1));
+    RC_ASSIGN_OR_RETURN(std::uint8_t active, r.ReadU8());
+    level.pending_active = active != 0;
+    RC_ASSIGN_OR_RETURN(level.pending_start, r.ReadI64());
+  }
+  if (!r.exhausted()) {
+    return Status::InvalidArgument("trailing bytes after tilt frame");
+  }
+  return frame;
 }
 
 std::string TiltTimeFrame::ToString() const {

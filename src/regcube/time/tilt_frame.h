@@ -119,16 +119,27 @@ class TiltTimeFrame {
   /// match: both frames must have been driven to the same tick.
   Status MergeStandardDim(const TiltTimeFrame& other);
 
+  /// The frame's block ("RGF1"), the unit the frame store spills and
+  /// checkpoints: magic, start tick, next tick, level count, then per
+  /// level the slot count, the sealed slots, the pending moments, the
+  /// pending-active byte and the pending start, all little-endian.
+  /// AppendBlock writes BlockSize() bytes to `w` straight from the slot
+  /// block, each level's slots as one range. FromBlock builds a frame
+  /// under `policy` from exactly one block, decoding each level into its
+  /// range of the new frame's slot block: truncation is OutOfRange; a bad
+  /// magic, a level count other than the policy's, a level over its
+  /// capacity, a clock before the start tick or trailing bytes are
+  /// InvalidArgument. A decoded frame continues exactly where the encoded
+  /// one stopped.
+  static constexpr std::uint32_t kBlockMagic = 0x31464752;  // "RGF1"
+  void AppendBlock(ByteWriter* w) const;
+  std::size_t BlockSize() const;
+  static Result<TiltTimeFrame> FromBlock(
+      std::shared_ptr<const TiltPolicy> policy, std::string_view block);
+
   std::string ToString() const;
 
  private:
-  // The block codec (regcube/io/cube_io.h) reads and writes the slot block
-  // and level headers directly: a spill, fault-in or checkpoint copies
-  // each level's slots as one range.
-  friend void EncodeTiltFrame(const TiltTimeFrame& frame, ByteWriter* w);
-  friend Result<TiltTimeFrame> DecodeTiltFrame(
-      std::shared_ptr<const TiltPolicy> policy, std::string_view data);
-
   struct LevelState {
     MomentSums pending;            // in-progress unit ([] if no ticks yet)
     TimeTick pending_start = 0;    // first tick of the in-progress unit

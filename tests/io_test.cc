@@ -176,8 +176,8 @@ TEST(TiltFrameIoTest, CheckpointRestoreContinuesExactly) {
   }
 
   const std::string encoded = EncodeFrameBytes(original);
-  EXPECT_EQ(encoded.size(), EncodedTiltFrameSize(original));
-  auto restored = DecodeTiltFrame(policy, encoded);
+  EXPECT_EQ(encoded.size(), original.BlockSize());
+  auto restored = TiltTimeFrame::FromBlock(policy, encoded);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
 
   for (TimeTick t = 50; t < 100; ++t) {
@@ -215,7 +215,7 @@ TEST(TiltFrameIoTest, DecodeRejectsEveryCorruptField) {
   const TiltFrameState state = SnapshotOf(frame);
   const std::string good = EncodeTiltFrameState(state);
   ASSERT_EQ(good, EncodeFrameBytes(frame));
-  ASSERT_TRUE(DecodeTiltFrame(policy2, good).ok());
+  ASSERT_TRUE(TiltTimeFrame::FromBlock(policy2, good).ok());
 
   auto expect_invalid = [](const Result<TiltTimeFrame>& got,
                            const char* what) {
@@ -226,9 +226,10 @@ TEST(TiltFrameIoTest, DecodeRejectsEveryCorruptField) {
   // Bad magic.
   std::string bad_magic = good;
   bad_magic[0] = static_cast<char>(bad_magic[0] ^ 0x01);
-  expect_invalid(DecodeTiltFrame(policy2, bad_magic), "bad magic");
+  expect_invalid(TiltTimeFrame::FromBlock(policy2, bad_magic), "bad magic");
   // Level count other than the policy's, both ways.
-  expect_invalid(DecodeTiltFrame(policy3, good), "fewer levels than policy");
+  expect_invalid(TiltTimeFrame::FromBlock(policy3, good),
+                 "fewer levels than policy");
   TiltFrameState extra_level = state;
   extra_level.levels.push_back(state.levels.back());
   expect_invalid(FrameFromState(policy2, extra_level),
@@ -244,7 +245,7 @@ TEST(TiltFrameIoTest, DecodeRejectsEveryCorruptField) {
   warped.next_tick = warped.start_tick - 1;
   expect_invalid(FrameFromState(policy2, warped), "next_tick < start_tick");
   // Trailing bytes.
-  expect_invalid(DecodeTiltFrame(policy2, good + std::string(1, '\0')),
+  expect_invalid(TiltTimeFrame::FromBlock(policy2, good + std::string(1, '\0')),
                  "trailing bytes");
 }
 
@@ -257,7 +258,8 @@ TEST(TiltFrameIoTest, EveryTruncationIsTyped) {
   }
   const std::string encoded = EncodeFrameBytes(frame);
   for (size_t cut = 0; cut < encoded.size(); ++cut) {
-    auto got = DecodeTiltFrame(policy, std::string_view(encoded).substr(0, cut));
+    auto got = TiltTimeFrame::FromBlock(
+        policy, std::string_view(encoded).substr(0, cut));
     ASSERT_FALSE(got.ok()) << "cut at " << cut;
     EXPECT_TRUE(got.status().code() == StatusCode::kOutOfRange ||
                 got.status().code() == StatusCode::kInvalidArgument)
@@ -276,7 +278,7 @@ TEST(TiltFrameIoTest, EncodedBlockSurvivesDisk) {
   ASSERT_TRUE(WriteFile(path, EncodeFrameBytes(frame)).ok());
   auto data = ReadFile(path);
   ASSERT_TRUE(data.ok());
-  auto restored = DecodeTiltFrame(policy, *data);
+  auto restored = TiltTimeFrame::FromBlock(policy, *data);
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ(restored->next_tick(), frame.next_tick());
   std::remove(path.c_str());

@@ -53,7 +53,7 @@ inline Result<MomentSums> DecodeOracleMoments(ByteReader* r) {
 
 inline std::string EncodeTiltFrameState(const TiltFrameState& state) {
   ByteWriter w;
-  w.WriteU32(TiltFrameMagic());
+  w.WriteU32(TiltTimeFrame::kBlockMagic);
   w.WriteI64(state.start_tick);
   w.WriteI64(state.next_tick);
   w.WriteU32(static_cast<std::uint32_t>(state.levels.size()));
@@ -72,7 +72,7 @@ inline std::string EncodeTiltFrameState(const TiltFrameState& state) {
 inline Result<TiltFrameState> DecodeTiltFrameState(std::string_view data) {
   ByteReader r(data);
   RC_ASSIGN_OR_RETURN(std::uint32_t magic, r.ReadU32());
-  if (magic != TiltFrameMagic()) {
+  if (magic != TiltTimeFrame::kBlockMagic) {
     return Status::InvalidArgument(
         StrPrintf("bad magic for tilt frame: got 0x%08x", magic));
   }
@@ -107,7 +107,7 @@ inline Result<TiltFrameState> DecodeTiltFrameState(std::string_view data) {
 /// The library codec's block for `frame`.
 inline std::string EncodeFrameBytes(const TiltTimeFrame& frame) {
   ByteWriter w;
-  EncodeTiltFrame(frame, &w);
+  frame.AppendBlock(&w);
   return w.Release();
 }
 
@@ -122,7 +122,8 @@ inline TiltFrameState SnapshotOf(const TiltTimeFrame& frame) {
 /// The frame the library decodes from the oracle's bytes for `state`.
 inline Result<TiltTimeFrame> FrameFromState(
     std::shared_ptr<const TiltPolicy> policy, const TiltFrameState& state) {
-  return DecodeTiltFrame(std::move(policy), EncodeTiltFrameState(state));
+  return TiltTimeFrame::FromBlock(std::move(policy),
+                                  EncodeTiltFrameState(state));
 }
 
 }  // namespace testing_util

@@ -392,7 +392,8 @@ TEST(TiltFrameReferenceTest, SnapshotRoundTripContinuesBitwise) {
     for (int step = 0; step < c.steps; ++step) {
       RandomStep(rng, c.max_jump, ref, frame);
       if (step % 15 != 0) continue;
-      auto restored = DecodeTiltFrame(c.policy, EncodeFrameBytes(frame));
+      auto restored =
+          TiltTimeFrame::FromBlock(c.policy, EncodeFrameBytes(frame));
       ASSERT_TRUE(restored.ok()) << restored.status().ToString();
       ExpectMatchesReference(ref, *restored);
       // The restored frame continues exactly like the original would.
@@ -436,7 +437,7 @@ TEST(TiltFrameReferenceTest, CodecCoversEveryLevelShape) {
             ++partial;
           }
         }
-        auto decoded = DecodeTiltFrame(c.policy, bytes);
+        auto decoded = TiltTimeFrame::FromBlock(c.policy, bytes);
         ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
         ASSERT_EQ(EncodeFrameBytes(*decoded), bytes);
         if (step % 9 == 0) {
@@ -453,7 +454,7 @@ TEST(TiltFrameReferenceTest, CodecCoversEveryLevelShape) {
             // Decode the frame held back 25 steps ago and catch it up to
             // the drive's clock, the way a restored seal clock aligns a
             // lagging cell.
-            auto behind = DecodeTiltFrame(c.policy, lag_bytes);
+            auto behind = TiltTimeFrame::FromBlock(c.policy, lag_bytes);
             ASSERT_TRUE(behind.ok()) << behind.status().ToString();
             ASSERT_TRUE(behind->AdvanceTo(frame.next_tick()).ok());
             ASSERT_TRUE(lag_ref.AdvanceTo(frame.next_tick()).ok());
