@@ -1,22 +1,22 @@
 // E10 — the snapshot-read figure: does a large ComputeCube stall ingest?
-// The pre-redesign read path (ComputeCubeAllLocks) holds every shard lock
-// for the whole cubing computation, freezing writers across the board; the
-// snapshot path locks each shard only to copy its cells, then cubes
-// lock-free. This harness runs writer threads that ingest continuously
-// while the main thread recomputes the cube in a loop, and reports how
-// many tuples the writers managed to absorb during the cubing window —
-// the §4.5 "continuous ingest must not stall behind analysis" number.
-//
-// The run also checks the two paths produce identical cubes (the snapshot
-// redesign is a concurrency change, not a numerics change).
+// A cube read locks each shard only to load its published cells, then
+// cubes lock-free. This harness runs writer threads that ingest
+// continuously while the main thread recomputes the cube in a loop, and
+// reports how many tuples the writers managed to absorb during the cubing
+// window — the §4.5 "continuous ingest must not stall behind analysis"
+// number.
 //
 // Phase 2 — steady-state churn: N cells sealed once, then rounds in which
 // only p% of cells receive new observations before a snapshot is taken.
 // Measures the delta gather (every cell's own copy-on-write frame shared;
-// the writers already cloned the dirty ones) against the copy-everything
-// full gather, in both latency and bytes the gather copied, plus the member-only point-query path
-// against a full-snapshot scan. Both comparisons RC_CHECK bit-identity —
-// the delta machinery is a caching change, not a numerics change.
+// the writers already cloned the dirty ones) against a copy-everything
+// full gather, in both latency and bytes the gather copied, plus the
+// member-only point-query path against a full-snapshot scan and the member
+// index against a project-every-key scan. The baselines come from the
+// tests' reference store (tests/reference_store.h), fed the same writes:
+// the library keeps one implementation of each read. Every comparison
+// RC_CHECKs bit-identity — the delta machinery is a caching change, not a
+// numerics change.
 
 #include <atomic>
 #include <cstdio>
@@ -25,21 +25,23 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "tests/reference_store.h"
 
 namespace regcube {
 namespace {
 
+using testing_util::ReferenceStore;
+
 struct ModeResult {
   double cube_s = 0.0;                // wall time of the cubing loop
   double ingested_during_cube = 0.0;  // tuples writers absorbed meanwhile
-  std::int64_t rejected = 0;          // tuples bounced by read-forced seals
   std::size_t o_cells = 0;
 };
 
 /// Runs `cube_rounds` cube computations with `threads` writers ingesting
 /// continuously (each writer owns a disjoint cell slice and replays the
 /// stream at ever-later ticks, keeping per-cell ticks monotone).
-ModeResult RunMode(bool all_locks, const WorkloadSpec& spec,
+ModeResult RunMode(const WorkloadSpec& spec,
                    const std::vector<StreamTuple>& stream, int threads,
                    int cube_rounds) {
   auto schema = MakeWorkloadSchemaPtr(spec);
@@ -58,7 +60,6 @@ ModeResult RunMode(bool all_locks, const WorkloadSpec& spec,
 
   std::atomic<bool> stop{false};
   std::atomic<std::int64_t> ingested{0};
-  std::atomic<std::int64_t> rejected{0};
   std::vector<std::thread> writers;
   writers.reserve(static_cast<size_t>(threads));
   for (int w = 0; w < threads; ++w) {
@@ -72,17 +73,10 @@ ModeResult RunMode(bool all_locks, const WorkloadSpec& spec,
               static_cast<std::uint64_t>(w)) {
             continue;
           }
+          // Reads never seal, so no writer is ever bounced behind one.
           Status s = engine->Ingest({t.key, t.tick + shift, t.value});
-          if (s.ok()) {
-            ingested.fetch_add(1, std::memory_order_relaxed);
-          } else if (s.code() == StatusCode::kOutOfRange) {
-            // The all-locks read path force-seals lagging shards to the
-            // global clock, bouncing writers stuck behind it — part of
-            // what the snapshot redesign fixes. Count, don't die.
-            rejected.fetch_add(1, std::memory_order_relaxed);
-          } else {
-            RC_CHECK(s.ok()) << s.ToString();
-          }
+          RC_CHECK(s.ok()) << s.ToString();
+          ingested.fetch_add(1, std::memory_order_relaxed);
           if (stop.load(std::memory_order_relaxed)) return;
         }
       }
@@ -93,15 +87,13 @@ ModeResult RunMode(bool all_locks, const WorkloadSpec& spec,
   const std::int64_t before = ingested.load();
   Stopwatch cube_timer;
   for (int round = 0; round < cube_rounds; ++round) {
-    auto cube = all_locks ? engine->ComputeCubeAllLocks(0, 8)
-                          : engine->ComputeCube(0, 8);
+    auto cube = engine->ComputeCube(0, 8);
     RC_CHECK(cube.ok()) << cube.status().ToString();
     result.o_cells = cube->o_layer().size();
   }
   result.cube_s = cube_timer.ElapsedSeconds();
   result.ingested_during_cube =
       static_cast<double>(ingested.load() - before);
-  result.rejected = rejected.load();
 
   stop.store(true, std::memory_order_relaxed);
   for (std::thread& w : writers) w.join();
@@ -110,7 +102,8 @@ ModeResult RunMode(bool all_locks, const WorkloadSpec& spec,
 
 /// Phase 2: the O(changed-cells) figure. Seeds `num_cells` cells, seals,
 /// then per round dirties `dirty_pct`% of them at the open tick and takes
-/// both a delta and a full gather, checking they agree bit for bit.
+/// a delta gather of the engine and a full gather of the reference store
+/// fed the same writes, checking they agree bit for bit.
 void RunChurn(int argc, char** argv, bench::JsonWriter& json) {
   const std::int64_t num_cells = bench::ArgInt(argc, argv, "cells", 20'000);
   const std::int64_t dirty_pct = bench::ArgInt(argc, argv, "dirty", 10);
@@ -142,11 +135,16 @@ void RunChurn(int argc, char** argv, bench::JsonWriter& json) {
   auto pool = std::make_shared<ThreadPool>();
   ShardedStreamEngine engine(*schema, options, shards, pool);
 
+  ReferenceStore reference(*schema, options);
+
   StreamGenerator gen(spec);
   const auto& cells = gen.cells();
-  IngestReport seed = engine.IngestBatch(gen.GenerateStream());
+  const std::vector<StreamTuple> stream = gen.GenerateStream();
+  IngestReport seed = engine.IngestBatch(stream);
   RC_CHECK(seed.ok()) << seed.status.ToString();
   RC_CHECK(engine.SealThrough(spec.series_length - 1).ok());
+  RC_CHECK(reference.IngestBatch(stream).ok());
+  RC_CHECK(reference.SealThrough(spec.series_length - 1).ok());
   engine.GatherAlignedCells();  // warm the published runs and caches
 
   const TimeTick open_tick = spec.series_length;  // inside the open quarter
@@ -163,9 +161,10 @@ void RunChurn(int argc, char** argv, bench::JsonWriter& json) {
           cells[static_cast<size_t>((round * dirty_n + j) %
                                     num_cells)];
       RC_CHECK(engine.Ingest({cell.key, open_tick, 1.0}).ok());
+      RC_CHECK(reference.Ingest({cell.key, open_tick, 1.0}).ok());
     }
     Stopwatch full_timer;
-    full = engine.GatherAlignedCells(ShardedStreamEngine::GatherMode::kFull);
+    full = reference.Gather();
     full_s += full_timer.ElapsedSeconds();
     full_bytes += static_cast<double>(full.stats.bytes_copied);
 
@@ -198,8 +197,7 @@ void RunChurn(int argc, char** argv, bench::JsonWriter& json) {
   const double member_s = member_timer.ElapsedSeconds();
   RC_CHECK(member_series.ok()) << member_series.status().ToString();
   Stopwatch scan_timer;
-  auto scan_gather =
-      engine.GatherAlignedCells(ShardedStreamEngine::GatherMode::kFull);
+  auto scan_gather = reference.Gather();
   auto scan_series = SnapshotCellSeriesOf(
       *scan_gather.cells, engine.lattice(),
       options.tilt_policy->num_levels(), o_id, o_key, 0);
@@ -209,10 +207,9 @@ void RunChurn(int argc, char** argv, bench::JsonWriter& json) {
       << "member-only QueryCellSeries diverged from the full-snapshot scan";
 
   // Point phase — the index figure: the ingest-maintained per-cuboid
-  // member index (hash probe, O(matching members)) against the retained
-  // project-every-key scan (PointLookup::kScan, O(cells)), both through
-  // the same member-only gather, over many distinct o-layer cells.
-  // Bit-identity is RC_CHECKed per probe — the index is a lookup
+  // member index (hash probe, O(matching members)) against the reference
+  // store's project-every-key scan (O(cells)), over many distinct o-layer
+  // cells. Bit-identity is RC_CHECKed per probe — the index is a lookup
   // strategy, not a numerics change.
   const int point_reps = std::max<int>(
       1, static_cast<int>(bench::ArgInt(argc, argv, "point_reps", 200)));
@@ -233,7 +230,7 @@ void RunChurn(int argc, char** argv, bench::JsonWriter& json) {
     indexed_members += static_cast<std::int64_t>(indexed.cells.size());
 
     Stopwatch point_scan_timer;
-    auto scanned = engine.GatherCellsMatching(o_id, key, PointLookup::kScan);
+    auto scanned = reference.GatherMatching(o_id, key);
     point_scan_s += point_scan_timer.ElapsedSeconds();
 
     RC_CHECK(indexed.cells.size() == scanned.cells.size())
@@ -311,7 +308,7 @@ void Run(int argc, char** argv) {
   const int rounds = static_cast<int>(bench::ArgInt(argc, argv, "rounds", 5));
 
   bench::PrintHeader(StrPrintf(
-      "Snapshot reads vs all-locks baseline (%s, %d writer threads, "
+      "Snapshot reads under concurrent ingest (%s, %d writer threads, "
       "%d cube rounds)",
       spec.Name().c_str(), threads, rounds));
 
@@ -319,42 +316,21 @@ void Run(int argc, char** argv) {
   const std::vector<StreamTuple> stream = gen.GenerateStream();
 
   bench::PrintRow({"mode", "cube(s)", "ingest during cube", "ingest/s",
-                   "rejected", "o-cells"});
+                   "o-cells"});
   bench::JsonWriter json("snapshot_reads");
-  ModeResult baseline;
-  for (bool all_locks : {true, false}) {
-    ModeResult r = RunMode(all_locks, spec, stream, threads, rounds);
-    const char* mode = all_locks ? "all-locks" : "snapshot";
-    const double rate = r.ingested_during_cube / r.cube_s;
-    bench::PrintRow({mode, StrPrintf("%.3f", r.cube_s),
-                     StrPrintf("%.0f", r.ingested_during_cube),
-                     StrPrintf("%.0f", rate),
-                     StrPrintf("%lld", static_cast<long long>(r.rejected)),
-                     StrPrintf("%zu", r.o_cells)});
-    json.Row({{"mode", StrPrintf("\"%s\"", mode)},
-              {"threads", StrPrintf("%d", threads)},
-              {"cube_rounds", StrPrintf("%d", rounds)},
-              {"cube_s", StrPrintf("%.6f", r.cube_s)},
-              {"ingested_during_cube",
-               StrPrintf("%.0f", r.ingested_during_cube)},
-              {"ingest_per_s", StrPrintf("%.1f", rate)},
-              {"rejected", StrPrintf("%lld",
-                                     static_cast<long long>(r.rejected))},
-              {"o_cells", StrPrintf("%zu", r.o_cells)}});
-    if (all_locks) {
-      baseline = r;
-    } else {
-      RC_CHECK(r.o_cells == baseline.o_cells)
-          << "snapshot path changed the cube: " << r.o_cells << " vs "
-          << baseline.o_cells;
-      const double baseline_rate =
-          baseline.ingested_during_cube / baseline.cube_s;
-      std::printf("\nconcurrent ingest throughput: %.0f/s (snapshot) vs "
-                  "%.0f/s (all-locks), %.2fx\n",
-                  rate, baseline_rate,
-                  baseline_rate > 0 ? rate / baseline_rate : 0.0);
-    }
-  }
+  const ModeResult r = RunMode(spec, stream, threads, rounds);
+  const double rate = r.ingested_during_cube / r.cube_s;
+  bench::PrintRow({"snapshot", StrPrintf("%.3f", r.cube_s),
+                   StrPrintf("%.0f", r.ingested_during_cube),
+                   StrPrintf("%.0f", rate), StrPrintf("%zu", r.o_cells)});
+  json.Row({{"mode", "\"snapshot\""},
+            {"threads", StrPrintf("%d", threads)},
+            {"cube_rounds", StrPrintf("%d", rounds)},
+            {"cube_s", StrPrintf("%.6f", r.cube_s)},
+            {"ingested_during_cube",
+             StrPrintf("%.0f", r.ingested_during_cube)},
+            {"ingest_per_s", StrPrintf("%.1f", rate)},
+            {"o_cells", StrPrintf("%zu", r.o_cells)}});
   RunChurn(argc, argv, json);
   json.Write();
 }

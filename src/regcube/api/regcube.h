@@ -14,10 +14,12 @@
 ///   * QuerySpec      — every read, stream- or cube-side, through one
 ///                      Query() entry point returning a typed QueryResult.
 ///
-/// The pre-facade surface (StreamCubeEngine, CubeView, the batch cubing
-/// functions, generators and IO) is re-exported below: existing code keeps
-/// compiling against this header alone, and the batch path — cube files on
-/// disk, ComputeMoCubing over archived windows — remains first-class.
+/// The layers underneath (the sharded core and its per-shard
+/// StreamCubeEngine, CubeView, the batch cubing functions, generators and
+/// IO) are re-exported below. The core engines keep no second read API:
+/// every on-line read goes through Engine::Query or a CubeSnapshot. The
+/// batch path — cube files on disk, ComputeMoCubing over archived windows —
+/// remains first-class.
 
 // ---- the facade --------------------------------------------------------
 #include "regcube/api/engine.h"

@@ -60,17 +60,15 @@ struct MemoryBudgetConfig {
 /// are spliced in) and swapped in under a pointer-only mutex, so a shard
 /// publishes at most once per read however many batches it absorbed in
 /// between. The mutex shrinks to structural edits: absorb/ingest, seal
-/// and epoch roll (SealThrough / ComputeCubeAllLocks force-align), and
-/// compaction re-pointing. A whole-engine cache keyed by the global
-/// revision keeps repeat reads at one revision down to a refcount copy.
-/// Alignment to the global clock happens on copies outside every lock; a
-/// frame is re-materialized only when the clock crossed a tilt-unit
-/// boundary since it was published (otherwise advancing is observationally
-/// a no-op and the frame is shared as-is). The pre-redesign
-/// hold-every-lock read survives as ComputeCubeAllLocks, kept as the
-/// baseline oracle for benches and bit-identity tests, and
-/// GatherAlignedCells(GatherMode::kFull) retains the copy-everything
-/// gather for the same purpose.
+/// and epoch roll (SealThrough), checkpointing, and compaction
+/// re-pointing. A whole-engine cache keyed by the global revision keeps
+/// repeat reads at one revision down to a refcount copy. Alignment to the
+/// global clock happens on copies outside every lock; a frame is
+/// re-materialized only when the clock crossed a tilt-unit boundary since
+/// it was published (otherwise advancing is observationally a no-op and
+/// the frame is shared as-is). Every read has exactly one implementation
+/// here; the copy-everything and project-every-key oracles the tests and
+/// benches compare against live outside the library.
 ///
 /// Point queries copy O(matching members): GatherCellsMatching probes the
 /// member index under the shard lock (a hash probe, no frame copies),
@@ -90,8 +88,6 @@ class ShardedStreamEngine {
  public:
   using Options = StreamCubeEngine::Options;
   using Algorithm = StreamCubeEngine::Algorithm;
-  using DeckSeries = StreamCubeEngine::DeckSeries;
-  using TrendChange = StreamCubeEngine::TrendChange;
 
   /// `num_shards` must be >= 1 (checked). A non-null `pool` parallelizes
   /// shard gathering and per-cuboid cubing; null keeps reads serial.
@@ -185,30 +181,23 @@ class ShardedStreamEngine {
     Status status;
   };
 
-  /// kDelta shares the cells' own frames and serves clean
-  /// shards (or a clean engine) from the caches — O(changed cells).
-  /// kFull deep-copies every frame and bypasses every cache — the
-  /// O(all cells) pre-redesign baseline, bit-identical to kDelta, kept
-  /// for benches and equivalence tests.
-  enum class GatherMode { kDelta, kFull };
-  GatheredCells GatherAlignedCells(GatherMode mode = GatherMode::kDelta);
+  /// Shares the cells' own frames and serves clean shards (or a clean
+  /// engine) from the caches — O(changed cells).
+  GatheredCells GatherAlignedCells();
 
   /// The member-only gather behind point queries: shared views of just the
   /// m-layer cells that roll up into `key` of `cuboid`, aligned to the
-  /// global clock, in canonical key order. With PointLookup::kIndexed (the
-  /// default) each shard hash-probes its ingest-maintained per-cuboid
-  /// roll-up index under its lock — O(matching members), no cell scan;
-  /// kScan retains the project-every-key path as the bit-identity oracle.
-  /// `total_cells` distinguishes "engine empty" from "no member matches"
-  /// for the legacy error contract.
+  /// global clock, in canonical key order. Each shard hash-probes its
+  /// ingest-maintained per-cuboid roll-up index under its lock —
+  /// O(matching members), no cell scan. `total_cells` distinguishes
+  /// "engine empty" from "no member matches" for the error contract.
   struct MemberGather {
     SnapshotCells cells;  // the matching members only
     TimeTick clock = 0;
     std::int64_t total_cells = 0;  // all cells across shards at gather time
     Status status;  // non-OK when a member's fault-in failed (Unavailable)
   };
-  MemberGather GatherCellsMatching(CuboidId cuboid, const CellKey& key,
-                                   PointLookup lookup = PointLookup::kIndexed);
+  MemberGather GatherCellsMatching(CuboidId cuboid, const CellKey& key);
 
   /// The m-layer keys that roll up into each of `keys` in `cuboid`,
   /// merged across shards into canonical key order — the member feed the
@@ -220,13 +209,10 @@ class ShardedStreamEngine {
   /// Single-key convenience over MemberKeysForBatch.
   std::vector<CellKey> MemberKeysFor(CuboidId cuboid, const CellKey& key);
 
-  /// Merged m-layer window over the most recent `k` sealed slots of tilt
-  /// `level`, in canonical key order.
-  Result<std::vector<MLayerTuple>> SnapshotWindow(int level, int k);
-
-  /// The partially materialized cube over that window with the configured
-  /// algorithm, by value (a deep copy when served from the maintained
-  /// memo) — for callers that persist or hand the cube elsewhere.
+  /// The partially materialized cube over the most recent `k` sealed
+  /// slots of tilt `level` with the configured algorithm, by value (a
+  /// deep copy when served from the maintained memo) — for callers that
+  /// persist or hand the cube elsewhere.
   /// ComputeCubeShared is the cheap door. Served like it (a memo at the
   /// current revision answers before any gather), except that a (level, k)
   /// other than a live memo's window gathers and cubes from scratch,
@@ -257,20 +243,6 @@ class ShardedStreamEngine {
   /// Analytic bytes retained by the cube memo — the "cube.memo" figure,
   /// readable without a tracker attached.
   std::int64_t CubeMemoBytes() const;
-
-  /// The retired pre-redesign read: holds every shard lock for the whole
-  /// cubing computation. Identical results to ComputeCube; kept only as
-  /// the baseline for bench_snapshot_reads and the bit-identity tests.
-  Result<RegressionCube> ComputeCubeAllLocks(int level, int k);
-
-  /// Observation deck merged across shards (§4.2 semantics of the single
-  /// engine).
-  Result<DeckSeries> ObservationDeck(int level);
-
-  /// O-layer cells whose slope moved by >= `threshold` between the last
-  /// two sealed slots of `level`, strongest change first.
-  Result<std::vector<TrendChange>> DetectTrendChanges(int level,
-                                                      double threshold);
 
   /// On-the-fly regression of one cell of any lattice cuboid, aggregated
   /// from member cells across all shards via the member-only gather —
@@ -441,8 +413,8 @@ class ShardedStreamEngine {
   void BumpClock(TimeTick t);
 
   /// Locks every shard in index order (the one lock order, so concurrent
-  /// barriers never deadlock). Only the write barrier and the AllLocks
-  /// baseline still use this.
+  /// barriers never deadlock). Its callers are the two whole-engine
+  /// barriers, SealThrough and CheckpointTo; no read takes every lock.
   std::vector<std::unique_lock<std::mutex>> LockAll() const;
 
   /// Pre: all shard locks held. Drives every shard's clock (and frame
@@ -510,13 +482,9 @@ class ShardedStreamEngine {
   std::atomic<std::uint64_t> revision_{0};
   MemoryTracker* tracker_ = nullptr;
 
-  /// The copy-everything gather (GatherMode::kFull): per-shard full
-  /// exports, sorted, merged, aligned per cell. Bypasses every cache.
-  GatheredCells GatherFull();
-
   // Whole-engine gather cache: every full read at one revision shares one
-  // gather (SnapshotWindow, ObservationDeck, DetectTrendChanges, the
-  // facade's TakeSnapshot all route here). A miss rebuilds the merged run
+  // gather (the facade's TakeSnapshot, cube reads that miss the memo and
+  // the by-value ComputeCube all route here). A miss rebuilds the merged run
   // from the per-shard publications (mutex-free for every shard whose
   // generation is fresh). gather_work_mu_ serializes the rebuilds — pure
   // thundering-herd protection now that publications retain their runs;

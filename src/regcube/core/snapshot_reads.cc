@@ -2,12 +2,49 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "regcube/common/str.h"
 #include "regcube/cube/packed_key.h"
 #include "regcube/regression/aggregate.h"
 
 namespace regcube {
+
+namespace {
+
+/// The exact member test shared by the point-query kernels: does a cell's
+/// key roll up into `key` of `cuboid`? Compares packed projections against
+/// the packed target when both sides pack (one word per cell instead of a
+/// CellKey compare). Equal keys pack identically, and an unpackable
+/// projection cannot equal a packed target, so the filter is exact.
+class MemberFilter {
+ public:
+  MemberFilter(const CuboidLattice& lattice, CuboidId cuboid,
+               const CellKey& key)
+      : lattice_(lattice),
+        cuboid_(cuboid),
+        key_(key),
+        codec_(PackedKeyCodec::ForSchema(lattice.schema())) {
+    packed_scan_ = codec_.has_value() && codec_->Pack(key, &target_);
+  }
+
+  bool operator()(const CellKey& m_key) const {
+    const CellKey projected = lattice_.ProjectMLayerKey(m_key, cuboid_);
+    if (!packed_scan_) return projected == key_;
+    std::uint64_t packed = 0;
+    return codec_->Pack(projected, &packed) && packed == target_;
+  }
+
+ private:
+  const CuboidLattice& lattice_;
+  const CuboidId cuboid_;
+  const CellKey& key_;
+  const std::optional<PackedKeyCodec> codec_;
+  std::uint64_t target_ = 0;
+  bool packed_scan_ = false;
+};
+
+}  // namespace
 
 Status SnapshotBadCuboidError(CuboidId cuboid) {
   return Status::InvalidArgument(
@@ -44,6 +81,12 @@ Status ValidatePointQueryTarget(const CuboidLattice& lattice, CuboidId cuboid,
 Result<std::vector<MLayerTuple>> SnapshotWindowOf(const SnapshotCells& cells,
                                                   int level, int k) {
   if (cells.empty()) return SnapshotNoDataError();
+  // Checked once, before any frame is touched: the frame kernels CHECK the
+  // level rather than return, and every cube read comes through here.
+  const int num_levels = cells.front().frame->policy().num_levels();
+  if (level < 0 || level >= num_levels) {
+    return SnapshotBadLevelError(level, num_levels);
+  }
   std::vector<MLayerTuple> merged;
   merged.reserve(cells.size());
   for (const CellSnapshot& cell : cells) {
@@ -57,7 +100,9 @@ Result<std::vector<MLayerTuple>> SnapshotWindowOf(const SnapshotCells& cells,
 Result<StreamCubeEngine::DeckSeries> SnapshotDeckOf(
     const SnapshotCells& cells, const CuboidLattice& lattice, int num_levels,
     int level) {
-  if (level < 0 || level >= num_levels) return SnapshotBadLevelError(level, num_levels);
+  if (level < 0 || level >= num_levels) {
+    return SnapshotBadLevelError(level, num_levels);
+  }
   if (cells.empty()) return SnapshotNoDataError();
   StreamCubeEngine::DeckSeries deck;
   const CuboidId o_id = lattice.o_layer_id();
@@ -133,21 +178,7 @@ Result<Isb> SnapshotCellOf(const SnapshotCells& cells,
     return SnapshotBadCuboidError(cuboid);
   }
   if (cells.empty()) return SnapshotNoDataError();
-  // Compare packed projections against the packed target when both sides
-  // pack: one word per cell instead of a CellKey compare. Equal keys pack
-  // identically, and an unpackable projection cannot equal a packed
-  // target, so the filter is exact.
-  const auto codec = PackedKeyCodec::ForSchema(lattice.schema());
-  std::uint64_t target = 0;
-  const bool packed_scan = codec.has_value() && codec->Pack(key, &target);
-  auto matches = [&](const CellKey& m_key) {
-    const CellKey projected = lattice.ProjectMLayerKey(m_key, cuboid);
-    if (packed_scan) {
-      std::uint64_t packed = 0;
-      return codec->Pack(projected, &packed) && packed == target;
-    }
-    return projected == key;
-  };
+  const MemberFilter matches(lattice, cuboid, key);
   Isb acc;
   bool found = false;
   for (const CellSnapshot& cell : cells) {
@@ -168,18 +199,7 @@ Result<std::vector<Isb>> SnapshotCellSeriesOf(const SnapshotCells& cells,
   RC_RETURN_IF_ERROR(
       ValidatePointQueryTarget(lattice, cuboid, level, num_levels));
   if (cells.empty()) return SnapshotNoDataError();
-  // Same exact packed filter as SnapshotCellOf.
-  const auto codec = PackedKeyCodec::ForSchema(lattice.schema());
-  std::uint64_t target = 0;
-  const bool packed_scan = codec.has_value() && codec->Pack(key, &target);
-  auto matches = [&](const CellKey& m_key) {
-    const CellKey projected = lattice.ProjectMLayerKey(m_key, cuboid);
-    if (packed_scan) {
-      std::uint64_t packed = 0;
-      return codec->Pack(projected, &packed) && packed == target;
-    }
-    return projected == key;
-  };
+  const MemberFilter matches(lattice, cuboid, key);
   std::vector<Isb> acc;
   bool found = false;
   for (const CellSnapshot& cell : cells) {

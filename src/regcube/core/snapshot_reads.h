@@ -17,11 +17,11 @@ class ThreadPool;
 /// exactly that); every function here is pure, so any number of threads may
 /// query one frozen cell set concurrently.
 ///
-/// These functions are the single implementation behind both
-/// ShardedStreamEngine's read methods and the facade's CubeSnapshot, which
-/// is what keeps the two bit-identical: same canonical order, same
-/// floating-point reduction order, same error contract as the pre-redesign
-/// locked reads.
+/// These functions are the library's single implementation of each read:
+/// the facade's CubeSnapshot, ShardedStreamEngine's point queries and
+/// by-value cube, and the cube memo's rebuilds all run through them, which
+/// is what keeps every door bit-identical: same canonical order, same
+/// floating-point reduction order, same error contract.
 
 /// CanonicalKeyLess (cube/cell.h) lifted to frozen cells — the one
 /// comparator every sort, merge and tandem walk of the gather path uses.
@@ -52,7 +52,8 @@ Status ValidatePointQueryTarget(const CuboidLattice& lattice, CuboidId cuboid,
                                 int level, int num_levels);
 
 /// Merged m-layer window over the most recent `k` sealed slots of tilt
-/// `level`, in canonical key order. FailedPrecondition when no cells.
+/// `level`, in canonical key order. FailedPrecondition when no cells,
+/// InvalidArgument for a level outside the frames' policy.
 Result<std::vector<MLayerTuple>> SnapshotWindowOf(const SnapshotCells& cells,
                                                   int level, int k);
 

@@ -82,12 +82,14 @@ struct GatherStats {
   }
 };
 
-/// The on-line analysis engine of §4.5: maintains one tilt time frame per
-/// m-layer cell, continuously absorbing the stream; when a window is
-/// sealed, the partially materialized cube (critical layers + exceptions)
-/// can be recomputed over any tilt-frame window with either cubing
-/// algorithm, and the observation deck / trend-change queries read the
-/// o-layer directly.
+/// The write half of the on-line analysis engine of §4.5: maintains one
+/// tilt time frame per m-layer cell, continuously absorbing the stream,
+/// and publishes those frames as an immutable canonical run
+/// (RefreshPublishedRun). It has no read method of its own: every read —
+/// windows, cubes, the observation deck, trend changes, point queries —
+/// runs over a published run (ShardedStreamEngine gathers one per shard,
+/// snapshot_reads.h aggregates it), so there is one implementation of
+/// each read.
 ///
 /// Tick semantics: ticks arrive in non-decreasing order per cell (enforced
 /// per frame); missing ticks contribute zero (additive stream semantics,
@@ -103,7 +105,7 @@ class StreamCubeEngine {
     /// First tick of the stream.
     TimeTick start_tick = 0;
 
-    /// Exception predicate used by ComputeCube.
+    /// Exception predicate the cube reads apply.
     ExceptionPolicy policy{0.0};
 
     Algorithm algorithm = Algorithm::kMoCubing;
@@ -141,20 +143,12 @@ class StreamCubeEngine {
     return static_cast<std::int64_t>(cells_.size());
   }
 
-  /// m-layer regression tuples over the most recent `k` sealed slots of
-  /// tilt level `level` — the cube computation input. Aligns all frames to
-  /// the engine clock first. OutOfRange if fewer than `k` slots are sealed.
-  Result<std::vector<MLayerTuple>> SnapshotWindow(int level, int k);
-
-  /// Recomputes the partially materialized cube over that window with the
-  /// configured algorithm.
-  Result<RegressionCube> ComputeCube(int level, int k);
-
   /// Observation deck (§4.2): for every o-layer cell, its sealed slot
-  /// series at tilt level `level` — "the layer an analyst takes as an
+  /// series at one tilt level — "the layer an analyst takes as an
   /// observation deck, watching the changes of the current stream data".
+  /// Served by CubeSnapshot and QueryResult; the engine itself only
+  /// publishes the frames the deck is read from.
   using DeckSeries = std::unordered_map<CellKey, std::vector<Isb>, CellKeyHash>;
-  Result<DeckSeries> ObservationDeck(int level);
 
   /// A trend change at the o-layer: the regression "between two points
   /// represented by the current cell vs. the previous one" (§4.3).
@@ -164,24 +158,6 @@ class StreamCubeEngine {
     Isb current;
     double slope_delta = 0.0;  // |current.slope - previous.slope|
   };
-
-  /// O-layer cells whose slope moved by >= `threshold` between the last two
-  /// sealed slots of `level`, strongest change first.
-  Result<std::vector<TrendChange>> DetectTrendChanges(int level,
-                                                      double threshold);
-
-  /// On-the-fly regression of one cell of any lattice cuboid over the most
-  /// recent `k` sealed slots of tilt `level`, aggregated directly from the
-  /// member frames (no cube materialization). NotFound if no m-layer cell
-  /// rolls up into `key`.
-  Result<Isb> QueryCell(CuboidId cuboid, const CellKey& key, int level,
-                        int k);
-
-  /// The cell's whole sealed slot series at `level` (one ISB per retained
-  /// unit), for charting a single cell the way the observation deck charts
-  /// the o-layer.
-  Result<std::vector<Isb>> QueryCellSeries(CuboidId cuboid,
-                                           const CellKey& key, int level);
 
   // ---- the publish half of the snapshot read path -----------------------
 
@@ -212,25 +188,6 @@ class StreamCubeEngine {
   /// holding the old run keep it alive — retiring a generation frees its
   /// frames only once the last holder drops it.
   std::int64_t DropPublishedRun();
-
-  /// Same contract, but deep-copies every frame unconditionally and marks
-  /// nothing shared — the O(all-cells) baseline the delta path is
-  /// benchmarked (and bit-identity-tested) against. Non-const because a
-  /// full export must fault spilled cells back in; a fault-in failure
-  /// surfaces as a typed Unavailable (out may hold a partial run the
-  /// caller must discard).
-  Status ExportCellsFull(std::vector<CellSnapshot>* out, GatherStats* stats);
-
-  /// Shared views of the m-layer cells that roll up into `key` of
-  /// `cuboid`, found by projecting every key under the caller's lock —
-  /// the O(cells) pre-index scan, retained only as the oracle behind the
-  /// sharded engine's PointLookup::kScan gather (the production point
-  /// path probes AppendMemberKeys and reads the published run instead).
-  /// Shares each cell's frame like RefreshPublishedRun. Pre: `cuboid` is
-  /// a valid lattice id (callers validate; see SnapshotBadCuboidError).
-  /// Fault-in failures surface as typed Unavailable.
-  Status ExportMatchingCells(CuboidId cuboid, const CellKey& key,
-                             std::vector<CellSnapshot>* out);
 
   /// Appends the m-layer keys that roll up into `key` of `cuboid` (index
   /// probe, activating the cuboid's map on first use) — the member feed
@@ -374,7 +331,7 @@ class StreamCubeEngine {
   void AlignFrames();
 
   /// Advances one resident frame to `t` (the per-cell unit AlignFrames
-  /// loops over; point queries align only the queried members this way).
+  /// loops over; Ingest catches a cell up to the seal clock this way).
   /// An advance that seals a slot clones a shared frame first and marks
   /// the cell dirty; one that seals nothing only moves next_tick, which no
   /// read can see, so a shared frame is left lagging instead of cloned
@@ -391,12 +348,6 @@ class StreamCubeEngine {
   /// Re-registers the member index's bytes with the tracker after a
   /// mutation (activation or per-ingest append).
   void AccountMemberIndex();
-
-  /// Member cells of `key` in `cuboid` in canonical key order, resolved
-  /// through the index — the shared lookup behind the single-engine point
-  /// queries. Empty when nothing matches.
-  std::vector<std::pair<const CellKey*, CellState*>> MembersInCanonicalOrder(
-      CuboidId cuboid, const CellKey& key);
 
   /// Records an observable change to a cell: bumps the revision, stamps the
   /// cell, and — if the cell was clean — queues it on the dirty list the
@@ -422,11 +373,6 @@ class StreamCubeEngine {
   /// so no reader's view ever changes. Ingest and every sealing advance go
   /// through it.
   Result<TiltTimeFrame*> WritableFrame(CellState& state);
-
-  /// LiveFrame + AlignCellToClock to now_: the frame, resident and advanced
-  /// to the engine clock — what point queries and window reads consume.
-  Result<const TiltTimeFrame*> LiveAlignedFrame(const CellKey& key,
-                                                CellState& state);
 
   /// Recomputes the cell's resident-byte contribution and folds the delta
   /// into frame_bytes_ (and the tracker). Call after any frame mutation,
@@ -483,8 +429,8 @@ class StreamCubeEngine {
 class ThreadPool;
 
 /// Runs the options' configured cubing algorithm over one m-layer window —
-/// the single dispatch point shared by StreamCubeEngine::ComputeCube and
-/// the snapshot read path. A non-null `pool` partitions the work across
+/// the single dispatch point of every cube read (snapshot, maintained
+/// memo, from-scratch rebuild). A non-null `pool` partitions the work across
 /// it: per-cuboid H-cubing for m/o cubing, and each drill step's
 /// ComputeDrillChildren scans for popular-path cubing (the walk along the
 /// path itself stays sequential — each step's exceptions seed the next).

@@ -1,6 +1,6 @@
 // Facade contract tests: EngineBuilder validation, and every QuerySpec
-// kind round-tripping against the legacy call it subsumes (StreamCubeEngine
-// reads for stream kinds, CubeView reads for cube kinds).
+// kind round-tripping against the reference store's read for stream kinds
+// (tests/reference_store.h) and CubeView reads for cube kinds.
 
 #include "regcube/api/regcube.h"
 
@@ -31,10 +31,10 @@ WorkloadSpec FacadeSpec(std::int64_t tuples = 50, std::int64_t ticks = 32) {
   return spec;
 }
 
-/// Facade engine and legacy engine fed the same sealed stream.
+/// Facade engine and reference store fed the same sealed stream.
 struct Paired {
   Engine facade;
-  StreamCubeEngine legacy;
+  testing_util::ReferenceStore reference;
 };
 
 Paired MakePaired(const WorkloadSpec& spec, double threshold = 0.02) {
@@ -52,14 +52,15 @@ Paired MakePaired(const WorkloadSpec& spec, double threshold = 0.02) {
   StreamCubeEngine::Options options;
   options.tilt_policy = policy;
   options.policy = ExceptionPolicy(threshold);
-  Paired pair{std::move(built).value(), StreamCubeEngine(*schema, options)};
+  Paired pair{std::move(built).value(),
+              testing_util::ReferenceStore(*schema, options)};
 
   StreamGenerator gen(spec);
   const std::vector<StreamTuple> stream = gen.GenerateStream();
   EXPECT_TRUE(pair.facade.IngestBatch(stream).ok());
-  EXPECT_TRUE(pair.legacy.IngestBatch(stream).ok());
+  EXPECT_TRUE(pair.reference.IngestBatch(stream).ok());
   EXPECT_TRUE(pair.facade.SealThrough(spec.series_length - 1).ok());
-  EXPECT_TRUE(pair.legacy.SealThrough(spec.series_length - 1).ok());
+  EXPECT_TRUE(pair.reference.SealThrough(spec.series_length - 1).ok());
   return pair;
 }
 
@@ -171,20 +172,20 @@ TEST(EngineBuilderTest, RejectsBadBudgetConfig) {
 
 // ---------------------------------------------------------- stream kinds
 
-TEST(ApiFacadeTest, CellMatchesLegacyQueryCell) {
+TEST(ApiFacadeTest, CellMatchesReferenceQueryCell) {
   Paired pair = MakePaired(FacadeSpec());
-  const CuboidLattice& lattice = pair.legacy.lattice();
+  const CuboidLattice& lattice = pair.reference.lattice();
   StreamGenerator gen(FacadeSpec());
   const CellKey o_key =
       lattice.ProjectMLayerKey(gen.cells()[0].key, lattice.o_layer_id());
 
-  auto legacy = pair.legacy.QueryCell(lattice.o_layer_id(), o_key, 0, 8);
-  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
+  auto want = pair.reference.QueryCell(lattice.o_layer_id(), o_key, 0, 8);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
   auto facade =
       pair.facade.Query(QuerySpec::Cell(lattice.o_layer_id(), o_key, 0, 8));
   ASSERT_TRUE(facade.ok()) << facade.status().ToString();
   EXPECT_EQ(facade->kind(), QueryKind::kCell);
-  ExpectIsbNear(*legacy, facade->cell(), 1e-9);
+  ExpectIsbNear(*want, facade->cell(), 1e-9);
 
   // Unknown cell surfaces NotFound through the facade too.
   CellKey bogus(2);
@@ -198,10 +199,10 @@ TEST(ApiFacadeTest, CellMatchesLegacyQueryCell) {
 
 TEST(ApiFacadeTest, CellRejectsOutOfRangeCuboidWithTypedError) {
   // The error contract, not an RC_CHECK abort: a cuboid id outside the
-  // lattice surfaces InvalidArgument through every point-query door — the
-  // facade, the sharded engine behind it, and the legacy single engine.
+  // lattice surfaces InvalidArgument through every point-query door —
+  // Engine::Query and a held snapshot.
   Paired pair = MakePaired(FacadeSpec());
-  const CuboidId past_end = pair.legacy.lattice().num_cuboids();
+  const CuboidId past_end = pair.reference.lattice().num_cuboids();
   const CellKey key(2);
 
   for (CuboidId bad : {past_end, CuboidId{-1}}) {
@@ -215,12 +216,6 @@ TEST(ApiFacadeTest, CellRejectsOutOfRangeCuboidWithTypedError) {
                   .code(),
               StatusCode::kInvalidArgument)
         << "cuboid " << bad;
-    EXPECT_EQ(pair.legacy.QueryCell(bad, key, 0, 8).status().code(),
-              StatusCode::kInvalidArgument)
-        << "cuboid " << bad;
-    EXPECT_EQ(pair.legacy.QueryCellSeries(bad, key, 0).status().code(),
-              StatusCode::kInvalidArgument)
-        << "cuboid " << bad;
   }
 
   // A held snapshot keeps the same contract.
@@ -229,32 +224,32 @@ TEST(ApiFacadeTest, CellRejectsOutOfRangeCuboidWithTypedError) {
             StatusCode::kInvalidArgument);
 }
 
-TEST(ApiFacadeTest, CellSeriesMatchesLegacy) {
+TEST(ApiFacadeTest, CellSeriesMatchesReference) {
   Paired pair = MakePaired(FacadeSpec());
-  const CuboidLattice& lattice = pair.legacy.lattice();
+  const CuboidLattice& lattice = pair.reference.lattice();
   StreamGenerator gen(FacadeSpec());
   const CellKey o_key =
       lattice.ProjectMLayerKey(gen.cells()[0].key, lattice.o_layer_id());
 
-  auto legacy = pair.legacy.QueryCellSeries(lattice.o_layer_id(), o_key, 1);
-  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
+  auto want = pair.reference.QueryCellSeries(lattice.o_layer_id(), o_key, 1);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
   auto facade = pair.facade.Query(
       QuerySpec::CellSeries(lattice.o_layer_id(), o_key, 1));
   ASSERT_TRUE(facade.ok()) << facade.status().ToString();
-  ASSERT_EQ(facade->series().size(), legacy->size());
-  for (size_t i = 0; i < legacy->size(); ++i) {
-    ExpectIsbNear((*legacy)[i], facade->series()[i], 1e-9);
+  ASSERT_EQ(facade->series().size(), want->size());
+  for (size_t i = 0; i < want->size(); ++i) {
+    ExpectIsbNear((*want)[i], facade->series()[i], 1e-9);
   }
 }
 
-TEST(ApiFacadeTest, ObservationDeckMatchesLegacy) {
+TEST(ApiFacadeTest, ObservationDeckMatchesReference) {
   Paired pair = MakePaired(FacadeSpec());
-  auto legacy = pair.legacy.ObservationDeck(1);
-  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
+  auto want = pair.reference.ObservationDeck(1);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
   auto facade = pair.facade.Query(QuerySpec::ObservationDeck(1));
   ASSERT_TRUE(facade.ok()) << facade.status().ToString();
-  ASSERT_EQ(facade->deck().size(), legacy->size());
-  for (const auto& [key, series] : *legacy) {
+  ASSERT_EQ(facade->deck().size(), want->size());
+  for (const auto& [key, series] : *want) {
     auto it = facade->deck().find(key);
     ASSERT_NE(it, facade->deck().end()) << key.ToString();
     ASSERT_EQ(it->second.size(), series.size());
@@ -264,15 +259,15 @@ TEST(ApiFacadeTest, ObservationDeckMatchesLegacy) {
   }
 }
 
-TEST(ApiFacadeTest, TrendChangesMatchLegacy) {
+TEST(ApiFacadeTest, TrendChangesMatchReference) {
   Paired pair = MakePaired(FacadeSpec());
-  auto legacy = pair.legacy.DetectTrendChanges(0, 0.05);
-  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
+  auto want = pair.reference.DetectTrendChanges(0, 0.05);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
   auto facade = pair.facade.Query(QuerySpec::TrendChanges(0, 0.05));
   ASSERT_TRUE(facade.ok()) << facade.status().ToString();
-  ASSERT_EQ(facade->trend_changes().size(), legacy->size());
+  ASSERT_EQ(facade->trend_changes().size(), want->size());
   // Same set of keys with the same deltas (order may tie-break differently).
-  for (const auto& expected : *legacy) {
+  for (const auto& expected : *want) {
     bool found = false;
     for (const auto& actual : facade->trend_changes()) {
       if (actual.key == expected.key) {
@@ -288,11 +283,11 @@ TEST(ApiFacadeTest, TrendChangesMatchLegacy) {
 
 TEST(ApiFacadeTest, CubeKindsMatchCubeView) {
   Paired pair = MakePaired(FacadeSpec());
-  auto cube = pair.legacy.ComputeCube(0, 8);
+  auto cube = pair.reference.ComputeCube(0, 8);
   ASSERT_TRUE(cube.ok()) << cube.status().ToString();
   ExceptionPolicy policy(0.02);
   CubeView view(*cube, policy);
-  const CuboidLattice& lattice = pair.legacy.lattice();
+  const CuboidLattice& lattice = pair.reference.lattice();
 
   // kTopExceptions.
   auto top = pair.facade.Query(QuerySpec::TopExceptions(5, 0, 8));
@@ -337,11 +332,11 @@ TEST(ApiFacadeTest, CubeCellOnTheFlyComputesPrunedCells) {
   // Threshold high enough that intermediate cells are pruned; on-the-fly
   // aggregation must still answer them, matching CubeView.
   Paired pair = MakePaired(FacadeSpec(), /*threshold=*/1e9);
-  auto cube = pair.legacy.ComputeCube(0, 8);
+  auto cube = pair.reference.ComputeCube(0, 8);
   ASSERT_TRUE(cube.ok());
   ExceptionPolicy policy(1e9);
   CubeView view(*cube, policy);
-  const CuboidLattice& lattice = pair.legacy.lattice();
+  const CuboidLattice& lattice = pair.reference.lattice();
 
   // Find an intermediate cuboid (not m, not o).
   CuboidId mid = -1;
@@ -369,7 +364,7 @@ TEST(ApiFacadeTest, CubeCellOnTheFlyComputesPrunedCells) {
 
 TEST(ApiFacadeTest, FreeQueryServesCubeKindsAndRejectsStreamKinds) {
   Paired pair = MakePaired(FacadeSpec());
-  auto cube = pair.legacy.ComputeCube(0, 8);
+  auto cube = pair.reference.ComputeCube(0, 8);
   ASSERT_TRUE(cube.ok());
   ExceptionPolicy policy(0.02);
 
@@ -399,17 +394,17 @@ TEST(ApiFacadeTest, CubeCacheInvalidatedByWrites) {
   key.set(1, 0);
   for (TimeTick t = spec.series_length; t < spec.series_length + 16; ++t) {
     ASSERT_TRUE(pair.facade.Ingest({key, t, 1000.0 * static_cast<double>(t)}).ok());
-    ASSERT_TRUE(pair.legacy.Ingest({key, t, 1000.0 * static_cast<double>(t)}).ok());
+    ASSERT_TRUE(pair.reference.Ingest({key, t, 1000.0 * static_cast<double>(t)}).ok());
   }
   ASSERT_TRUE(pair.facade.SealThrough(spec.series_length + 15).ok());
-  ASSERT_TRUE(pair.legacy.SealThrough(spec.series_length + 15).ok());
+  ASSERT_TRUE(pair.reference.SealThrough(spec.series_length + 15).ok());
 
   auto after = pair.facade.Query(QuerySpec::TopExceptions(3, 0, 4));
   ASSERT_TRUE(after.ok()) << after.status().ToString();
-  auto legacy_cube = pair.legacy.ComputeCube(0, 4);
-  ASSERT_TRUE(legacy_cube.ok());
+  auto reference_cube = pair.reference.ComputeCube(0, 4);
+  ASSERT_TRUE(reference_cube.ok());
   ExceptionPolicy policy(0.02);
-  auto expected = CubeView(*legacy_cube, policy).TopExceptions(3);
+  auto expected = CubeView(*reference_cube, policy).TopExceptions(3);
   ASSERT_EQ(after->cells().size(), expected.size());
   for (size_t i = 0; i < expected.size(); ++i) {
     ExpectIsbNear(expected[i].isb, after->cells()[i].isb, 1e-9);

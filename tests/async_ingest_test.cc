@@ -1,7 +1,7 @@
 // The async ingest subsystem: IngestQueue policy contracts (deterministic,
 // queue-level — no consumer running), Flush()'s happens-before barrier,
-// bitwise equivalence of async churn + Flush against the synchronous
-// oracle across shard counts, concurrent producers + snapshot readers
+// bitwise equivalence of async churn + Flush against the reference store
+// (tests/reference_store.h) across shard counts, concurrent producers + snapshot readers
 // (the TSan target), publish on read (owner threads never publish; the
 // first gather after Flush does, once), the "ingest.queue" memory
 // accounting, a memory budget that holds with no reader at all, the
@@ -32,7 +32,7 @@ using equivalence::ExpectGathersIdentical;
 using equivalence::FreshKeyOutside;
 using equivalence::Key2;
 using equivalence::RunChurnRounds;
-using equivalence::ScratchCube;
+using testing_util::ReferenceStore;
 
 StreamTuple Tuple(ValueId a, ValueId b, TimeTick tick, double value) {
   return {Key2(a, b), tick, value};
@@ -199,12 +199,11 @@ TEST(AsyncIngestEquivalence, ChurnPlusFlushMatchesSyncAcrossShardCounts) {
   plan.fresh_round = 4;
   plan.fresh_key = FreshKeyOutside(gen, 4);
 
-  ShardedStreamEngine oracle(*schema, ChurnEngineOptions(), 1);
+  ReferenceStore oracle(*schema, ChurnEngineOptions());
   RunChurnRounds(oracle, gen.cells(), plan, [](int) {});
-  const auto expected =
-      oracle.GatherAlignedCells(ShardedStreamEngine::GatherMode::kFull);
-  const RegressionCube expected_cube =
-      ScratchCube(*schema, oracle, ChurnEngineOptions(), 0, 3);
+  const auto expected = oracle.Gather();
+  auto expected_cube = oracle.ComputeCube(0, 3);
+  ASSERT_TRUE(expected_cube.ok()) << expected_cube.status().ToString();
 
   for (int shards : {1, 2, 8}) {
     SCOPED_TRACE(shards);
@@ -217,12 +216,10 @@ TEST(AsyncIngestEquivalence, ChurnPlusFlushMatchesSyncAcrossShardCounts) {
     });
     ASSERT_TRUE(engine.Flush().ok());
 
-    const auto actual =
-        engine.GatherAlignedCells(ShardedStreamEngine::GatherMode::kFull);
-    ExpectGathersIdentical(actual, expected, 2);
-    ExpectCubesIdentical(expected_cube,
-                         ScratchCube(*schema, engine, ChurnEngineOptions(),
-                                     0, 3));
+    ExpectGathersIdentical(engine.GatherAlignedCells(), expected, 2);
+    auto cube = engine.ComputeCubeShared(0, 3);
+    ASSERT_TRUE(cube.ok()) << cube.status().ToString();
+    ExpectCubesIdentical(*expected_cube, **cube);
 
     const auto stats = engine.IngestStats();
     EXPECT_EQ(stats.total.dropped, 0);
@@ -241,21 +238,18 @@ TEST(AsyncIngestEquivalence, SealThroughDrainsQueuedTuplesFirst) {
   ASSERT_TRUE(schema.ok());
   StreamGenerator gen(spec);
 
-  ShardedStreamEngine sync_engine(*schema, ChurnEngineOptions(), 2);
+  ReferenceStore oracle(*schema, ChurnEngineOptions());
   ShardedStreamEngine async_engine(*schema, ChurnEngineOptions(), 2,
                                    nullptr, AsyncConfig());
   const std::vector<StreamTuple> stream = gen.GenerateStream();
-  ASSERT_TRUE(sync_engine.IngestBatch(stream).ok());
-  ASSERT_TRUE(sync_engine.SealThrough(spec.series_length - 1).ok());
+  ASSERT_TRUE(oracle.IngestBatch(stream).ok());
+  ASSERT_TRUE(oracle.SealThrough(spec.series_length - 1).ok());
   // No explicit Flush: SealThrough itself must provide the barrier.
   ASSERT_TRUE(async_engine.IngestBatch(stream).ok());
   ASSERT_TRUE(async_engine.SealThrough(spec.series_length - 1).ok());
 
-  ExpectGathersIdentical(
-      async_engine.GatherAlignedCells(
-          ShardedStreamEngine::GatherMode::kFull),
-      sync_engine.GatherAlignedCells(ShardedStreamEngine::GatherMode::kFull),
-      2);
+  ExpectGathersIdentical(async_engine.GatherAlignedCells(), oracle.Gather(),
+                         2);
   EXPECT_EQ(async_engine.IngestStats().total.absorbed,
             static_cast<std::int64_t>(stream.size()));
 }
@@ -325,7 +319,7 @@ TEST(AsyncIngestEquivalence, LossyPoliciesKeepTheAccountingIdentity) {
 
 // The TSan target: many producers enqueueing disjoint cell slices while a
 // reader gathers and a Flush caller raises barriers — then the absorbed
-// state must still be bit-identical to the sync oracle fed the same
+// state must still be bit-identical to the reference store fed the same
 // stream. Per-cell order is what matters, and each producer owns its
 // cells, so the concurrent interleaving is immaterial.
 TEST(AsyncIngestConcurrencyTest, ConcurrentProducersAndSnapshotReaders) {
@@ -378,11 +372,9 @@ TEST(AsyncIngestConcurrencyTest, ConcurrentProducersAndSnapshotReaders) {
   flusher.join();
   ASSERT_TRUE(engine.Flush().ok());
 
-  ShardedStreamEngine oracle(*schema, ChurnEngineOptions(), 1);
+  ReferenceStore oracle(*schema, ChurnEngineOptions());
   ASSERT_TRUE(oracle.IngestBatch(stream).ok());
-  ExpectGathersIdentical(
-      engine.GatherAlignedCells(ShardedStreamEngine::GatherMode::kFull),
-      oracle.GatherAlignedCells(ShardedStreamEngine::GatherMode::kFull), 2);
+  ExpectGathersIdentical(engine.GatherAlignedCells(), oracle.Gather(), 2);
   EXPECT_EQ(engine.IngestStats().total.absorbed,
             static_cast<std::int64_t>(stream.size()));
 }
@@ -394,8 +386,8 @@ TEST(AsyncIngestConcurrencyTest, ConcurrentProducersAndSnapshotReaders) {
 // or cell-count monotonicity (cells are never erased, so a reader's view
 // may only grow). Readers spin on the delta gather — the read behind
 // TakeSnapshot — while three writers push disjoint slices through the
-// async queues; the final state must still match the sync oracle bit for
-// bit.
+// async queues; the final state must still match the reference store bit
+// for bit.
 TEST(AsyncIngestConcurrencyTest,
      PublishedGenerationsStayConsistentUnderChurn) {
   const auto spec = ChurnWorkload(48, 16, 71);
@@ -458,17 +450,16 @@ TEST(AsyncIngestConcurrencyTest,
   reader_a.join();
   reader_b.join();
 
-  ShardedStreamEngine oracle(*schema, ChurnEngineOptions(), 1);
+  ReferenceStore oracle(*schema, ChurnEngineOptions());
   ASSERT_TRUE(oracle.IngestBatch(stream).ok());
-  ExpectGathersIdentical(
-      engine.GatherAlignedCells(ShardedStreamEngine::GatherMode::kFull),
-      oracle.GatherAlignedCells(ShardedStreamEngine::GatherMode::kFull), 2);
+  ExpectGathersIdentical(engine.GatherAlignedCells(), oracle.Gather(), 2);
 }
 
 // Publish on read: owner threads only absorb, so the first gather after
 // Flush() republishes every shard that changed (none is served from its
 // previous generation), a second gather at the same revision is served
-// from the whole-engine cache, and both match the sync oracle bit for bit.
+// from the whole-engine cache, and both match the reference store bit for
+// bit.
 TEST(AsyncIngestPublishTest, FirstGatherAfterFlushPublishesEveryShard) {
   const auto spec = ChurnWorkload(64, 8, 83);
   auto schema = MakeWorkloadSchemaPtr(spec);
@@ -478,7 +469,7 @@ TEST(AsyncIngestPublishTest, FirstGatherAfterFlushPublishesEveryShard) {
 
   for (int shards : {1, 2, 8}) {
     SCOPED_TRACE(shards);
-    ShardedStreamEngine oracle(*schema, ChurnEngineOptions(), shards);
+    ReferenceStore oracle(*schema, ChurnEngineOptions());
     ShardedStreamEngine engine(*schema, ChurnEngineOptions(), shards,
                                nullptr, AsyncConfig(/*capacity=*/16));
     for (int round = 0; round < 6; ++round) {
@@ -505,8 +496,7 @@ TEST(AsyncIngestPublishTest, FirstGatherAfterFlushPublishesEveryShard) {
       EXPECT_EQ(second.cells, first.cells);  // the cached run itself
       EXPECT_EQ(second.stats.shards_reused, shards);
 
-      const auto want =
-          oracle.GatherAlignedCells(ShardedStreamEngine::GatherMode::kFull);
+      const auto want = oracle.Gather();
       ExpectGathersIdentical(first, want, num_levels);
       ExpectGathersIdentical(second, want, num_levels);
     }
@@ -571,11 +561,17 @@ TEST(AsyncIngestMemoryTest, BudgetHoldsWithoutReaders) {
   plan.advance_ticks = true;
   plan.seal_every = 3;
 
+  ReferenceStore oracle(*schema, ChurnEngineOptions());
+  ASSERT_TRUE(oracle.IngestBatch(stream).ok());
+  RunChurnRounds(oracle, gen.cells(), plan, [](int) {});
+  const auto want = oracle.Gather();
+
   for (int shards : {1, 2, 8}) {
     SCOPED_TRACE(shards);
-    ShardedStreamEngine oracle(*schema, ChurnEngineOptions(), shards);
-    ASSERT_TRUE(oracle.IngestBatch(stream).ok());
-    RunChurnRounds(oracle, gen.cells(), plan, [](int) {});
+    // An unbudgeted engine after the same writes sizes the budget.
+    ShardedStreamEngine unbounded(*schema, ChurnEngineOptions(), shards);
+    ASSERT_TRUE(unbounded.IngestBatch(stream).ok());
+    RunChurnRounds(unbounded, gen.cells(), plan, [](int) {});
 
     ShardedStreamEngine engine(*schema, ChurnEngineOptions(), shards,
                                nullptr, AsyncConfig(/*capacity=*/32));
@@ -585,11 +581,12 @@ TEST(AsyncIngestMemoryTest, BudgetHoldsWithoutReaders) {
       return engine.MemoryBytes() + engine.MemberIndexBytes() +
              engine.CubeMemoBytes() + engine.IngestQueueBytes();
     };
-    // A quarter of the oracle's frames on top of what cannot be evicted
+    // A quarter of the unbudgeted frames on top of what cannot be evicted
     // (the queue rings and the member index): the ladder must spill.
     MemoryBudgetConfig config;
     config.budget_bytes = engine.IngestQueueBytes() +
-                          oracle.MemberIndexBytes() + oracle.MemoryBytes() / 4;
+                          unbounded.MemberIndexBytes() +
+                          unbounded.MemoryBytes() / 4;
     config.spill_dir = ::testing::TempDir() + "/async_budget_" +
                        std::to_string(shards);
     ASSERT_TRUE(engine.ConfigureStorage(config).ok());
@@ -619,10 +616,7 @@ TEST(AsyncIngestMemoryTest, BudgetHoldsWithoutReaders) {
     const SpillStats spill = engine.SpillStats();
     EXPECT_GT(spill.export_evictions, 0);  // the rung that did the work
     EXPECT_GT(spill.spilled_cells, 0);
-    ExpectGathersIdentical(
-        engine.GatherAlignedCells(),
-        oracle.GatherAlignedCells(ShardedStreamEngine::GatherMode::kFull),
-        num_levels);
+    ExpectGathersIdentical(engine.GatherAlignedCells(), want, num_levels);
   }
 }
 

@@ -1,10 +1,10 @@
 // O(changed-cells) gather contracts: the delta gather (frozen blocks shared
 // for clean cells, patch exports folded into the cached run) must stay
-// bit-identical to a from-scratch full gather and to ComputeCubeAllLocks
+// bit-identical to the reference store's full gather and from-scratch cube
 // under randomized ingest interleaved with snapshots, for shard counts
 // {1, 2, 8}; seals that change nothing must not move the revision; point
-// queries routed through the member-only gather must match a full-snapshot
-// scan and keep the legacy error contract; concurrent churn + TakeSnapshot
+// queries routed through the member-only gather must match the reference
+// store's scan and keep the error contract; concurrent churn + TakeSnapshot
 // must be race-free (this test runs in the TSan CI job); publishing must
 // share the cells' own copy-on-write frames (only a write changes a frame
 // pointer); and the frame / gather-cache bytes must show up in the
@@ -33,6 +33,7 @@ using equivalence::ExpectGathersIdentical;
 using equivalence::Key2;
 using equivalence::SmallTiltPolicy;
 using equivalence::UnusedMLayerKey;
+using testing_util::ReferenceStore;
 
 WorkloadSpec ChurnSpec(std::int64_t tuples = 120, std::int64_t ticks = 16) {
   return ChurnWorkload(tuples, ticks, /*seed=*/23);
@@ -74,34 +75,37 @@ TEST(DeltaGatherTest, MatchesFullGatherUnderRandomizedChurn) {
   plan.fresh_round = 4;
   plan.fresh_key = Key2(15, 15);
 
+  // The reference store sees the identical writes (RunChurnRounds is a
+  // pure function of the plan) and answers every read the plain way.
+  ReferenceStore reference(*schema, ChurnEngineOptions());
+  ASSERT_TRUE(reference.IngestBatch(stream).ok());
+  ASSERT_TRUE(reference.SealThrough(spec.series_length - 1).ok());
+  std::vector<ShardedStreamEngine::GatheredCells> want;
+  equivalence::RunChurnRounds(reference, gen.cells(), plan, [&](int) {
+    want.push_back(reference.Gather());
+  });
+
   for (int shards : {1, 2, 8}) {
     auto pool = std::make_shared<ThreadPool>(3);
     ShardedStreamEngine engine(*schema, ChurnEngineOptions(), shards, pool);
     ASSERT_TRUE(engine.IngestBatch(stream).ok());
     ASSERT_TRUE(engine.SealThrough(spec.series_length - 1).ok());
 
-    equivalence::RunChurnRounds(engine, gen.cells(), plan, [&](int) {
-      auto delta = engine.GatherAlignedCells();
-      auto full =
-          engine.GatherAlignedCells(ShardedStreamEngine::GatherMode::kFull);
-      ExpectGathersIdentical(delta, full, num_levels);
+    equivalence::RunChurnRounds(engine, gen.cells(), plan, [&](int round) {
+      ExpectGathersIdentical(engine.GatherAlignedCells(),
+                             want[static_cast<size_t>(round)], num_levels);
     });
 
-    // End-state: the delta-gathered window also matches the retained
-    // all-locks oracle bit for bit (m-layer and o-layer).
+    // End-state: the delta-gathered window also cubes bit for bit like
+    // the reference store's from-scratch cube (m-layer and o-layer).
     auto snapshot_cube = engine.ComputeCube(0, 4);
-    auto locked_cube = engine.ComputeCubeAllLocks(0, 4);
+    auto reference_cube = reference.ComputeCube(0, 4);
     ASSERT_TRUE(snapshot_cube.ok()) << snapshot_cube.status().ToString();
-    ASSERT_TRUE(locked_cube.ok()) << locked_cube.status().ToString();
-    ExpectCellMapsIdentical(locked_cube->m_layer(), snapshot_cube->m_layer());
-    ExpectCellMapsIdentical(locked_cube->o_layer(), snapshot_cube->o_layer());
-
-    // The all-locks oracle force-sealed lagging shards; the next delta
-    // gather must reflect that too.
-    auto after = engine.GatherAlignedCells();
-    auto after_full =
-        engine.GatherAlignedCells(ShardedStreamEngine::GatherMode::kFull);
-    ExpectGathersIdentical(after, after_full, num_levels);
+    ASSERT_TRUE(reference_cube.ok()) << reference_cube.status().ToString();
+    ExpectCellMapsIdentical(reference_cube->m_layer(),
+                            snapshot_cube->m_layer());
+    ExpectCellMapsIdentical(reference_cube->o_layer(),
+                            snapshot_cube->o_layer());
   }
 }
 
@@ -204,11 +208,14 @@ TEST(DeltaGatherTest, NoOpSealKeepsRevisionAndMemoizedSnapshot) {
 
 // ------------------------------------------------------ point-query path
 
-TEST(DeltaGatherTest, MemberOnlyPointQueriesMatchSnapshotScan) {
+TEST(DeltaGatherTest, MemberOnlyPointQueriesMatchReferenceScan) {
   WorkloadSpec spec = ChurnSpec();
   auto schema = MakeWorkloadSchemaPtr(spec);
   ASSERT_TRUE(schema.ok());
   StreamGenerator gen(spec);
+  ReferenceStore reference(*schema, ChurnEngineOptions());
+  ASSERT_TRUE(reference.IngestBatch(gen.GenerateStream()).ok());
+  ASSERT_TRUE(reference.SealThrough(spec.series_length - 1).ok());
   for (int shards : {1, 2, 8}) {
     ShardedStreamEngine engine(*schema, ChurnEngineOptions(), shards);
     ASSERT_TRUE(engine.IngestBatch(gen.GenerateStream()).ok());
@@ -219,17 +226,13 @@ TEST(DeltaGatherTest, MemberOnlyPointQueriesMatchSnapshotScan) {
     const CellKey o_key =
         lattice.ProjectMLayerKey(gen.cells()[0].key, o_id);
 
-    auto gathered =
-        engine.GatherAlignedCells(ShardedStreamEngine::GatherMode::kFull);
-    auto scan_cell =
-        SnapshotCellOf(*gathered.cells, lattice, o_id, o_key, 0, 4);
+    auto scan_cell = reference.QueryCell(o_id, o_key, 0, 4);
     auto member_cell = engine.QueryCell(o_id, o_key, 0, 4);
     ASSERT_TRUE(scan_cell.ok());
     ASSERT_TRUE(member_cell.ok()) << member_cell.status().ToString();
     EXPECT_EQ(*scan_cell, *member_cell);
 
-    auto scan_series = SnapshotCellSeriesOf(
-        *gathered.cells, lattice, 2, o_id, o_key, 1);
+    auto scan_series = reference.QueryCellSeries(o_id, o_key, 1);
     auto member_series = engine.QueryCellSeries(o_id, o_key, 1);
     ASSERT_TRUE(scan_series.ok());
     ASSERT_TRUE(member_series.ok());
@@ -277,7 +280,7 @@ TEST(DeltaGatherTest, MemberOnlyPointQueriesKeepErrorContract) {
   ASSERT_TRUE(schema.ok());
   ShardedStreamEngine empty(*schema, ChurnEngineOptions(), 4);
 
-  // Cuboid validation precedes the no-data check (legacy order).
+  // Cuboid validation precedes the no-data check.
   EXPECT_EQ(empty.QueryCell(-1, CellKey(2), 0, 1).status().code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(empty.QueryCell(0, CellKey(2), 0, 1).status().code(),
@@ -359,10 +362,27 @@ TEST(DeltaGatherTest, ConcurrentChurnAndSnapshotLoop) {
   stop.store(true, std::memory_order_relaxed);
   for (std::thread& r : readers) r.join();
 
-  // Quiesced end state: delta and full still agree bit for bit.
-  auto snap = engine.TakeSnapshot();
-  auto final_window = snap->Window(0, 2);
-  ASSERT_TRUE(final_window.ok());
+  // Quiesced end state: the snapshot's window equals the reference
+  // store's after the same writes (each cell had one writer, so replaying
+  // them round by round preserves every cell's tick order).
+  ReferenceStore reference(*schema, ChurnEngineOptions());
+  ASSERT_TRUE(reference.IngestBatch(gen.GenerateStream()).ok());
+  ASSERT_TRUE(reference.SealThrough(spec.series_length - 1).ok());
+  for (int round = 0; round < kRoundsPerWriter; ++round) {
+    for (const auto& cell : cells) {
+      ASSERT_TRUE(
+          reference.Ingest({cell.key, spec.series_length + round, 2.0}).ok());
+    }
+  }
+  auto final_window = engine.TakeSnapshot()->Window(0, 2);
+  auto want_window = reference.Window(0, 2);
+  ASSERT_TRUE(final_window.ok()) << final_window.status().ToString();
+  ASSERT_TRUE(want_window.ok()) << want_window.status().ToString();
+  ASSERT_EQ(final_window->size(), want_window->size());
+  for (size_t i = 0; i < want_window->size(); ++i) {
+    EXPECT_EQ((*want_window)[i].key, (*final_window)[i].key);
+    EXPECT_EQ((*want_window)[i].measure, (*final_window)[i].measure);
+  }
 }
 
 // ------------------------------------------------------ memory accounting

@@ -3,13 +3,16 @@
 
 // The shared randomized cross-engine equivalence harness. Every suite that
 // claims "maintained structure X is bit-identical to oracle Y under churn"
-// (delta gathers, the incremental cube memo, the member index, shard-count
-// invariance) drives the same seeded workload churn through these helpers
-// and compares against the same oracles (`GatherMode::kFull` exports,
-// `SnapshotCubeOf` from-scratch cubing, `ComputeCubeAllLocks`,
-// `PointLookup::kScan` member gathers), so a new maintained structure gets
-// the oracle treatment by adding one check callback instead of re-growing
-// a private copy of the driver.
+// (delta gathers, the incremental cube memo, the member index, async
+// ingest, the cold tier, shard-count invariance) drives the same seeded
+// workload churn through these helpers and compares against the same
+// oracles: the tests-only ReferenceStore (reference_store.h), fed the same
+// tuples and seals, for full gathers, member gathers and every read; and
+// `ScratchCube`, from-scratch cubing over the engine's own gather, for the
+// memo. The library keeps one implementation of each read; the oracles
+// live here. A new maintained structure gets the oracle treatment by
+// adding one check callback instead of re-growing a private copy of the
+// driver.
 //
 // Everything here asserts *bitwise* equality: the structures under test
 // are caching/indexing strategies, not numerics changes, so no tolerance
@@ -28,6 +31,7 @@
 #include "regcube/core/sharded_engine.h"
 #include "regcube/core/snapshot_reads.h"
 #include "regcube/gen/stream_generator.h"
+#include "reference_store.h"
 
 namespace regcube {
 namespace equivalence {
@@ -190,7 +194,7 @@ inline void ExpectGathersIdentical(
 }
 
 /// Bitwise equality of two member-only gathers (e.g. the indexed path vs
-/// the retained scan oracle).
+/// the reference store's project-every-key scan).
 inline void ExpectMemberGathersIdentical(
     const ShardedStreamEngine::MemberGather& actual,
     const ShardedStreamEngine::MemberGather& expected, int num_levels) {
@@ -228,19 +232,12 @@ inline void ExpectCubesIdentical(const RegressionCube& expected,
   }
 }
 
-/// Bitwise equality of two query answers' cell lists as sets of cells.
-/// ExceptionsAt and DrillDown list cells in hash-map order, and a patched
-/// exception store's order depends on its insert/erase history, so both
-/// lists are compared sorted by (cuboid, canonical key).
-inline void ExpectCellResultsIdentical(std::vector<CellResult> expected,
-                                       std::vector<CellResult> actual) {
+/// Bitwise equality of two query answers' cell lists, row by row: every
+/// cell-list answer comes back in canonical order whatever the cube's
+/// maintenance history, so the order is part of the contract.
+inline void ExpectCellResultsIdentical(const std::vector<CellResult>& expected,
+                                       const std::vector<CellResult>& actual) {
   ASSERT_EQ(expected.size(), actual.size());
-  auto by_cell = [](const CellResult& a, const CellResult& b) {
-    if (a.cuboid != b.cuboid) return a.cuboid < b.cuboid;
-    return CanonicalKeyLess(a.key, b.key);
-  };
-  std::sort(expected.begin(), expected.end(), by_cell);
-  std::sort(actual.begin(), actual.end(), by_cell);
   for (size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(expected[i].cuboid, actual[i].cuboid) << "row " << i;
     EXPECT_EQ(expected[i].key, actual[i].key) << "row " << i;

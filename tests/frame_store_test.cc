@@ -1,7 +1,7 @@
 // The memory-governed storage tier's contracts: the mmap frame store must
 // round-trip tilt-frame state bitwise (spill -> fault-in is lossless); an
 // engine running under a byte budget with a spill directory must stay
-// bit-identical to an unbounded all-RAM oracle through randomized churn
+// bit-identical to the all-RAM reference store through randomized churn
 // for shard counts {1, 2, 8} while actually spilling and faulting in;
 // after SealThrough(t) every cell — resident, spilled or new — refuses a
 // tick <= t, also after Checkpoint -> OpenFrom (the manifest carries the
@@ -40,7 +40,6 @@ using equivalence::ChurnEngineOptions;
 using equivalence::ChurnPlan;
 using equivalence::ChurnWorkload;
 using equivalence::ExpectGathersIdentical;
-using equivalence::Key2;
 using equivalence::RunChurnRounds;
 using equivalence::SmallTiltPolicy;
 using testing_util::EncodeFrameBytes;
@@ -57,23 +56,13 @@ std::string FreshDir(const std::string& name) {
   return dir;
 }
 
-std::shared_ptr<const CubeSchema> TinySchema() {
-  auto schema = MakeWorkloadSchemaPtr(ChurnWorkload(4, 8, 1));
-  EXPECT_TRUE(schema.ok());
-  return *schema;
-}
-
 TiltTimeFrame MakeFrame(std::uint64_t seed, TimeTick ticks) {
-  StreamCubeEngine engine(TinySchema(), ChurnEngineOptions());
+  TiltTimeFrame frame(ChurnEngineOptions().tilt_policy, /*start_tick=*/0);
   Pcg32 rng(seed, 3);
-  const CellKey key = Key2(1, 2);
   for (TimeTick t = 0; t < ticks; ++t) {
-    EXPECT_TRUE(engine.Ingest({key, t, rng.NextDouble()}).ok());
+    EXPECT_TRUE(frame.Add(t, rng.NextDouble()).ok());
   }
-  std::vector<CellSnapshot> cells;
-  engine.ExportCellsFull(&cells, nullptr);
-  EXPECT_EQ(cells.size(), 1u);
-  return *cells[0].frame;
+  return frame;
 }
 
 // ------------------------------------------------------------- store basics
@@ -167,8 +156,8 @@ TEST(FrameStoreTest, SpillDirHoldsOneLiveStore) {
 
 // ---------------------------------------------- budgeted churn equivalence
 
-/// Drives the shared churn plan through a budgeted+spilling engine and an
-/// unbounded oracle in lockstep, comparing full gathers after every round.
+/// Drives the shared churn plan through a budgeted+spilling engine and the
+/// all-RAM reference store, then compares full gathers.
 void RunBudgetedChurnEquivalence(int num_shards) {
   WorkloadSpec spec = ChurnWorkload(/*tuples=*/150, /*ticks=*/16,
                                     /*seed=*/71);
@@ -177,7 +166,7 @@ void RunBudgetedChurnEquivalence(int num_shards) {
   auto schema = MakeWorkloadSchemaPtr(spec);
   ASSERT_TRUE(schema.ok());
 
-  ShardedStreamEngine oracle(*schema, ChurnEngineOptions(), num_shards);
+  testing_util::ReferenceStore oracle(*schema, ChurnEngineOptions());
   ShardedStreamEngine budgeted(*schema, ChurnEngineOptions(), num_shards);
   ASSERT_TRUE(oracle.IngestBatch(seeded).ok());
   ASSERT_TRUE(budgeted.IngestBatch(seeded).ok());
@@ -219,7 +208,7 @@ void RunBudgetedChurnEquivalence(int num_shards) {
   // Bit-identity: the gather faults in every still-cold cell and the
   // result matches the all-RAM oracle exactly.
   auto got = budgeted.GatherAlignedCells();
-  auto want = oracle.GatherAlignedCells();
+  auto want = oracle.Gather();
   ExpectGathersIdentical(got, want, num_levels);
 
   // After the fault-ins, a second gather is served hot and still matches.

@@ -8,8 +8,12 @@
 //      two algorithms' outputs in their proven relationship;
 //   4. facade point queries — randomly projected kCell/kCellSeries specs
 //      (valid members, zero-member keys, out-of-range cuboids/levels,
-//      stale keys re-probed after churn) must match the retained
-//      scan-path oracle bit for bit, errors included.
+//      stale keys re-probed after churn) must match the reference store's
+//      project-every-key scan bit for bit, errors included;
+//   5. tilt levels on the cube side — every cube kind, Engine::ComputeCube
+//      and a snapshot's Window/ComputeCube over levels in [-1, num_levels]
+//      answer an out-of-range level with InvalidArgument, never an abort,
+//      and a live maintained cube survives the failed query.
 
 #include <algorithm>
 #include <array>
@@ -18,9 +22,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "regcube/core/mo_cubing.h"
-#include "regcube/core/popular_path.h"
-#include "regcube/core/stream_engine.h"
+#include "regcube/api/regcube.h"
 #include "regcube/io/cube_io.h"
 #include "equivalence_harness.h"
 #include "test_util.h"
@@ -347,11 +349,15 @@ TEST_P(EngineFuzzTest, GappyStreamsMatchBatchComputation) {
   ASSERT_TRUE(schema_result.ok());
   auto schema = std::make_shared<CubeSchema>(std::move(schema_result).value());
 
-  StreamCubeEngine::Options options;
-  options.tilt_policy =
-      MakeUniformTiltPolicy({{"q", 8}, {"h", 4}}, {4, 16});
-  options.policy = ExceptionPolicy(0.01);
-  StreamCubeEngine engine(schema, options);
+  auto built = EngineBuilder()
+                   .SetSchema(schema)
+                   .SetTiltPolicy(
+                       MakeUniformTiltPolicy({{"q", 8}, {"h", 4}}, {4, 16}))
+                   .SetExceptionPolicy(ExceptionPolicy(0.01))
+                   .SetShardCount(1 + GetParam() % 4)
+                   .Build();
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  Engine engine = std::move(built).value();
 
   // Effective dense series per cell (what the engine semantics define).
   std::unordered_map<CellKey, std::vector<double>, CellKeyHash> dense;
@@ -386,7 +392,7 @@ TEST_P(EngineFuzzTest, GappyStreamsMatchBatchComputation) {
         MLayerTuple{key, MustFit(TimeSeries(0, dense[key]))});
   }
 
-  auto window = engine.SnapshotWindow(/*level=*/0, /*k=*/8);
+  auto window = engine.TakeSnapshot()->Window(/*level=*/0, /*k=*/8);
   ASSERT_TRUE(window.ok()) << window.status().ToString();
   ASSERT_EQ(window->size(), reference.size());
   CellMap expected;
@@ -481,41 +487,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, AlgorithmFuzzTest, ::testing::Range(0, 20));
 
 // --------------------------------------------------- facade point queries
 
-/// The scan-path oracle for Engine::Query(kCell): replays the sharded
-/// QueryCell contract (cuboid, level, no-data, no-members, kernel) but
-/// locates members with the retained O(cells) projection scan instead of
-/// the index.
-Result<Isb> ScanOracleCell(ShardedStreamEngine& engine, int num_levels,
-                           CuboidId cuboid, const CellKey& key, int level,
-                           int k) {
-  RC_RETURN_IF_ERROR(
-      ValidatePointQueryTarget(engine.lattice(), cuboid, level, num_levels));
-  auto gathered =
-      engine.GatherCellsMatching(cuboid, key, PointLookup::kScan);
-  if (gathered.total_cells == 0) return SnapshotNoDataError();
-  if (gathered.cells.empty()) {
-    return SnapshotNoMembersError(engine.lattice(), cuboid, key);
-  }
-  return SnapshotCellOf(gathered.cells, engine.lattice(), cuboid, key, level,
-                        k);
-}
-
-/// Same for kCellSeries (cuboid, then level, then no-data / no-members).
-Result<std::vector<Isb>> ScanOracleSeries(ShardedStreamEngine& engine,
-                                          int num_levels, CuboidId cuboid,
-                                          const CellKey& key, int level) {
-  RC_RETURN_IF_ERROR(
-      ValidatePointQueryTarget(engine.lattice(), cuboid, level, num_levels));
-  auto gathered =
-      engine.GatherCellsMatching(cuboid, key, PointLookup::kScan);
-  if (gathered.total_cells == 0) return SnapshotNoDataError();
-  if (gathered.cells.empty()) {
-    return SnapshotNoMembersError(engine.lattice(), cuboid, key);
-  }
-  return SnapshotCellSeriesOf(gathered.cells, engine.lattice(), num_levels,
-                              cuboid, key, level);
-}
-
 class FacadePointQueryFuzzTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(FacadePointQueryFuzzTest, IndexedQueriesMatchScanOracle) {
@@ -534,7 +505,7 @@ TEST_P(FacadePointQueryFuzzTest, IndexedQueriesMatchScanOracle) {
   auto schema = MakeWorkloadSchemaPtr(spec);
   ASSERT_TRUE(schema.ok());
 
-  // The facade engine under test and a scan-path oracle engine, fed the
+  // The facade engine under test and the reference store, fed the
   // identical stream — engine state is deterministic, so agreeing answers
   // must agree bit for bit, not merely numerically.
   auto built = EngineBuilder()
@@ -545,8 +516,8 @@ TEST_P(FacadePointQueryFuzzTest, IndexedQueriesMatchScanOracle) {
                    .Build();
   ASSERT_TRUE(built.ok()) << built.status().ToString();
   Engine facade = std::move(built).value();
-  ShardedStreamEngine oracle(*schema, equivalence::ChurnEngineOptions(),
-                             shards);
+  testing_util::ReferenceStore oracle(*schema,
+                                      equivalence::ChurnEngineOptions());
   StreamGenerator gen(spec);
   const std::vector<StreamTuple> stream = gen.GenerateStream();
   ASSERT_TRUE(facade.IngestBatch(stream).ok());
@@ -586,8 +557,7 @@ TEST_P(FacadePointQueryFuzzTest, IndexedQueriesMatchScanOracle) {
       const int k = 1 + static_cast<int>(rng.Uniform(3));
 
       auto facade_cell = facade.Query(QuerySpec::Cell(cuboid, key, level, k));
-      auto oracle_cell =
-          ScanOracleCell(oracle, num_levels, cuboid, key, level, k);
+      auto oracle_cell = oracle.QueryCell(cuboid, key, level, k);
       ASSERT_EQ(facade_cell.ok(), oracle_cell.ok())
           << "cuboid " << cuboid << " key " << key.ToString() << " level "
           << level << ": " << facade_cell.status().ToString() << " vs "
@@ -600,8 +570,7 @@ TEST_P(FacadePointQueryFuzzTest, IndexedQueriesMatchScanOracle) {
 
       auto facade_series =
           facade.Query(QuerySpec::CellSeries(cuboid, key, level));
-      auto oracle_series =
-          ScanOracleSeries(oracle, num_levels, cuboid, key, level);
+      auto oracle_series = oracle.QueryCellSeries(cuboid, key, level);
       ASSERT_EQ(facade_series.ok(), oracle_series.ok())
           << "cuboid " << cuboid << " key " << key.ToString();
       if (facade_series.ok()) {
@@ -644,6 +613,98 @@ TEST_P(FacadePointQueryFuzzTest, IndexedQueriesMatchScanOracle) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FacadePointQueryFuzzTest,
                          ::testing::Range(0, 9));
+
+// ------------------------------------------------ cube-side tilt levels
+
+class CubeLevelFuzzTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(CubeLevelFuzzTest, OutOfRangeLevelsAreTypedErrors) {
+  // Every cube-side door reads its window through one level check: a level
+  // outside the policy is InvalidArgument (never a frame-kernel abort), and
+  // the failed query leaves a live maintained cube in place.
+  Pcg32 rng(static_cast<std::uint64_t>(GetParam()) + 13000);
+  const int shards = std::array<int, 3>{1, 2, 8}[GetParam() % 3];
+  WorkloadSpec spec = equivalence::ChurnWorkload(
+      20 + static_cast<std::int64_t>(rng.Uniform(40)), /*ticks=*/16,
+      static_cast<std::uint64_t>(GetParam()) + 13500, /*fanout=*/3);
+  auto schema = MakeWorkloadSchemaPtr(spec);
+  ASSERT_TRUE(schema.ok());
+  auto built = EngineBuilder()
+                   .SetSchema(*schema)
+                   .SetTiltPolicy(equivalence::SmallTiltPolicy())
+                   .SetExceptionPolicy(ExceptionPolicy(0.02))
+                   .SetAlgorithm(GetParam() % 2 == 0
+                                     ? Engine::Algorithm::kMoCubing
+                                     : Engine::Algorithm::kPopularPath)
+                   .SetShardCount(shards)
+                   .Build();
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  Engine engine = std::move(built).value();
+  StreamGenerator gen(spec);
+  ASSERT_TRUE(engine.IngestBatch(gen.GenerateStream()).ok());
+  ASSERT_TRUE(engine.SealThrough(spec.series_length - 1).ok());
+
+  const CuboidLattice& lattice = engine.lattice();
+  const int num_levels =
+      equivalence::SmallTiltPolicy()->num_levels();
+  const CuboidId o_id = lattice.o_layer_id();
+  const CellKey o_key = lattice.ProjectMLayerKey(
+      gen.cells()[rng.Uniform(static_cast<std::uint32_t>(gen.cells().size()))]
+          .key,
+      o_id);
+  auto cube_specs = [&](int level) {
+    return std::vector<QuerySpec>{
+        QuerySpec::TopExceptions(5, level, 1),
+        QuerySpec::ExceptionsAt(o_id, level, 1),
+        QuerySpec::CubeCell(o_id, o_key, level, 1),
+        QuerySpec::DrillDown(o_id, o_key, level, 1),
+        QuerySpec::Supporters(o_id, o_key, level, 1)};
+  };
+
+  for (int level = -1; level <= num_levels; ++level) {
+    SCOPED_TRACE(level);
+    const bool valid = level >= 0 && level < num_levels;
+    // A live memo at a valid window (a valid level below moves it).
+    auto live = engine.Query(QuerySpec::TopExceptions(5, 0, 1));
+    ASSERT_TRUE(live.ok()) << live.status().ToString();
+    const std::int64_t memo_bytes =
+        engine.memory_tracker().category_bytes("cube.memo");
+    ASSERT_GT(memo_bytes, 0);
+
+    auto expect_level_error = [&](const Status& status) {
+      if (valid) {
+        EXPECT_NE(status.code(), StatusCode::kInvalidArgument)
+            << status.ToString();
+        return;
+      }
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+          << status.ToString();
+      EXPECT_EQ(engine.memory_tracker().category_bytes("cube.memo"),
+                memo_bytes)
+          << "a failed query dropped the live memo";
+    };
+    auto snap = engine.TakeSnapshot();
+    for (const QuerySpec& spec_at_level : cube_specs(level)) {
+      SCOPED_TRACE(QueryKindName(spec_at_level.kind));
+      expect_level_error(engine.Query(spec_at_level).status());
+      expect_level_error(snap->Query(spec_at_level).status());
+    }
+    expect_level_error(engine.ComputeCube(level, 1).status());
+    expect_level_error(snap->Window(level, 1).status());
+    expect_level_error(snap->ComputeCube(level, 1).status());
+
+    if (!valid) {
+      // The memo still answers the live window, unchanged.
+      auto again = engine.Query(QuerySpec::TopExceptions(5, 0, 1));
+      ASSERT_TRUE(again.ok()) << again.status().ToString();
+      equivalence::ExpectCellResultsIdentical(live->cells(), again->cells());
+      EXPECT_EQ(engine.memory_tracker().category_bytes("cube.memo"),
+                memo_bytes);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CubeLevelFuzzTest, ::testing::Range(0, 6));
 
 }  // namespace
 }  // namespace regcube

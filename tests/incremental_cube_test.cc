@@ -1,7 +1,7 @@
 // Incremental cube maintenance contracts: the maintained cube memo
 // (IncrementalCubeCache behind ShardedStreamEngine::ComputeCubeShared and
 // the facade's cube-side Query kinds) must be bit-identical to from-scratch
-// m/o H-cubing (and to the ComputeCubeAllLocks oracle) across shard counts
+// m/o H-cubing (and to the reference store's cube) across shard counts
 // {1, 2, 8} under randomized churn; it must survive no-op seals and
 // boundary-free alignment without recomputing; churn must invalidate it
 // precisely (open-slot churn revalidates, sealed-window churn patches,
@@ -107,10 +107,16 @@ TEST(IncrementalCubeTest, MaintainedCubeMatchesScratchUnderRandomizedChurn) {
   ExpectCellMapsIdentical(o_layers[0], o_layers[2]);
 }
 
-TEST(IncrementalCubeTest, MatchesAllLocksOracleAcrossShardCounts) {
+TEST(IncrementalCubeTest, MatchesReferenceStoreAcrossShardCounts) {
   WorkloadSpec spec = LagSpec();
   auto schema = MakeWorkloadSchemaPtr(spec);
   ASSERT_TRUE(schema.ok());
+  testing_util::ReferenceStore reference(*schema, LagOptions());
+  StreamGenerator reference_gen(spec);
+  ASSERT_TRUE(reference.IngestBatch(reference_gen.GenerateStream()).ok());
+  ASSERT_TRUE(reference.SealThrough(spec.series_length - 1).ok());
+  auto want = reference.ComputeCube(0, 2);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
 
   std::vector<RegressionCube> cubes;
   for (int shards : {1, 2, 8}) {
@@ -120,13 +126,11 @@ TEST(IncrementalCubeTest, MatchesAllLocksOracleAcrossShardCounts) {
     ASSERT_TRUE(engine.IngestBatch(gen.GenerateStream()).ok());
     ASSERT_TRUE(engine.SealThrough(spec.series_length - 1).ok());
 
-    // Barrier-style flow: everyone is at one clock, so the all-locks
-    // oracle's align is a no-op and all three doors must agree bitwise.
+    // The maintained cube, the from-scratch cube over the engine's own
+    // gather and the reference store's cube must agree bitwise.
     auto maintained = engine.ComputeCubeShared(0, 2);
     ASSERT_TRUE(maintained.ok()) << maintained.status().ToString();
-    auto locked = engine.ComputeCubeAllLocks(0, 2);
-    ASSERT_TRUE(locked.ok()) << locked.status().ToString();
-    ExpectCubesIdentical(*locked, **maintained);
+    ExpectCubesIdentical(*want, **maintained);
     RegressionCube scratch = ScratchCube(*schema, engine, LagOptions(), 0, 2);
     ExpectCubesIdentical(scratch, **maintained);
     cubes.push_back((**maintained).Clone());

@@ -6,10 +6,8 @@
 #include <memory>
 
 #include "gtest/gtest.h"
-#include "regcube/core/mo_cubing.h"
-#include "regcube/core/popular_path.h"
-#include "regcube/core/query.h"
-#include "regcube/core/stream_engine.h"
+#include "reference_store.h"
+#include "regcube/api/regcube.h"
 #include "test_util.h"
 
 namespace regcube {
@@ -144,11 +142,14 @@ TEST(EndToEndTest, OnlineEngineMatchesBatchOverPowerGridSchema) {
   ASSERT_TRUE(schema_result.ok());
   auto schema = std::make_shared<CubeSchema>(std::move(schema_result).value());
 
-  StreamCubeEngine::Options options;
-  options.tilt_policy = MakeUniformTiltPolicy(
-      {{"quarter", 4}, {"hour", 24}}, {15, 60});  // minute ticks
-  options.policy = ExceptionPolicy(0.001);
-  StreamCubeEngine engine(schema, options);
+  auto built = EngineBuilder()
+                   .SetSchema(schema)
+                   .SetTiltPolicy(MakeUniformTiltPolicy(
+                       {{"quarter", 4}, {"hour", 24}}, {15, 60}))  // minutes
+                   .SetExceptionPolicy(ExceptionPolicy(0.001))
+                   .Build();
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  Engine engine = std::move(built).value();
 
   // 3 user-groups x 8 blocks of synthetic usage for 4 hours of minutes.
   Pcg32 rng(17);
@@ -176,7 +177,7 @@ TEST(EndToEndTest, OnlineEngineMatchesBatchOverPowerGridSchema) {
   EXPECT_EQ(cube->m_layer().size(), 24u);
 
   // The observation deck exposes per-city hourly series.
-  auto deck = engine.ObservationDeck(1);
+  auto deck = engine.TakeSnapshot()->ObservationDeck(1);
   ASSERT_TRUE(deck.ok());
   EXPECT_EQ(deck->size(), 2u);
   for (const auto& [key, series] : *deck) {
@@ -188,7 +189,8 @@ TEST(EndToEndTest, OnlineEngineMatchesBatchOverPowerGridSchema) {
 
 TEST(EndToEndTest, IncrementalRecomputeIsConsistentAcrossBatches) {
   // Ingest in 4 batches; after each, the cube over the full sealed window
-  // must equal a batch computation over a fresh engine fed the same data.
+  // must equal the reference store's from-scratch cube over a fresh store
+  // fed the same data.
   WorkloadSpec spec;
   spec.num_dims = 2;
   spec.num_levels = 2;
@@ -205,7 +207,13 @@ TEST(EndToEndTest, IncrementalRecomputeIsConsistentAcrossBatches) {
   options.tilt_policy =
       MakeUniformTiltPolicy({{"q", 8}, {"h", 8}}, {4, 8});
   options.policy = ExceptionPolicy(0.02);
-  StreamCubeEngine incremental(*schema, options);
+  auto built = EngineBuilder()
+                   .SetSchema(*schema)
+                   .SetTiltPolicy(options.tilt_policy)
+                   .SetExceptionPolicy(options.policy)
+                   .Build();
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  Engine incremental = std::move(built).value();
 
   const size_t batch = stream.size() / 4;
   for (int b = 0; b < 4; ++b) {
@@ -217,7 +225,7 @@ TEST(EndToEndTest, IncrementalRecomputeIsConsistentAcrossBatches) {
     const TimeTick sealed = stream[end - 1].tick;
     ASSERT_TRUE(incremental.SealThrough(sealed).ok());
 
-    StreamCubeEngine fresh(*schema, options);
+    testing_util::ReferenceStore fresh(*schema, options);
     for (size_t i = 0; i < end; ++i) ASSERT_TRUE(fresh.Ingest(stream[i]).ok());
     ASSERT_TRUE(fresh.SealThrough(sealed).ok());
 

@@ -1,6 +1,6 @@
 // Member-index contracts: the ingest-maintained per-cuboid roll-up index
-// behind sublinear point queries must be bit-identical to the retained
-// O(cells) scan path (PointLookup::kScan) across shard counts {1, 2, 8}
+// behind sublinear point queries must be bit-identical to the reference
+// store's O(cells) project-every-key scan across shard counts {1, 2, 8}
 // under randomized churn; it must stay coherent across seals, window-epoch
 // rolls and brand-new cells (activation backfills the population, ingest
 // maintains it from then on); the seeded per-cuboid node indexes the cube
@@ -34,6 +34,7 @@ using equivalence::ExpectMemberGathersIdentical;
 using equivalence::Key2;
 using equivalence::SmallTiltPolicy;
 using equivalence::UnusedMLayerKey;
+using testing_util::ReferenceStore;
 
 WorkloadSpec IndexSpec(std::int64_t tuples = 120, std::int64_t ticks = 16) {
   return ChurnWorkload(tuples, ticks, /*seed=*/59);
@@ -41,29 +42,26 @@ WorkloadSpec IndexSpec(std::int64_t tuples = 120, std::int64_t ticks = 16) {
 
 /// Probes every cuboid of the lattice with a handful of keys — present
 /// members, a key matching zero members, and both critical layers — and
-/// checks the indexed gather against the scan oracle bit for bit, plus the
-/// engine's point queries against kernels over a full-snapshot scan.
+/// checks the indexed gather against the reference store's scan bit for
+/// bit, plus the engine's point queries against the store's.
 void ExpectIndexMatchesScanEverywhere(ShardedStreamEngine& engine,
+                                      const ReferenceStore& reference,
                                       StreamGenerator& gen, int num_levels) {
   const CuboidLattice& lattice = engine.lattice();
   const CellKey missing = UnusedMLayerKey(gen);
-  auto full =
-      engine.GatherAlignedCells(ShardedStreamEngine::GatherMode::kFull);
   for (CuboidId c = 0; c < lattice.num_cuboids(); ++c) {
     for (const CellKey& m_key :
          {gen.cells()[0].key, gen.cells()[gen.cells().size() / 2].key,
           missing}) {
       const CellKey key = lattice.ProjectMLayerKey(m_key, c);
-      auto indexed = engine.GatherCellsMatching(c, key);
-      auto scanned =
-          engine.GatherCellsMatching(c, key, PointLookup::kScan);
-      ExpectMemberGathersIdentical(indexed, scanned, num_levels);
+      ExpectMemberGathersIdentical(engine.GatherCellsMatching(c, key),
+                                   reference.GatherMatching(c, key),
+                                   num_levels);
 
-      // The public point queries must agree with the snapshot kernels
-      // over the copy-everything gather (same canonical operand order, so
-      // bitwise — not merely close).
+      // The public point queries must agree with the store's (same
+      // canonical operand order, so bitwise — not merely close).
       auto member_cell = engine.QueryCell(c, key, 0, 2);
-      auto scan_cell = SnapshotCellOf(*full.cells, lattice, c, key, 0, 2);
+      auto scan_cell = reference.QueryCell(c, key, 0, 2);
       ASSERT_EQ(member_cell.ok(), scan_cell.ok()) << key.ToString();
       if (member_cell.ok()) {
         EXPECT_EQ(*member_cell, *scan_cell) << key.ToString();
@@ -71,8 +69,7 @@ void ExpectIndexMatchesScanEverywhere(ShardedStreamEngine& engine,
         EXPECT_EQ(member_cell.status().code(), scan_cell.status().code());
       }
       auto member_series = engine.QueryCellSeries(c, key, 1);
-      auto scan_series =
-          SnapshotCellSeriesOf(*full.cells, lattice, num_levels, c, key, 1);
+      auto scan_series = reference.QueryCellSeries(c, key, 1);
       ASSERT_EQ(member_series.ok(), scan_series.ok());
       if (member_series.ok()) {
         EXPECT_EQ(*member_series, *scan_series);
@@ -103,6 +100,17 @@ TEST(MemberIndexTest, IndexedGatherMatchesScanUnderRandomizedChurn) {
   plan.fresh_round = 2;
   plan.fresh_key = Key2(15, 15);
 
+  // The reference store after the seed and after each churn round (the
+  // plan's writes are a pure function of its seed).
+  ReferenceStore reference(*schema, ChurnEngineOptions());
+  ASSERT_TRUE(reference.IngestBatch(stream).ok());
+  ASSERT_TRUE(reference.SealThrough(spec.series_length - 1).ok());
+  const ReferenceStore seeded = reference;
+  std::vector<ReferenceStore> after_round;
+  equivalence::RunChurnRounds(reference, gen.cells(), plan, [&](int) {
+    after_round.push_back(reference);
+  });
+
   for (int shards : {1, 2, 8}) {
     auto pool = std::make_shared<ThreadPool>(3);
     ShardedStreamEngine engine(*schema, ChurnEngineOptions(), shards, pool);
@@ -111,9 +119,10 @@ TEST(MemberIndexTest, IndexedGatherMatchesScanUnderRandomizedChurn) {
 
     // Pre-churn probe activates every cuboid's map, so the churn rounds
     // exercise the maintained (not freshly built) index.
-    ExpectIndexMatchesScanEverywhere(engine, gen, num_levels);
-    equivalence::RunChurnRounds(engine, gen.cells(), plan, [&](int) {
-      ExpectIndexMatchesScanEverywhere(engine, gen, num_levels);
+    ExpectIndexMatchesScanEverywhere(engine, seeded, gen, num_levels);
+    equivalence::RunChurnRounds(engine, gen.cells(), plan, [&](int round) {
+      ExpectIndexMatchesScanEverywhere(
+          engine, after_round[static_cast<size_t>(round)], gen, num_levels);
     });
   }
 }
@@ -124,8 +133,18 @@ TEST(MemberIndexTest, IndexStaysCoherentAcrossSealsAndEpochRolls) {
   ASSERT_TRUE(schema.ok());
   StreamGenerator gen(spec);
   ShardedStreamEngine engine(*schema, ChurnEngineOptions(), 4);
-  ASSERT_TRUE(engine.IngestBatch(gen.GenerateStream()).ok());
-  ASSERT_TRUE(engine.SealThrough(spec.series_length - 1).ok());
+  ReferenceStore reference(*schema, ChurnEngineOptions());
+  // Every write and seal goes to both.
+  auto ingest = [&](const StreamTuple& tuple) {
+    ASSERT_TRUE(engine.Ingest(tuple).ok());
+    ASSERT_TRUE(reference.Ingest(tuple).ok());
+  };
+  auto seal = [&](TimeTick t) {
+    ASSERT_TRUE(engine.SealThrough(t).ok());
+    ASSERT_TRUE(reference.SealThrough(t).ok());
+  };
+  for (const StreamTuple& tuple : gen.GenerateStream()) ingest(tuple);
+  seal(spec.series_length - 1);
 
   const CuboidLattice& lattice = engine.lattice();
   const CuboidId o_id = lattice.o_layer_id();
@@ -137,18 +156,15 @@ TEST(MemberIndexTest, IndexStaysCoherentAcrossSealsAndEpochRolls) {
 
   // Late data into the open unit must be visible through the index path
   // immediately (member states are live; frozen blocks refresh per cell).
-  ASSERT_TRUE(
-      engine.Ingest({gen.cells()[0].key, spec.series_length, 9.0}).ok());
+  ingest({gen.cells()[0].key, spec.series_length, 9.0});
   auto after_write = engine.QueryCell(o_id, o_key, 0, 2);
   ASSERT_TRUE(after_write.ok());
 
   // An epoch roll (seal across the quarter boundary) moves every member's
-  // window; the indexed answer must track the scan oracle bit for bit.
-  ASSERT_TRUE(engine.SealThrough(spec.series_length + 4).ok());
-  auto rolled = engine.GatherCellsMatching(o_id, o_key);
-  auto rolled_scan =
-      engine.GatherCellsMatching(o_id, o_key, PointLookup::kScan);
-  ExpectMemberGathersIdentical(rolled, rolled_scan, 2);
+  // window; the indexed answer must track the reference scan bit for bit.
+  seal(spec.series_length + 4);
+  ExpectMemberGathersIdentical(engine.GatherCellsMatching(o_id, o_key),
+                               reference.GatherMatching(o_id, o_key), 2);
   auto after_roll = engine.QueryCell(o_id, o_key, 0, 2);
   ASSERT_TRUE(after_roll.ok());
   EXPECT_FALSE(*after_roll == *before)
@@ -159,17 +175,15 @@ TEST(MemberIndexTest, IndexStaysCoherentAcrossSealsAndEpochRolls) {
   // parent gains a member without any rebuild.
   const CellKey fresh = equivalence::FreshKeyOutside(gen, 16);
   const CellKey fresh_o = lattice.ProjectMLayerKey(fresh, o_id);
-  auto no_member =
-      engine.GatherCellsMatching(o_id, fresh_o, PointLookup::kScan);
   const size_t members_before =
       engine.GatherCellsMatching(o_id, fresh_o).cells.size();
-  EXPECT_EQ(members_before, no_member.cells.size());
-  ASSERT_TRUE(engine.Ingest({fresh, spec.series_length + 5, 1.0}).ok());
+  EXPECT_EQ(members_before,
+            reference.GatherMatching(o_id, fresh_o).cells.size());
+  ingest({fresh, spec.series_length + 5, 1.0});
   auto grown = engine.GatherCellsMatching(o_id, fresh_o);
-  auto grown_scan =
-      engine.GatherCellsMatching(o_id, fresh_o, PointLookup::kScan);
   EXPECT_EQ(grown.cells.size(), members_before + 1);
-  ExpectMemberGathersIdentical(grown, grown_scan, 2);
+  ExpectMemberGathersIdentical(grown, reference.GatherMatching(o_id, fresh_o),
+                               2);
 }
 
 // ----------------------------------------------------- seeded node indexes
@@ -319,30 +333,24 @@ TEST(MemberIndexTest, OutOfRangeCuboidReturnsTypedError) {
   ASSERT_TRUE(schema.ok());
   StreamGenerator gen(spec);
 
-  // Single engine: typed Status, not an RC_CHECK abort — on the empty
-  // engine (cuboid validation precedes the no-data check) and after data.
-  StreamCubeEngine single(*schema, ChurnEngineOptions());
+  // Typed Status, not an RC_CHECK abort — on the empty engine (cuboid
+  // validation precedes the no-data check) and after data.
+  ShardedStreamEngine sharded(*schema, ChurnEngineOptions(), 4);
   const CuboidId past_end = CuboidLattice(**schema).num_cuboids();
-  EXPECT_EQ(single.QueryCell(past_end, CellKey(2), 0, 2).status().code(),
+  EXPECT_EQ(sharded.QueryCell(past_end, CellKey(2), 0, 2).status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(single.QueryCell(-1, CellKey(2), 0, 2).status().code(),
+  EXPECT_EQ(sharded.QueryCell(-1, CellKey(2), 0, 2).status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(single.QueryCellSeries(past_end, CellKey(2), 0).status().code(),
+  EXPECT_EQ(sharded.QueryCellSeries(past_end, CellKey(2), 0).status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(single.QueryCell(0, CellKey(2), 0, 2).status().code(),
+  EXPECT_EQ(sharded.QueryCell(0, CellKey(2), 0, 2).status().code(),
             StatusCode::kFailedPrecondition);
-  ASSERT_TRUE(single.IngestBatch(gen.GenerateStream()).ok());
-  ASSERT_TRUE(single.SealThrough(spec.series_length - 1).ok());
-  EXPECT_EQ(single.QueryCell(past_end, CellKey(2), 0, 2).status().code(),
+  ASSERT_TRUE(sharded.IngestBatch(gen.GenerateStream()).ok());
+  ASSERT_TRUE(sharded.SealThrough(spec.series_length - 1).ok());
+  EXPECT_EQ(sharded.QueryCell(past_end, CellKey(2), 0, 2).status().code(),
             StatusCode::kInvalidArgument);
   // Bad level on the series query is typed too.
-  EXPECT_EQ(single.QueryCellSeries(0, CellKey(2), 99).status().code(),
-            StatusCode::kInvalidArgument);
-
-  // Sharded engine keeps the same contract through the indexed path.
-  ShardedStreamEngine sharded(*schema, ChurnEngineOptions(), 4);
-  ASSERT_TRUE(sharded.IngestBatch(gen.GenerateStream()).ok());
-  EXPECT_EQ(sharded.QueryCell(past_end, CellKey(2), 0, 2).status().code(),
+  EXPECT_EQ(sharded.QueryCellSeries(0, CellKey(2), 99).status().code(),
             StatusCode::kInvalidArgument);
 }
 
@@ -422,10 +430,25 @@ TEST(MemberIndexTest, ConcurrentIngestAndPointQueriesAreRaceFree) {
   stop.store(true, std::memory_order_relaxed);
   for (std::thread& r : readers) r.join();
 
-  // Quiesced end state: indexed and scan paths still agree bit for bit.
-  auto indexed = engine.GatherCellsMatching(o_id, o_key);
-  auto scanned = engine.GatherCellsMatching(o_id, o_key, PointLookup::kScan);
-  ExpectMemberGathersIdentical(indexed, scanned, 2);
+  // Quiesced end state: the indexed gather equals the reference store's
+  // scan after the same writes (each cell had one writer, so replaying them
+  // round by round preserves every cell's tick order).
+  ReferenceStore reference(*schema, ChurnEngineOptions());
+  ASSERT_TRUE(reference.IngestBatch(gen.GenerateStream()).ok());
+  ASSERT_TRUE(reference.SealThrough(spec.series_length - 1).ok());
+  for (int round = 0; round < kRounds; ++round) {
+    const TimeTick tick = spec.series_length + round;
+    for (const auto& cell : cells) {
+      ASSERT_TRUE(reference.Ingest({cell.key, tick, 2.0}).ok());
+    }
+    if (static_cast<size_t>(round) < fresh_keys.size()) {
+      ASSERT_TRUE(
+          reference.Ingest({fresh_keys[static_cast<size_t>(round)], tick, 1.0})
+              .ok());
+    }
+  }
+  ExpectMemberGathersIdentical(engine.GatherCellsMatching(o_id, o_key),
+                               reference.GatherMatching(o_id, o_key), 2);
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // ShardedStreamEngine contract tests: shard-count invariance (results for
-// N in {1, 2, 8} shards are identical on the same stream — not merely
-// close) and deterministic concurrent ingest. Comparators and the shared
-// engine defaults come from the equivalence harness
-// (tests/equivalence_harness.h); shard invariance is a determinism claim,
-// so every comparison is bitwise.
+// N in {1, 2, 8} shards are identical to the reference store fed the same
+// stream — not merely close) and deterministic concurrent ingest.
+// Comparators, the reference store and the shared engine defaults come
+// from the equivalence harness (tests/equivalence_harness.h); shard
+// invariance is a determinism claim, so every comparison is bitwise.
 
 #include "regcube/core/sharded_engine.h"
 
@@ -21,8 +21,9 @@ namespace {
 
 using equivalence::ChurnEngineOptions;
 using equivalence::ChurnWorkload;
-using equivalence::ExpectCellMapsIdentical;
-using testing_util::ExpectIsbNear;
+using equivalence::ExpectCubesIdentical;
+using equivalence::ExpectGathersIdentical;
+using testing_util::ReferenceStore;
 
 WorkloadSpec ShardSpec(std::int64_t tuples = 60, std::int64_t ticks = 32) {
   return ChurnWorkload(tuples, ticks, /*seed=*/17, /*fanout=*/3);
@@ -46,62 +47,59 @@ std::unique_ptr<ShardedStreamEngine> MakeSealed(const WorkloadSpec& spec,
   return engine;
 }
 
+/// The reference store fed the same sealed stream.
+ReferenceStore MakeSealedReference(const WorkloadSpec& spec) {
+  auto schema = MakeWorkloadSchemaPtr(spec);
+  EXPECT_TRUE(schema.ok());
+  ReferenceStore reference(*schema, ShardOptions());
+  StreamGenerator gen(spec);
+  EXPECT_TRUE(reference.IngestBatch(gen.GenerateStream()).ok());
+  EXPECT_TRUE(reference.SealThrough(spec.series_length - 1).ok());
+  return reference;
+}
+
 TEST(ShardedEngineTest, CubeIdenticalAcrossShardCounts) {
   WorkloadSpec spec = ShardSpec();
-  auto reference = MakeSealed(spec, 1);
-  auto ref_cube = reference->ComputeCube(0, 8);
+  const ReferenceStore reference = MakeSealedReference(spec);
+  auto ref_cube = reference.ComputeCube(0, 8);
   ASSERT_TRUE(ref_cube.ok()) << ref_cube.status().ToString();
 
-  for (int shards : {2, 8}) {
+  for (int shards : {1, 2, 8}) {
     auto engine = MakeSealed(spec, shards);
     EXPECT_EQ(engine->num_shards(), shards);
-    EXPECT_EQ(engine->num_cells(), reference->num_cells());
+    EXPECT_EQ(engine->num_cells(), reference.num_cells());
     auto cube = engine->ComputeCube(0, 8);
     ASSERT_TRUE(cube.ok()) << cube.status().ToString();
-
-    ExpectCellMapsIdentical(ref_cube->m_layer(), cube->m_layer());
-    ExpectCellMapsIdentical(ref_cube->o_layer(), cube->o_layer());
-    EXPECT_EQ(ref_cube->exceptions().total_cells(),
-              cube->exceptions().total_cells());
-    for (CuboidId c : ref_cube->exceptions().Cuboids()) {
-      const CellMap* expected = ref_cube->exceptions().CellsOf(c);
-      const CellMap* actual = cube->exceptions().CellsOf(c);
-      ASSERT_NE(actual, nullptr) << "cuboid " << c;
-      ExpectCellMapsIdentical(*expected, *actual);
-    }
+    ExpectCubesIdentical(*ref_cube, *cube);
   }
 }
 
 TEST(ShardedEngineTest, QueriesIdenticalAcrossShardCounts) {
   WorkloadSpec spec = ShardSpec();
-  auto reference = MakeSealed(spec, 1);
-  const CuboidLattice& lattice = reference->lattice();
+  const ReferenceStore reference = MakeSealedReference(spec);
+  const CuboidLattice& lattice = reference.lattice();
+  const int num_levels = ShardOptions().tilt_policy->num_levels();
 
-  auto ref_window = reference->SnapshotWindow(0, 8);
-  ASSERT_TRUE(ref_window.ok());
-  auto ref_deck = reference->ObservationDeck(1);
+  auto ref_deck = reference.ObservationDeck(1);
   ASSERT_TRUE(ref_deck.ok());
-  auto ref_changes = reference->DetectTrendChanges(0, 0.02);
+  auto ref_changes = reference.DetectTrendChanges(0, 0.02);
   ASSERT_TRUE(ref_changes.ok());
 
   StreamGenerator gen(spec);
   const CellKey o_key =
       lattice.ProjectMLayerKey(gen.cells()[0].key, lattice.o_layer_id());
-  auto ref_cell = reference->QueryCell(lattice.o_layer_id(), o_key, 0, 8);
+  auto ref_cell = reference.QueryCell(lattice.o_layer_id(), o_key, 0, 8);
   ASSERT_TRUE(ref_cell.ok());
-  auto ref_series = reference->QueryCellSeries(lattice.o_layer_id(), o_key, 1);
+  auto ref_series = reference.QueryCellSeries(lattice.o_layer_id(), o_key, 1);
   ASSERT_TRUE(ref_series.ok());
 
-  for (int shards : {2, 8}) {
+  for (int shards : {1, 2, 8}) {
     auto engine = MakeSealed(spec, shards);
 
-    auto window = engine->SnapshotWindow(0, 8);
-    ASSERT_TRUE(window.ok());
-    ASSERT_EQ(window->size(), ref_window->size());
-    for (size_t i = 0; i < window->size(); ++i) {
-      EXPECT_EQ((*ref_window)[i].key, (*window)[i].key);
-      EXPECT_EQ((*ref_window)[i].measure, (*window)[i].measure);
-    }
+    // The gather carries every slot of every level: the window, deck and
+    // trend reads are pure functions of it.
+    const auto gathered = engine->GatherAlignedCells();
+    ExpectGathersIdentical(gathered, reference.Gather(), num_levels);
 
     auto cell = engine->QueryCell(lattice.o_layer_id(), o_key, 0, 8);
     ASSERT_TRUE(cell.ok());
@@ -111,16 +109,12 @@ TEST(ShardedEngineTest, QueriesIdenticalAcrossShardCounts) {
     ASSERT_TRUE(series.ok());
     EXPECT_EQ(*ref_series, *series);
 
-    auto deck = engine->ObservationDeck(1);
+    auto deck = SnapshotDeckOf(*gathered.cells, lattice, num_levels, 1);
     ASSERT_TRUE(deck.ok());
-    ASSERT_EQ(deck->size(), ref_deck->size());
-    for (const auto& [key, expected] : *ref_deck) {
-      auto it = deck->find(key);
-      ASSERT_NE(it, deck->end());
-      EXPECT_EQ(expected, it->second);
-    }
+    EXPECT_EQ(*ref_deck, *deck);
 
-    auto changes = engine->DetectTrendChanges(0, 0.02);
+    auto changes = SnapshotTrendChangesOf(*gathered.cells, lattice,
+                                          num_levels, 0, 0.02);
     ASSERT_TRUE(changes.ok());
     ASSERT_EQ(changes->size(), ref_changes->size());
     for (size_t i = 0; i < changes->size(); ++i) {
@@ -131,32 +125,6 @@ TEST(ShardedEngineTest, QueriesIdenticalAcrossShardCounts) {
   }
 }
 
-TEST(ShardedEngineTest, MatchesSingleEngineWithinTolerance) {
-  // Against the unsharded legacy engine the contract is numerical (the
-  // reduction order differs), not bitwise.
-  WorkloadSpec spec = ShardSpec();
-  auto schema = MakeWorkloadSchemaPtr(spec);
-  ASSERT_TRUE(schema.ok());
-  StreamCubeEngine single(*schema, ShardOptions());
-  StreamGenerator gen(spec);
-  ASSERT_TRUE(single.IngestBatch(gen.GenerateStream()).ok());
-  ASSERT_TRUE(single.SealThrough(spec.series_length - 1).ok());
-
-  auto sharded = MakeSealed(spec, 4);
-  auto single_cube = single.ComputeCube(0, 8);
-  auto sharded_cube = sharded->ComputeCube(0, 8);
-  ASSERT_TRUE(single_cube.ok());
-  ASSERT_TRUE(sharded_cube.ok());
-  ASSERT_EQ(single_cube->o_layer().size(), sharded_cube->o_layer().size());
-  for (const auto& [key, isb] : single_cube->o_layer()) {
-    auto it = sharded_cube->o_layer().find(key);
-    ASSERT_NE(it, sharded_cube->o_layer().end());
-    ExpectIsbNear(isb, it->second, 1e-9);
-  }
-  EXPECT_EQ(single_cube->exceptions().total_cells(),
-            sharded_cube->exceptions().total_cells());
-}
-
 TEST(ShardedEngineTest, ConcurrentIngestIsDeterministicAfterSeal) {
   WorkloadSpec spec = ShardSpec(/*tuples=*/80, /*ticks=*/32);
   auto schema = MakeWorkloadSchemaPtr(spec);
@@ -164,12 +132,8 @@ TEST(ShardedEngineTest, ConcurrentIngestIsDeterministicAfterSeal) {
   StreamGenerator gen(spec);
   const std::vector<StreamTuple> stream = gen.GenerateStream();
 
-  // Serial reference.
-  ShardedStreamEngine serial(*schema, ShardOptions(), 8);
-  ASSERT_TRUE(serial.IngestBatch(stream).ok());
-  ASSERT_TRUE(serial.SealThrough(spec.series_length - 1).ok());
-  auto serial_cube = serial.ComputeCube(0, 8);
-  ASSERT_TRUE(serial_cube.ok());
+  auto want = MakeSealedReference(spec).ComputeCube(0, 8);
+  ASSERT_TRUE(want.ok());
 
   // 4 writer threads, each owning a disjoint slice of the cells (so
   // per-cell tick order is preserved within its writer).
@@ -190,14 +154,11 @@ TEST(ShardedEngineTest, ConcurrentIngestIsDeterministicAfterSeal) {
     }
     for (std::thread& w : writers) w.join();
     ASSERT_TRUE(concurrent.SealThrough(spec.series_length - 1).ok());
-    EXPECT_EQ(concurrent.num_cells(), serial.num_cells());
+    EXPECT_EQ(concurrent.num_cells(), spec.num_tuples);
 
     auto cube = concurrent.ComputeCube(0, 8);
     ASSERT_TRUE(cube.ok()) << cube.status().ToString();
-    ExpectCellMapsIdentical(serial_cube->m_layer(), cube->m_layer());
-    ExpectCellMapsIdentical(serial_cube->o_layer(), cube->o_layer());
-    EXPECT_EQ(serial_cube->exceptions().total_cells(),
-              cube->exceptions().total_cells());
+    ExpectCubesIdentical(*want, *cube);
   }
 }
 
@@ -208,12 +169,6 @@ TEST(ShardedEngineTest, ConcurrentSingleTupleIngestAlsoDeterministic) {
   ASSERT_TRUE(schema.ok());
   StreamGenerator gen(spec);
   const std::vector<StreamTuple> stream = gen.GenerateStream();
-
-  ShardedStreamEngine serial(*schema, ShardOptions(), 4);
-  ASSERT_TRUE(serial.IngestBatch(stream).ok());
-  ASSERT_TRUE(serial.SealThrough(spec.series_length - 1).ok());
-  auto serial_window = serial.SnapshotWindow(0, 4);
-  ASSERT_TRUE(serial_window.ok());
 
   constexpr int kThreads = 4;
   ShardedStreamEngine concurrent(*schema, ShardOptions(), 4);
@@ -229,13 +184,9 @@ TEST(ShardedEngineTest, ConcurrentSingleTupleIngestAlsoDeterministic) {
   for (std::thread& w : writers) w.join();
   ASSERT_TRUE(concurrent.SealThrough(spec.series_length - 1).ok());
 
-  auto window = concurrent.SnapshotWindow(0, 4);
-  ASSERT_TRUE(window.ok());
-  ASSERT_EQ(window->size(), serial_window->size());
-  for (size_t i = 0; i < window->size(); ++i) {
-    EXPECT_EQ((*serial_window)[i].key, (*window)[i].key);
-    EXPECT_EQ((*serial_window)[i].measure, (*window)[i].measure);
-  }
+  ExpectGathersIdentical(concurrent.GatherAlignedCells(),
+                         MakeSealedReference(spec).Gather(),
+                         ShardOptions().tilt_policy->num_levels());
 }
 
 TEST(ShardedEngineTest, ErrorsSurfaceCleanly) {
@@ -245,9 +196,8 @@ TEST(ShardedEngineTest, ErrorsSurfaceCleanly) {
   ShardedStreamEngine engine(*schema, ShardOptions(), 4);
 
   // No data yet.
-  EXPECT_EQ(engine.SnapshotWindow(0, 1).status().code(),
+  EXPECT_EQ(engine.ComputeCube(0, 1).status().code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_FALSE(engine.ObservationDeck(0).ok());
 
   CellKey k(2);
   ASSERT_TRUE(engine.Ingest({k, 10, 1.0}).ok());
@@ -255,9 +205,9 @@ TEST(ShardedEngineTest, ErrorsSurfaceCleanly) {
   EXPECT_FALSE(engine.Ingest({k, 3, 1.0}).ok());
   // Too many slots requested.
   ASSERT_TRUE(engine.SealThrough(11).ok());
-  EXPECT_FALSE(engine.SnapshotWindow(0, 100).ok());
+  EXPECT_FALSE(engine.ComputeCube(0, 100).ok());
   // Bad tilt level and bad cuboid id.
-  EXPECT_EQ(engine.ObservationDeck(99).status().code(),
+  EXPECT_EQ(engine.ComputeCube(99, 1).status().code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(engine.QueryCell(-1, k, 0, 1).status().code(),
             StatusCode::kInvalidArgument);
@@ -283,7 +233,8 @@ TEST(ShardedEngineTest, LaggingShardAlignsToGlobalClock) {
     }
   }
   ASSERT_TRUE(engine.SealThrough(31).ok());
-  auto window = engine.SnapshotWindow(0, 8);  // full 32 ticks
+  auto gathered = engine.GatherAlignedCells();
+  auto window = SnapshotWindowOf(*gathered.cells, 0, 8);  // full 32 ticks
   ASSERT_TRUE(window.ok()) << window.status().ToString();
   ASSERT_EQ(window->size(), 2u);
   for (const MLayerTuple& t : *window) {

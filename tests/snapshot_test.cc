@@ -1,7 +1,7 @@
 // CubeSnapshot contract tests: a held snapshot is immune to concurrent
 // writers (also across a no-op seal and under a spilling budget),
-// snapshot results are bit-identical to the pre-redesign locked read path
-// for shard counts {1, 2, 8}, the facade memoizes snapshots by revision,
+// snapshot results are bit-identical to the reference store's reads
+// (tests/reference_store.h) for shard counts {1, 2, 8}, the facade memoizes snapshots by revision,
 // and IngestBatch reports the absorbed prefix on failure.
 
 #include "regcube/api/regcube.h"
@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "reference_store.h"
 #include "test_util.h"
 
 namespace regcube {
@@ -151,26 +152,29 @@ TEST(SnapshotTest, ResultsIdenticalAcrossShardCounts) {
   }
 }
 
-TEST(SnapshotTest, MatchesRetiredAllLocksReadPath) {
-  // The pre-redesign read (every shard lock held for the whole cubing run)
-  // survives as ComputeCubeAllLocks; the snapshot path must reproduce it
-  // bit for bit on the same engine, for every shard count.
+TEST(SnapshotTest, MatchesReferenceStoreCube) {
+  // The reference store cubes the plain way (copy every frame, align,
+  // regress, cube from scratch); the snapshot path must reproduce it bit
+  // for bit, for every shard count.
   WorkloadSpec spec = SnapSpec();
   auto schema = MakeWorkloadSchemaPtr(spec);
   ASSERT_TRUE(schema.ok());
   StreamGenerator gen(spec);
   const std::vector<StreamTuple> stream = gen.GenerateStream();
+  testing_util::ReferenceStore reference(*schema, ShardOptions());
+  ASSERT_TRUE(reference.IngestBatch(stream).ok());
+  ASSERT_TRUE(reference.SealThrough(spec.series_length - 1).ok());
+  auto want = reference.ComputeCube(0, 8);
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
   for (int shards : {1, 2, 8}) {
     auto pool = std::make_shared<ThreadPool>(3);
     ShardedStreamEngine engine(*schema, ShardOptions(), shards, pool);
     ASSERT_TRUE(engine.IngestBatch(stream).ok());
     ASSERT_TRUE(engine.SealThrough(spec.series_length - 1).ok());
 
-    auto locked = engine.ComputeCubeAllLocks(0, 8);
-    ASSERT_TRUE(locked.ok()) << locked.status().ToString();
     auto snapshot = engine.ComputeCube(0, 8);
     ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
-    ExpectCubesIdentical(*locked, *snapshot);
+    ExpectCubesIdentical(*want, *snapshot);
   }
 }
 
@@ -383,8 +387,8 @@ TEST(SnapshotTest, ReadsNoLongerForceSealLaggingWriters) {
   }
 
   // A read that aligns (its own copies) to tick 32...
-  auto window = engine.SnapshotWindow(0, 1);
-  ASSERT_TRUE(window.ok()) << window.status().ToString();
+  auto cube = engine.ComputeCube(0, 1);
+  ASSERT_TRUE(cube.ok()) << cube.status().ToString();
 
   // ...must not have sealed the live lagging cell past tick 8.
   EXPECT_TRUE(engine.Ingest({behind, 8, 3.0}).ok());

@@ -1,8 +1,18 @@
+// StreamCubeEngine — the per-shard write half of the on-line engine. It
+// has no read API of its own, so each test reads what it published
+// (RefreshPublishedRun, aligned to the engine clock the way a gather
+// aligns) through the snapshot_reads kernels every library read uses, and
+// checks the §4.5 semantics against direct fits of the raw series; the
+// write rules themselves are checked bit for bit against the reference
+// store (tests/reference_store.h).
+
 #include "regcube/core/stream_engine.h"
 
 #include <memory>
 
+#include "equivalence_harness.h"
 #include "gtest/gtest.h"
+#include "regcube/core/snapshot_reads.h"
 #include "regcube/gen/stream_generator.h"
 #include "test_util.h"
 
@@ -12,6 +22,22 @@ namespace {
 using testing_util::ExpectCellMapsEqual;
 using testing_util::ExpectIsbNear;
 using testing_util::MustFit;
+
+/// The engine's published run with every frame copied and advanced to the
+/// engine clock — the cells a gather of a one-shard engine reads.
+SnapshotCells AlignedRun(StreamCubeEngine& engine) {
+  StreamCubeEngine::FrozenSlice run;
+  const Status published = engine.RefreshPublishedRun(&run, nullptr);
+  EXPECT_TRUE(published.ok()) << published.ToString();
+  SnapshotCells cells;
+  if (run == nullptr) return cells;
+  for (const CellSnapshot& cell : *run) {
+    auto frame = std::make_shared<TiltTimeFrame>(*cell.frame);
+    EXPECT_TRUE(frame->AdvanceTo(engine.now()).ok());
+    cells.push_back({cell.key, std::move(frame)});
+  }
+  return cells;
+}
 
 std::shared_ptr<const TiltPolicy> SmallPolicy() {
   // quarter = 4 ticks, hour = 16 ticks.
@@ -43,7 +69,7 @@ TEST(StreamEngineTest, SnapshotMatchesDirectFitOfWindow) {
   EXPECT_EQ(engine.num_cells(), spec.num_tuples);
 
   // Window: last 8 sealed quarters = ticks [32, 64).
-  auto window = engine.SnapshotWindow(/*level=*/0, /*k=*/8);
+  auto window = SnapshotWindowOf(AlignedRun(engine), /*level=*/0, /*k=*/8);
   ASSERT_TRUE(window.ok()) << window.status().ToString();
   ASSERT_EQ(window->size(), static_cast<size_t>(spec.num_tuples));
 
@@ -75,10 +101,12 @@ TEST(StreamEngineTest, ComputeCubeMatchesBatchAlgorithm) {
   ASSERT_TRUE(engine.IngestBatch(gen.GenerateStream()).ok());
   ASSERT_TRUE(engine.SealThrough(31).ok());
 
-  auto cube = engine.ComputeCube(/*level=*/0, /*k=*/8);  // full 32 ticks
+  const SnapshotCells cells = AlignedRun(engine);
+  auto cube = SnapshotCubeOf(*schema, cells, options, /*level=*/0, /*k=*/8,
+                             nullptr);  // full 32 ticks
   ASSERT_TRUE(cube.ok()) << cube.status().ToString();
 
-  auto window = engine.SnapshotWindow(0, 8);
+  auto window = SnapshotWindowOf(cells, 0, 8);
   ASSERT_TRUE(window.ok());
   MoCubingOptions mo;
   mo.policy = ExceptionPolicy(0.02);
@@ -102,7 +130,8 @@ TEST(StreamEngineTest, PopularPathAlgorithmSelectable) {
   StreamCubeEngine engine(*schema, options);
   ASSERT_TRUE(engine.IngestBatch(gen.GenerateStream()).ok());
   ASSERT_TRUE(engine.SealThrough(31).ok());
-  auto cube = engine.ComputeCube(0, 4);
+  auto cube = SnapshotCubeOf(*schema, AlignedRun(engine), options, 0, 4,
+                             nullptr);
   ASSERT_TRUE(cube.ok()) << cube.status().ToString();
   EXPECT_FALSE(cube->o_layer().empty());
 }
@@ -119,7 +148,9 @@ TEST(StreamEngineTest, ObservationDeckAggregatesOLayer) {
   ASSERT_TRUE(engine.IngestBatch(gen.GenerateStream()).ok());
   ASSERT_TRUE(engine.SealThrough(31).ok());
 
-  auto deck = engine.ObservationDeck(/*level=*/1);  // hour slots (2 sealed)
+  auto deck = SnapshotDeckOf(AlignedRun(engine), engine.lattice(),
+                             /*num_levels=*/2,
+                             /*level=*/1);  // hour slots (2 sealed)
   ASSERT_TRUE(deck.ok()) << deck.status().ToString();
   ASSERT_FALSE(deck->empty());
 
@@ -172,7 +203,9 @@ TEST(StreamEngineTest, DetectTrendChangesFindsInjectedBreak) {
   }
   ASSERT_TRUE(engine.SealThrough(31).ok());
 
-  auto changes = engine.DetectTrendChanges(/*level=*/1, /*threshold=*/1.0);
+  auto changes = SnapshotTrendChangesOf(AlignedRun(engine), engine.lattice(),
+                                        /*num_levels=*/2, /*level=*/1,
+                                        /*threshold=*/1.0);
   ASSERT_TRUE(changes.ok()) << changes.status().ToString();
   ASSERT_EQ(changes->size(), 1u);
   EXPECT_EQ((*changes)[0].key, breaker);
@@ -206,7 +239,7 @@ TEST(StreamEngineTest, KeyMapperRollsPrimitiveKeysUp) {
   }
   ASSERT_TRUE(engine.SealThrough(7).ok());
   EXPECT_EQ(engine.num_cells(), 1);  // merged into one m-layer cell
-  auto window = engine.SnapshotWindow(0, 2);
+  auto window = SnapshotWindowOf(AlignedRun(engine), 0, 2);
   ASSERT_TRUE(window.ok());
   EXPECT_NEAR((*window)[0].measure.SeriesSum(), 8 * 3.0, 1e-9);
 }
@@ -219,10 +252,10 @@ TEST(StreamEngineTest, ErrorsSurfaceCleanly) {
   options.tilt_policy = SmallPolicy();
   StreamCubeEngine engine(*schema, options);
 
-  // No data yet.
-  EXPECT_EQ(engine.SnapshotWindow(0, 1).status().code(),
+  // No data yet: nothing published.
+  EXPECT_TRUE(AlignedRun(engine).empty());
+  EXPECT_EQ(SnapshotWindowOf(AlignedRun(engine), 0, 1).status().code(),
             StatusCode::kFailedPrecondition);
-  EXPECT_FALSE(engine.ObservationDeck(0).ok());
 
   CellKey k(2);
   ASSERT_TRUE(engine.Ingest({k, 10, 1.0}).ok());
@@ -230,7 +263,9 @@ TEST(StreamEngineTest, ErrorsSurfaceCleanly) {
   EXPECT_FALSE(engine.Ingest({k, 3, 1.0}).ok());
   // Too many slots requested.
   ASSERT_TRUE(engine.SealThrough(11).ok());
-  EXPECT_FALSE(engine.SnapshotWindow(0, 100).ok());
+  EXPECT_FALSE(SnapshotWindowOf(AlignedRun(engine), 0, 100).ok());
+  // A tick the seal closed is refused.
+  EXPECT_EQ(engine.Ingest({k, 11, 1.0}).code(), StatusCode::kOutOfRange);
 }
 
 TEST(StreamEngineTest, LateCellsBackfillWithZeros) {
@@ -254,7 +289,7 @@ TEST(StreamEngineTest, LateCellsBackfillWithZeros) {
     }
   }
   ASSERT_TRUE(engine.SealThrough(31).ok());
-  auto window = engine.SnapshotWindow(0, 8);  // full 32 ticks
+  auto window = SnapshotWindowOf(AlignedRun(engine), 0, 8);  // 32 ticks
   ASSERT_TRUE(window.ok()) << window.status().ToString();
   ASSERT_EQ(window->size(), 2u);
   for (const MLayerTuple& t : *window) {
@@ -279,16 +314,17 @@ TEST(StreamEngineTest, QueryCellMatchesCubeCells) {
   ASSERT_TRUE(engine.IngestBatch(gen.GenerateStream()).ok());
   ASSERT_TRUE(engine.SealThrough(31).ok());
 
-  auto cube = engine.ComputeCube(0, 8);
+  const SnapshotCells cells = AlignedRun(engine);
+  auto cube = SnapshotCubeOf(*schema, cells, options, 0, 8, nullptr);
   ASSERT_TRUE(cube.ok());
   const CuboidLattice& lattice = engine.lattice();
 
   // Every retained cell of every cuboid must equal the on-the-fly query.
   for (CuboidId c = 0; c < lattice.num_cuboids(); ++c) {
-    const CellMap* cells = cube->CellsAt(c);
-    if (cells == nullptr) continue;
-    for (const auto& [key, isb] : *cells) {
-      auto queried = engine.QueryCell(c, key, 0, 8);
+    const CellMap* retained = cube->CellsAt(c);
+    if (retained == nullptr) continue;
+    for (const auto& [key, isb] : *retained) {
+      auto queried = SnapshotCellOf(cells, lattice, c, key, 0, 8);
       ASSERT_TRUE(queried.ok()) << queried.status().ToString();
       ExpectIsbNear(isb, *queried, 1e-8);
     }
@@ -298,7 +334,7 @@ TEST(StreamEngineTest, QueryCellMatchesCubeCells) {
   CellKey bogus(2);
   bogus.set(0, 7);
   bogus.set(1, 7);
-  EXPECT_EQ(engine.QueryCell(lattice.o_layer_id(), bogus, 0, 8)
+  EXPECT_EQ(SnapshotCellOf(cells, lattice, lattice.o_layer_id(), bogus, 0, 8)
                 .status()
                 .code(),
             StatusCode::kNotFound);
@@ -319,14 +355,62 @@ TEST(StreamEngineTest, QueryCellSeriesMatchesPerSlotQueries) {
   const CuboidLattice& lattice = engine.lattice();
   const CellKey o_key =
       lattice.ProjectMLayerKey(gen.cells()[0].key, lattice.o_layer_id());
-  auto series = engine.QueryCellSeries(lattice.o_layer_id(), o_key, 1);
+  const SnapshotCells cells = AlignedRun(engine);
+  auto series = SnapshotCellSeriesOf(cells, lattice, /*num_levels=*/2,
+                                     lattice.o_layer_id(), o_key, 1);
   ASSERT_TRUE(series.ok()) << series.status().ToString();
   ASSERT_EQ(series->size(), 2u);  // two sealed hours
 
   // The last element must match QueryCell over k=1.
-  auto last = engine.QueryCell(lattice.o_layer_id(), o_key, 1, 1);
+  auto last = SnapshotCellOf(cells, lattice, lattice.o_layer_id(), o_key, 1, 1);
   ASSERT_TRUE(last.ok());
   ExpectIsbNear(*last, series->back(), 1e-12);
+}
+
+TEST(StreamEngineTest, PublishedRunMatchesReferenceStoreWriteRules) {
+  // The reference store is only an oracle if it writes like the engine:
+  // the key mapper runs first, a refused Add still creates its cell, and a
+  // frame catches up to the seal clock before its Add (so a cell created
+  // or left behind after a seal refuses a sealed tick too).
+  const WorkloadSpec spec = equivalence::ChurnWorkload(40, 16, /*seed=*/5);
+  auto schema = MakeWorkloadSchemaPtr(spec);
+  ASSERT_TRUE(schema.ok());
+  StreamCubeEngine::Options options = equivalence::ChurnEngineOptions();
+  options.key_mapper = [](const CellKey& primitive) {
+    return equivalence::Key2(primitive[0], primitive[1] / 2);
+  };
+  StreamCubeEngine engine(*schema, options);
+  testing_util::ReferenceStore reference(*schema, options);
+  auto both = [&](const StreamTuple& tuple) {
+    const Status engine_status = engine.Ingest(tuple);
+    EXPECT_EQ(engine_status.code(), reference.Ingest(tuple).code())
+        << tuple.key.ToString() << " at " << tuple.tick;
+    return engine_status;
+  };
+
+  StreamGenerator gen(spec);
+  for (const StreamTuple& tuple : gen.GenerateStream()) {
+    ASSERT_TRUE(both(tuple).ok());
+  }
+  ASSERT_TRUE(engine.SealThrough(spec.series_length + 2).ok());
+  ASSERT_TRUE(reference.SealThrough(spec.series_length + 2).ok());
+
+  // A brand-new cell behind the seal: refused, but created.
+  const CellKey fresh = equivalence::FreshKeyOutside(gen, 16);
+  EXPECT_EQ(both({fresh, spec.series_length, 1.0}).code(),
+            StatusCode::kOutOfRange);
+  // An existing cell behind the seal is refused as well; ahead of it, a
+  // write lands after the catch-up.
+  EXPECT_EQ(both({gen.cells()[0].key, spec.series_length + 1, 1.0}).code(),
+            StatusCode::kOutOfRange);
+  EXPECT_TRUE(both({gen.cells()[0].key, spec.series_length + 5, 2.0}).ok());
+  EXPECT_TRUE(both({fresh, spec.series_length + 6, 3.0}).ok());
+
+  EXPECT_EQ(engine.num_cells(), reference.num_cells());
+  EXPECT_EQ(engine.now(), reference.now());
+  equivalence::ExpectCellRunsIdentical(
+      AlignedRun(engine), *reference.Gather().cells,
+      options.tilt_policy->num_levels());
 }
 
 TEST(StreamEngineTest, MemoryBytesBoundedByTiltFrames) {
