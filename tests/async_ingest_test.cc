@@ -200,8 +200,9 @@ TEST(AsyncIngestEquivalence, ChurnPlusFlushMatchesSyncAcrossShardCounts) {
   plan.fresh_key = FreshKeyOutside(gen, 4);
 
   ReferenceStore oracle(*schema, ChurnEngineOptions());
-  RunChurnRounds(oracle, gen.cells(), plan, [](int) {});
-  const auto expected = oracle.Gather();
+  std::vector<ShardedStreamEngine::GatheredCells> want;
+  RunChurnRounds(oracle, gen.cells(), plan,
+                 [&](int) { want.push_back(oracle.Gather()); });
   auto expected_cube = oracle.ComputeCube(0, 3);
   ASSERT_TRUE(expected_cube.ok()) << expected_cube.status().ToString();
 
@@ -209,14 +210,17 @@ TEST(AsyncIngestEquivalence, ChurnPlusFlushMatchesSyncAcrossShardCounts) {
     SCOPED_TRACE(shards);
     ShardedStreamEngine engine(*schema, ChurnEngineOptions(), shards,
                                nullptr, AsyncConfig(/*capacity=*/8));
-    RunChurnRounds(engine, gen.cells(), plan, [&engine](int) {
+    RunChurnRounds(engine, gen.cells(), plan, [&](int round) {
       // Round barrier: everything this round accepted must be absorbed
       // (and any absorb error surfaced) before the next round's writes.
+      // Gathering every round makes each later publish a patch of the
+      // cells the owner threads absorbed since.
       ASSERT_TRUE(engine.Flush().ok());
+      ExpectGathersIdentical(engine.GatherAlignedCells(),
+                             want[static_cast<size_t>(round)], 2);
     });
     ASSERT_TRUE(engine.Flush().ok());
 
-    ExpectGathersIdentical(engine.GatherAlignedCells(), expected, 2);
     auto cube = engine.ComputeCubeShared(0, 3);
     ASSERT_TRUE(cube.ok()) << cube.status().ToString();
     ExpectCubesIdentical(*expected_cube, **cube);
