@@ -673,11 +673,6 @@ std::vector<std::vector<CellKey>> ShardedStreamEngine::MemberKeysForBatch(
   return members;
 }
 
-std::vector<CellKey> ShardedStreamEngine::MemberKeysFor(CuboidId cuboid,
-                                                        const CellKey& key) {
-  return std::move(MemberKeysForBatch(cuboid, {key}).front());
-}
-
 Result<RegressionCube> ShardedStreamEngine::ComputeCube(int level, int k) {
   // The by-value export door must not evict a live memo of a different
   // window (a caller alternating a (level, k) export with cube-kind

@@ -206,9 +206,6 @@ class ShardedStreamEngine {
   std::vector<std::vector<CellKey>> MemberKeysForBatch(
       CuboidId cuboid, const std::vector<CellKey>& keys);
 
-  /// Single-key convenience over MemberKeysForBatch.
-  std::vector<CellKey> MemberKeysFor(CuboidId cuboid, const CellKey& key);
-
   /// The partially materialized cube over the most recent `k` sealed
   /// slots of tilt `level` with the configured algorithm, by value (a
   /// deep copy when served from the maintained memo) — for callers that

@@ -10,8 +10,9 @@
 //      (valid members, zero-member keys, out-of-range cuboids/levels,
 //      stale keys re-probed after churn) must match the reference store's
 //      project-every-key scan bit for bit, errors included;
-//   5. tilt levels on the cube side — every cube kind, Engine::ComputeCube
-//      and a snapshot's Window/ComputeCube over levels in [-1, num_levels]
+//   5. tilt levels on the cube side — every cube, deck and trend kind,
+//      Engine::ComputeCube and a snapshot's Window/ComputeCube/
+//      ObservationDeck/DetectTrendChanges over levels in [-1, num_levels]
 //      answer an out-of-range level with InvalidArgument, never an abort,
 //      and a live maintained cube survives the failed query.
 
@@ -619,9 +620,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FacadePointQueryFuzzTest,
 class CubeLevelFuzzTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(CubeLevelFuzzTest, OutOfRangeLevelsAreTypedErrors) {
-  // Every cube-side door reads its window through one level check: a level
-  // outside the policy is InvalidArgument (never a frame-kernel abort), and
-  // the failed query leaves a live maintained cube in place.
+  // Every cube-side door reads its window through one level check, and the
+  // deck and trend reads through their own: a level outside the policy is
+  // InvalidArgument (never a frame-kernel abort), and the failed query
+  // leaves a live maintained cube in place.
   Pcg32 rng(static_cast<std::uint64_t>(GetParam()) + 13000);
   const int shards = std::array<int, 3>{1, 2, 8}[GetParam() % 3];
   WorkloadSpec spec = equivalence::ChurnWorkload(
@@ -652,8 +654,10 @@ TEST_P(CubeLevelFuzzTest, OutOfRangeLevelsAreTypedErrors) {
       gen.cells()[rng.Uniform(static_cast<std::uint32_t>(gen.cells().size()))]
           .key,
       o_id);
-  auto cube_specs = [&](int level) {
+  auto level_specs = [&](int level) {
     return std::vector<QuerySpec>{
+        QuerySpec::ObservationDeck(level),
+        QuerySpec::TrendChanges(level, 0.0),
         QuerySpec::TopExceptions(5, level, 1),
         QuerySpec::ExceptionsAt(o_id, level, 1),
         QuerySpec::CubeCell(o_id, o_key, level, 1),
@@ -684,7 +688,7 @@ TEST_P(CubeLevelFuzzTest, OutOfRangeLevelsAreTypedErrors) {
           << "a failed query dropped the live memo";
     };
     auto snap = engine.TakeSnapshot();
-    for (const QuerySpec& spec_at_level : cube_specs(level)) {
+    for (const QuerySpec& spec_at_level : level_specs(level)) {
       SCOPED_TRACE(QueryKindName(spec_at_level.kind));
       expect_level_error(engine.Query(spec_at_level).status());
       expect_level_error(snap->Query(spec_at_level).status());
@@ -692,6 +696,8 @@ TEST_P(CubeLevelFuzzTest, OutOfRangeLevelsAreTypedErrors) {
     expect_level_error(engine.ComputeCube(level, 1).status());
     expect_level_error(snap->Window(level, 1).status());
     expect_level_error(snap->ComputeCube(level, 1).status());
+    expect_level_error(snap->ObservationDeck(level).status());
+    expect_level_error(snap->DetectTrendChanges(level, 0.0).status());
 
     if (!valid) {
       // The memo still answers the live window, unchanged.

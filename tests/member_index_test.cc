@@ -227,7 +227,8 @@ TEST(MemberIndexTest, SeededNodeIndexReproducesChainScanExactly) {
     for (const auto& [cell_key, chain_nodes] : index_cells) {
       // Member keys via the engine's index, canonical order — exactly the
       // feed the memo's MemberLookup hands SeedCellNodesFromMembers.
-      const std::vector<CellKey> members = engine.MemberKeysFor(c, cell_key);
+      const std::vector<CellKey> members =
+          engine.MemberKeysForBatch(c, {cell_key}).front();
       ASSERT_FALSE(members.empty()) << cell_key.ToString();
       auto seeded = SeedCellNodesFromMembers(*tree, lattice, c, members);
       ASSERT_TRUE(seeded.has_value()) << cell_key.ToString();

@@ -206,8 +206,19 @@ TEST(ShardedEngineTest, ErrorsSurfaceCleanly) {
   // Too many slots requested.
   ASSERT_TRUE(engine.SealThrough(11).ok());
   EXPECT_FALSE(engine.ComputeCube(0, 100).ok());
-  // Bad tilt level and bad cuboid id.
+  // Bad tilt level (cube, deck and trend reads) and bad cuboid id.
   EXPECT_EQ(engine.ComputeCube(99, 1).status().code(),
+            StatusCode::kInvalidArgument);
+  const int num_levels = ShardOptions().tilt_policy->num_levels();
+  auto gathered = engine.GatherAlignedCells();
+  EXPECT_EQ(SnapshotDeckOf(*gathered.cells, engine.lattice(), num_levels, 99)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(SnapshotTrendChangesOf(*gathered.cells, engine.lattice(),
+                                   num_levels, 99, 0.0)
+                .status()
+                .code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(engine.QueryCell(-1, k, 0, 1).status().code(),
             StatusCode::kInvalidArgument);
