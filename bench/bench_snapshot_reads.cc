@@ -4,8 +4,9 @@
 // continuously while the main thread recomputes the cube in a loop, and
 // reports how many tuples the writers absorbed during the cubing window
 // (§4.5: continuous ingest next to analysis). The row is a level with no
-// baseline beside it, not a comparison, and at small sizes the cubing
-// window is a few milliseconds.
+// baseline beside it, not a comparison. The loop runs at least `rounds`
+// cube rounds and at least kMinCubeSeconds, so even a small engine times a
+// window long enough to read, and the row reports the rounds it ran.
 //
 // Phase 2 — steady-state churn: N cells sealed once, then rounds in which
 // only p% of cells receive new observations before a snapshot is taken.
@@ -33,18 +34,24 @@ namespace {
 
 using testing_util::ReferenceStore;
 
+// The cubing loop's minimum wall time: at CI size one cube round takes a
+// few milliseconds, too short a window to say anything about ingest.
+constexpr double kMinCubeSeconds = 0.2;
+
 struct ModeResult {
   double cube_s = 0.0;                // wall time of the cubing loop
   double ingested_during_cube = 0.0;  // tuples writers absorbed meanwhile
+  int rounds = 0;                     // cube rounds the loop ran
   std::size_t o_cells = 0;
 };
 
-/// Runs `cube_rounds` cube computations with `threads` writers ingesting
+/// Runs at least `min_rounds` cube computations, and keeps going until
+/// kMinCubeSeconds have passed, with `threads` writers ingesting
 /// continuously (each writer owns a disjoint cell slice and replays the
 /// stream at ever-later ticks, keeping per-cell ticks monotone).
 ModeResult RunMode(const WorkloadSpec& spec,
                    const std::vector<StreamTuple>& stream, int threads,
-                   int cube_rounds) {
+                   int min_rounds) {
   auto schema = MakeWorkloadSchemaPtr(spec);
   RC_CHECK(schema.ok());
   StreamCubeEngine::Options options;
@@ -87,10 +94,12 @@ ModeResult RunMode(const WorkloadSpec& spec,
   ModeResult result;
   const std::int64_t before = ingested.load();
   Stopwatch cube_timer;
-  for (int round = 0; round < cube_rounds; ++round) {
+  while (result.rounds < min_rounds ||
+         cube_timer.ElapsedSeconds() < kMinCubeSeconds) {
     auto cube = engine->ComputeCube(0, 8);
     RC_CHECK(cube.ok()) << cube.status().ToString();
     result.o_cells = cube->o_layer().size();
+    ++result.rounds;
   }
   result.cube_s = cube_timer.ElapsedSeconds();
   result.ingested_during_cube =
@@ -146,7 +155,7 @@ void RunChurn(int argc, char** argv, bench::JsonWriter& json) {
   RC_CHECK(engine.SealThrough(spec.series_length - 1).ok());
   RC_CHECK(reference.IngestBatch(stream).ok());
   RC_CHECK(reference.SealThrough(spec.series_length - 1).ok());
-  engine.GatherAlignedCells();  // warm the published runs and caches
+  engine.GatherAlignedCells();  // warm the shard publications
 
   const TimeTick open_tick = spec.series_length;  // inside the open quarter
   const std::int64_t dirty_n = num_cells * dirty_pct / 100;
@@ -310,23 +319,25 @@ void Run(int argc, char** argv) {
 
   bench::PrintHeader(StrPrintf(
       "Snapshot reads under concurrent ingest (%s, %d writer threads, "
-      "%d cube rounds)",
-      spec.Name().c_str(), threads, rounds));
+      ">= %d cube rounds and >= %.1f s)",
+      spec.Name().c_str(), threads, rounds, kMinCubeSeconds));
 
   StreamGenerator gen(spec);
   const std::vector<StreamTuple> stream = gen.GenerateStream();
 
-  bench::PrintRow({"mode", "cube(s)", "ingest during cube", "ingest/s",
-                   "o-cells"});
+  bench::PrintRow({"mode", "rounds", "cube(s)", "ingest during cube",
+                   "ingest/s", "o-cells"});
   bench::JsonWriter json("snapshot_reads");
   const ModeResult r = RunMode(spec, stream, threads, rounds);
   const double rate = r.ingested_during_cube / r.cube_s;
-  bench::PrintRow({"snapshot", StrPrintf("%.3f", r.cube_s),
+  bench::PrintRow({"snapshot", StrPrintf("%d", r.rounds),
+                   StrPrintf("%.3f", r.cube_s),
                    StrPrintf("%.0f", r.ingested_during_cube),
                    StrPrintf("%.0f", rate), StrPrintf("%zu", r.o_cells)});
   json.Row({{"mode", "\"snapshot\""},
             {"threads", StrPrintf("%d", threads)},
-            {"cube_rounds", StrPrintf("%d", rounds)},
+            {"min_cube_rounds", StrPrintf("%d", rounds)},
+            {"cube_rounds", StrPrintf("%d", r.rounds)},
             {"cube_s", StrPrintf("%.6f", r.cube_s)},
             {"ingested_during_cube",
              StrPrintf("%.0f", r.ingested_during_cube)},

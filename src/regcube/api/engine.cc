@@ -165,11 +165,11 @@ regcube::SpillStats Engine::SpillStats() const {
 Status Engine::InitStorage(const MemoryBudgetConfig& budget) {
   RC_RETURN_IF_ERROR(sharded_->ConfigureStorage(budget));
   if (MemoryGovernor* governor = sharded_->governor()) {
-    // Rung 19, between the cube memo (10) and the engine-side gather
-    // caches (21): the api snapshot cache pins a whole gathered cell set
-    // (and its memoized cube), so dropping it both frees the snapshot's
-    // own memo and releases the frames the engine-side rung is about to
-    // drop from being pinned alive.
+    // Rung 19, between the cube memo (10) and the shard publications
+    // (21): the api snapshot cache pins a whole gathered cell set (and its
+    // memoized cube), so dropping it both frees the snapshot's own memo
+    // and releases the frames the publication rung is about to drop from
+    // being pinned alive.
     SnapshotCache* cache = cache_.get();
     governor->AddRung(19, "snapshot.cache",
                       [cache](std::int64_t /*excess*/) -> std::int64_t {
@@ -178,12 +178,12 @@ Status Engine::InitStorage(const MemoryBudgetConfig& budget) {
                         return 0;  // freed bytes show up via the tracker
                       });
     // The cached snapshot's pinned frames join the budget probe: after
-    // the engine-side caches evict, the tracker no longer sees those
+    // the engine-side rungs evict, the tracker no longer sees those
     // bytes, but they are still resident as long as the snapshot lives —
     // without this the governor would declare victory while RAM stays
-    // over budget. (While the engine caches also hold the blocks the
-    // bytes are double-counted; that only makes enforcement earlier,
-    // never later, and rung 19 zeroes the probe.)
+    // over budget. (While the engine also holds the blocks the bytes are
+    // double-counted; that only makes enforcement earlier, never later,
+    // and rung 19 zeroes the probe.)
     governor->AddUsageProbe([cache]() -> std::int64_t {
       std::lock_guard<std::mutex> lock(cache->mu);
       return cache->snapshot != nullptr ? cache->snapshot->PinnedFrameBytes()

@@ -22,7 +22,7 @@ namespace regcube {
 /// thread-safe core. Built exclusively through EngineBuilder.
 ///
 /// Reads are snapshot-based. TakeSnapshot() gathers every shard's cells
-/// (mostly from the shards' published generations, without their locks)
+/// (mostly from the shards' publications, without their locks)
 /// and returns an immutable CubeSnapshot; every query then runs lock-free
 /// against it, so a large ComputeCube never stalls concurrent ingest.
 /// Query() routes by kind: point kinds gather only the matching members,
@@ -245,9 +245,9 @@ class EngineBuilder {
   /// Global memory budget in bytes shared by every shard (default 0 =
   /// unbounded). When retained bytes exceed it, the engine walks a typed
   /// eviction ladder after ingest batches: drop the cube memo, drop the
-  /// snapshot/gather caches and published runs, then — with a spill dir —
-  /// spill cold tilt frames to disk. Queries stay bit-identical; spilled
-  /// frames fault back in transparently.
+  /// api snapshot cache and retire the shard publications, then — with a
+  /// spill dir — spill cold tilt frames to disk. Queries stay
+  /// bit-identical; spilled frames fault back in transparently.
   EngineBuilder& SetMemoryBudget(std::int64_t budget_bytes);
 
   /// Directory cold frames spill to (default unset = no cold tier; the

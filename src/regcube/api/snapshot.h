@@ -15,7 +15,7 @@ namespace regcube {
 
 /// An immutable, self-contained frozen view of the engine's m-layer —
 /// the read side of the public API. Taking one (Engine::TakeSnapshot)
-/// loads each shard's published run: a shard with no write since its last
+/// loads each shard's publication: a shard with no write since its last
 /// publish is served without touching its mutex; a shard written since
 /// (by sync ingest or an async owner thread, or sealed) pays one brief
 /// locked republish of its changed cells — writers never publish, so that
@@ -25,7 +25,7 @@ namespace regcube {
 /// live engine.
 ///
 /// Cost model: the frozen cells are the cells' own refcounted frames,
-/// shared with the shards' published generations (a writer clones a
+/// shared with the shards' publications (a writer clones a
 /// shared frame before it mutates it — at most once per read interval),
 /// so taking a snapshot splices in only the cells that changed since the
 /// last publish — O(changed cells) frame work, not O(all cells).
@@ -115,10 +115,11 @@ class CubeSnapshot {
   }
 
   /// Bytes of frozen frame blocks this snapshot keeps alive. The blocks
-  /// are refcount-shared with the engine's gather caches, so while the
-  /// engine holds them too they are already accounted there — but a live
-  /// snapshot pins them past any engine-side eviction, and the memory
-  /// report surfaces that residual as "snapshot.pinned_frames".
+  /// are refcount-shared with the cells, the shard publications and the
+  /// cube memo's run, so while the engine holds them too they are already
+  /// accounted there — but a live snapshot pins them past any engine-side
+  /// eviction, and the memory report surfaces that residual as
+  /// "snapshot.pinned_frames".
   std::int64_t PinnedFrameBytes() const { return pinned_frame_bytes_; }
 
   const CubeSchema& schema() const { return *schema_; }
@@ -151,8 +152,8 @@ class CubeSnapshot {
   ExceptionPolicy policy_;
   StreamCubeEngine::Options options_;  // algorithm/policy/tilt for cubing
   std::shared_ptr<ThreadPool> pool_;
-  // Canonical key order, aligned to clock_; shared with the engine's
-  // gather caches (taking a snapshot is a refcount copy of the run).
+  // Canonical key order, aligned to clock_; at the cube memo's revision
+  // this is the memo's own run (taking the snapshot is a refcount copy).
   std::shared_ptr<const SnapshotCells> cells_;
   TimeTick clock_ = 0;
   std::uint64_t revision_ = 0;

@@ -16,9 +16,10 @@ namespace {
 // and the materialized cube itself — the space the O(delta) maintenance
 // trades for not re-running H-cubing per snapshot.
 constexpr char kMemoCategory[] = "cube.memo";
-// The frame blocks of the retained run. Counted apart from the memo: the
-// engine's cache and spill rungs release these blocks from their own
-// categories, but they stay resident for as long as the memo lives.
+// The retained run: its entry vector and the frame blocks it shares.
+// Counted apart from the memo: the engine's publication and spill rungs
+// release these blocks from their own categories, but they stay resident
+// for as long as the memo lives.
 constexpr char kPinnedCategory[] = "cube.memo.pinned_frames";
 
 // Moves `category`'s registration in `tracker` from `*tracked` to `bytes`.
@@ -55,7 +56,11 @@ void IncrementalCubeCache::AccountLocked() {
              cube_->exceptions().MemoryBytes();
   }
   Retrack(tracker_, kMemoCategory, bytes, &tracked_bytes_);
-  Retrack(tracker_, kPinnedCategory, run_frame_bytes_,
+  const std::int64_t run_entry_bytes =
+      run_ != nullptr
+          ? static_cast<std::int64_t>(run_->size() * sizeof(CellSnapshot))
+          : 0;
+  Retrack(tracker_, kPinnedCategory, run_entry_bytes + run_frame_bytes_,
           &tracked_pinned_bytes_);
 }
 
@@ -335,8 +340,8 @@ Status IncrementalCubeCache::ApplyPatchLocked(
 
 Result<std::shared_ptr<const RegressionCube>>
 IncrementalCubeCache::RebuildLocked(
-    const std::shared_ptr<const SnapshotCells>& run, std::uint64_t revision,
-    int level, int k, ThreadPool* pool) {
+    const std::shared_ptr<const SnapshotCells>& run, TimeTick clock,
+    std::uint64_t revision, int level, int k, ThreadPool* pool) {
   auto window = SnapshotWindowOf(*run, level, k);
   if (!window.ok()) return window.status();
   auto cube = ComputeCubeFromWindow(schema_, *window, options_, pool);
@@ -344,6 +349,7 @@ IncrementalCubeCache::RebuildLocked(
 
   window_ = std::move(*window);
   run_ = run;
+  run_clock_ = clock;
   run_frame_bytes_ = 0;
   for (const CellSnapshot& cell : *run) {
     run_frame_bytes_ += cell.frame->MemoryBytes();
@@ -396,6 +402,13 @@ std::shared_ptr<const RegressionCube> IncrementalCubeCache::HitAt(
   return HitLocked(revision, level, k);
 }
 
+IncrementalCubeCache::Run IncrementalCubeCache::RunAt(
+    std::uint64_t revision) const {
+  std::unique_lock<std::mutex> lock(mu_, std::try_to_lock);
+  if (!lock.owns_lock() || !valid_ || revision != revision_) return {};
+  return Run{run_, run_clock_};
+}
+
 bool IncrementalCubeCache::WouldEvictDifferentWindow(int level,
                                                      int k) const {
   std::lock_guard<std::mutex> lock(mu_);
@@ -403,8 +416,8 @@ bool IncrementalCubeCache::WouldEvictDifferentWindow(int level,
 }
 
 Result<std::shared_ptr<const RegressionCube>> IncrementalCubeCache::CubeFor(
-    std::shared_ptr<const SnapshotCells> run, std::uint64_t revision,
-    int level, int k, ThreadPool* pool) {
+    std::shared_ptr<const SnapshotCells> run, TimeTick clock,
+    std::uint64_t revision, int level, int k, ThreadPool* pool) {
   RC_CHECK(run != nullptr);
   std::lock_guard<std::mutex> lock(mu_);
   // A reader that gathered before the memo last advanced must not rewind
@@ -429,6 +442,7 @@ Result<std::shared_ptr<const RegressionCube>> IncrementalCubeCache::CubeFor(
         stats_.revalidations += 1;
         revision_ = revision;
         run_ = std::move(run);
+        run_clock_ = clock;
         run_frame_bytes_ += frame_bytes_delta;
         AccountLocked();
         return HandOutLocked();
@@ -443,6 +457,7 @@ Result<std::shared_ptr<const RegressionCube>> IncrementalCubeCache::CubeFor(
         if (patched.ok()) {
           revision_ = revision;
           run_ = std::move(run);
+          run_clock_ = clock;
           run_frame_bytes_ += frame_bytes_delta;
           AccountLocked();
           return HandOutLocked();
@@ -453,7 +468,7 @@ Result<std::shared_ptr<const RegressionCube>> IncrementalCubeCache::CubeFor(
         break;
     }
   }
-  return RebuildLocked(run, revision, level, k, pool);
+  return RebuildLocked(run, clock, revision, level, k, pool);
 }
 
 }  // namespace regcube

@@ -53,10 +53,13 @@ class ThreadPool;
 ///    one the oracle uses, so a rebuild is trivially bit-identical).
 ///
 /// The memory trade-off (tree + member indexes + retained cube + window)
-/// is accounted to MemoryTracker under "cube.memo". The retained run's
-/// frame blocks are reported separately, under "cube.memo.pinned_frames":
-/// the engine's eviction rungs release them from their own categories
-/// while the memo still keeps them alive.
+/// is accounted to MemoryTracker under "cube.memo". The retained run — its
+/// entry vector and the frame blocks it shares — is reported separately,
+/// under "cube.memo.pinned_frames": the engine's eviction rungs release
+/// those blocks from their own categories while the memo still keeps them
+/// alive. The run is also the engine's gather at the memo's revision
+/// (RunAt), so one aligned run serves the cube, its diff base and every
+/// full read at that revision.
 ///
 /// Both cubing algorithms ride the memo: hits and revalidations depend
 /// only on the windows, not on how the cube was built. Only the m/o
@@ -73,13 +76,24 @@ class IncrementalCubeCache {
   IncrementalCubeCache(const IncrementalCubeCache&) = delete;
   IncrementalCubeCache& operator=(const IncrementalCubeCache&) = delete;
 
-  /// The maintained cube over `run` (a canonical aligned gather at
-  /// `revision`) for the (level, k) window. Thread-safe; maintenance is
-  /// serialized, hits hand out a counted handle. The returned cube is
-  /// immutable: a later patch copies-on-write if anyone still holds it.
+  /// The maintained cube over `run` (a canonical gather at `revision`,
+  /// aligned to `clock`) for the (level, k) window. Thread-safe;
+  /// maintenance is serialized, hits hand out a counted handle. The
+  /// returned cube is immutable: a later patch copies-on-write if anyone
+  /// still holds it.
   Result<std::shared_ptr<const RegressionCube>> CubeFor(
-      std::shared_ptr<const SnapshotCells> run, std::uint64_t revision,
-      int level, int k, ThreadPool* pool);
+      std::shared_ptr<const SnapshotCells> run, TimeTick clock,
+      std::uint64_t revision, int level, int k, ThreadPool* pool);
+
+  /// The retained run and the clock it is aligned to, iff the memo is
+  /// valid at exactly `revision`; otherwise (and whenever maintenance holds
+  /// the memo: the probe only try-locks) `cells` is null and the caller
+  /// folds a gather of its own. Never waits, and counts no hit.
+  struct Run {
+    std::shared_ptr<const SnapshotCells> cells;
+    TimeTick clock = 0;
+  };
+  Run RunAt(std::uint64_t revision) const;
 
   /// The memoized cube iff the memo is valid for (level, k) at exactly
   /// `revision` (counted as a hit), else nullptr. At its own revision the
@@ -148,8 +162,8 @@ class IncrementalCubeCache {
   enum class DiffVerdict { kClean, kPatch, kRebuild };
 
   Result<std::shared_ptr<const RegressionCube>> RebuildLocked(
-      const std::shared_ptr<const SnapshotCells>& run, std::uint64_t revision,
-      int level, int k, ThreadPool* pool);
+      const std::shared_ptr<const SnapshotCells>& run, TimeTick clock,
+      std::uint64_t revision, int level, int k, ThreadPool* pool);
 
   /// Tandem-walks the memoized run against `run` (both canonical), using
   /// shared frame pointers to skip unchanged cells without touching them.
@@ -189,13 +203,13 @@ class IncrementalCubeCache {
   int level_ = 0;
   int k_ = 0;
   std::uint64_t revision_ = 0;
-  // The run the memo reflects. Shared with the engine's gather cache while
-  // that lives; once the cache is evicted, the memo alone pins its frame
-  // blocks (`run_frame_bytes_`, tracked as "cube.memo.pinned_frames":
-  // summed at a rebuild, then moved by the diff's changed frames only).
-  // Frame-pointer equality against the next run is what makes the diff
-  // O(changed cells).
+  // The run the memo reflects and the clock it is aligned to. The memo
+  // pins its entry vector and frame blocks (tracked together as
+  // "cube.memo.pinned_frames"; `run_frame_bytes_` is summed at a rebuild,
+  // then moved by the diff's changed frames only). Frame-pointer equality
+  // against the next run is what makes the diff O(changed cells).
   std::shared_ptr<const SnapshotCells> run_;
+  TimeTick run_clock_ = 0;
   std::int64_t run_frame_bytes_ = 0;
   // The memoized window in canonical order — the retraction base (old
   // per-cell measures) and the build input for the lazy tree.

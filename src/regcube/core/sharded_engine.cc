@@ -11,23 +11,11 @@
 namespace regcube {
 
 namespace {
-// The whole-engine merged gather run, reported through MemoryTracker as
-// the run's own entry footprint. Most frames it points at are the cells'
-// own, counted under "stream.tilt_frames"; frames re-materialized by clock
-// alignment, or replaced by a writer's clone since, live only in the run
-// (and any snapshots holding it) and are not individually tracked — the
-// accounting is analytic, not exhaustive.
-constexpr char kGatherCacheCategory[] = "snapshot.gather_cache";
-
 // The per-shard ingest queues' preallocated ring slots (async mode only).
 // Analytic like the rest: capacity * sizeof(StreamTuple) per shard, fixed
 // for the engine's lifetime; heap storage retained by queued keys varies
 // per tuple and is not tracked.
 constexpr char kIngestQueueCategory[] = "ingest.queue";
-
-std::int64_t SliceBytes(const SnapshotCells& cells) {
-  return static_cast<std::int64_t>(cells.size() * sizeof(CellSnapshot));
-}
 
 // Re-entrancy guard for the export.dirty ladder rung: set while the rung
 // runs, so that if any path it takes ever reaches MaybeEnforceBudget on
@@ -157,9 +145,8 @@ void ShardedStreamEngine::set_memory_tracker(MemoryTracker* tracker) {
     std::lock_guard<std::mutex> lock(shard->mu);
     shard->engine.set_memory_tracker(tracker);
   }
-  // Move the cached merged run's and the ingest queues' registrations
-  // between trackers, so detach / re-attach keeps every tracker balanced.
-  std::lock_guard<std::mutex> lock(gather_mu_);
+  // Move the ingest queues' registration between trackers, so detach /
+  // re-attach keeps every tracker balanced.
   const std::int64_t queue_bytes = IngestQueueBytes();
   if (queue_bytes > 0) {
     if (tracker_ != nullptr) {
@@ -167,29 +154,20 @@ void ShardedStreamEngine::set_memory_tracker(MemoryTracker* tracker) {
     }
     if (tracker != nullptr) tracker->Add(kIngestQueueCategory, queue_bytes);
   }
-  if (gather_valid_) {
-    const std::int64_t bytes = SliceBytes(*gather_cache_.cells);
-    if (tracker_ != nullptr && bytes > 0) {
-      tracker_->Release(kGatherCacheCategory, bytes);
-    }
-    if (tracker != nullptr && bytes > 0) {
-      tracker->Add(kGatherCacheCategory, bytes);
-    }
-  }
   tracker_ = tracker;
   cube_memo_->set_memory_tracker(tracker);
 }
 
-std::shared_ptr<const ShardedStreamEngine::ShardPublication>
+std::shared_ptr<const StreamCubeEngine::Publication>
 ShardedStreamEngine::PublicationFor(size_t i, GatherStats* stats,
                                     Status* status) {
   Shard& shard = *shards_[i];
-  // Fast path: the published generation reflects every completed write
-  // (its revision matches the mirror, and both stores happened inside the
+  // Fast path: the publication reflects every completed write (its
+  // revision matches the mirror, and both stores happened inside the
   // mutex before the write completed), so it can be served without ever
   // touching the mutex. A mismatch in either direction just means "take
   // the slow path" — a torn view can never be served fresh.
-  auto pub = shard.Published();
+  auto pub = shard.engine.Published();
   if (pub != nullptr &&
       pub->revision == shard.version.load(std::memory_order_acquire)) {
     if (stats != nullptr) {
@@ -198,23 +176,24 @@ ShardedStreamEngine::PublicationFor(size_t i, GatherStats* stats,
     }
     return pub;
   }
-  // Slow path (stale generation — any write or seal since the last
+  // Slow path (stale publication — any write or seal since the last
   // publish): republish under the shard mutex. Writers never publish, so
   // this is the one publish point for both write modes. On a fault-in
-  // failure the old generation stays up (still stale) and the next read
-  // retries the refresh.
+  // failure the old publication stays up (still stale) and the next read
+  // retries the publish.
   std::lock_guard<std::mutex> lock(shard.mu);
-  StreamCubeEngine::FrozenSlice run;
-  Status s = shard.engine.RefreshPublishedRun(&run, stats);
-  if (!s.ok()) {
-    *status = std::move(s);
+  auto published = shard.engine.Publish(stats);
+  if (!published.ok()) {
+    *status = published.status();
     return nullptr;
   }
-  pub = std::make_shared<const ShardPublication>(ShardPublication{
-      std::move(run), shard.engine.now(), shard.engine.revision()});
-  shard.Publish(pub);
-  shard.version.store(pub->revision, std::memory_order_release);
-  return pub;
+  shard.version.store((*published)->revision, std::memory_order_release);
+  // A new publication turned the dirty cells clean (spillable) and may
+  // have faulted spilled ones in; the next full gather enforces for it.
+  if (*published != pub) {
+    republished_.store(true, std::memory_order_relaxed);
+  }
+  return *std::move(published);
 }
 
 void ShardedStreamEngine::MirrorVersionsLocked() {
@@ -470,51 +449,28 @@ Status ShardedStreamEngine::SealThrough(TimeTick t) {
 
 ShardedStreamEngine::GatheredCells
 ShardedStreamEngine::GatherAlignedCells() {
-  // Phase 0 — whole-engine cache: every full read at one revision shares
-  // one gather, so a snapshot, a memo miss and a by-value cube back to
-  // back pay for a single pass (the hit is a refcount copy).
-  {
-    const std::uint64_t rev = revision_.load(std::memory_order_acquire);
-    std::lock_guard<std::mutex> lock(gather_mu_);
-    if (gather_valid_ && gather_cache_.revision == rev) {
-      GatheredCells cached = gather_cache_;  // shares the merged run
-      cached.stats = GatherStats{};
-      cached.stats.cells = static_cast<std::int64_t>(cached.cells->size());
-      cached.stats.shards_reused = num_shards();
-      return cached;
-    }
-  }
-
-  // One merged-run rebuild at a time: concurrent builders would duplicate
-  // the splice work and race to install the result. The shards themselves
-  // are read through their published pointers (no shard lock on the
-  // steady-state path), so this is pure thundering-herd protection.
-  std::lock_guard<std::mutex> work(gather_work_mu_);
-
   GatheredCells out;
   out.revision = revision_.load(std::memory_order_acquire);
+  const size_t n = shards_.size();
 
-  // Re-check the cache: the previous holder of the work lock probably
-  // built exactly the run we came for.
-  {
-    std::lock_guard<std::mutex> lock(gather_mu_);
-    if (gather_valid_ && gather_cache_.revision == out.revision) {
-      GatheredCells cached = gather_cache_;
-      cached.stats = GatherStats{};
-      cached.stats.cells = static_cast<std::int64_t>(cached.cells->size());
-      cached.stats.shards_reused = num_shards();
-      return cached;
-    }
+  // At the memo's revision its retained run is this gather: a snapshot
+  // after a cube query at one revision shares the run the cube was built
+  // from (a refcount copy), and touches no shard.
+  if (auto run = cube_memo_->RunAt(out.revision); run.cells != nullptr) {
+    out.cells = std::move(run.cells);
+    out.clock = run.clock;
+    out.stats.cells = static_cast<std::int64_t>(out.cells->size());
+    out.stats.shards_reused = static_cast<std::int64_t>(n);
+    EnforceAfterRepublish();
+    return out;
   }
 
-  // Phase 1 — publications: load each shard's last published generation.
-  // A fresh publication (no write to the shard since the last read) is
-  // served without touching the shard mutex at all; a shard written since
-  // pays one locked republish, and that splices in just the cells changed
-  // since the last read — O(changed cells), however many batches the
-  // writers absorbed in between.
-  const size_t n = shards_.size();
-  std::vector<std::shared_ptr<const ShardPublication>> pubs(n);
+  // Phase 1 — publications: a fresh one (no write to the shard since the
+  // last read) is served without touching the shard mutex at all; a shard
+  // written since pays one locked republish, and that splices in just the
+  // cells changed since the last read — O(changed cells), however many
+  // batches the writers absorbed in between.
+  std::vector<std::shared_ptr<const StreamCubeEngine::Publication>> pubs(n);
   std::vector<GatherStats> stats(n);
   std::vector<Status> statuses(n);
   auto gather_one = [&](std::int64_t idx) {
@@ -524,10 +480,9 @@ ShardedStreamEngine::GatherAlignedCells() {
   ParallelForOrSerial(pool_.get(), static_cast<std::int64_t>(n), gather_one);
 
   // A failed republish (fault-in error on a spilled cell) poisons the
-  // whole run: return the typed error without touching the cache. Nothing
-  // was lost — the failing shard kept its dirty list and retained run, so
-  // the retry repeats exactly the failed work; fresh shards still serve
-  // their publications for free.
+  // whole run: return the typed error. Nothing was lost — the failing
+  // shard kept its dirty list and publication, so the retry repeats
+  // exactly the failed work; fresh shards still serve theirs for free.
   for (size_t i = 0; i < n; ++i) {
     if (pubs[i] == nullptr) {
       out.status = std::move(statuses[i]);
@@ -567,30 +522,23 @@ ShardedStreamEngine::GatherAlignedCells() {
   for (const GatherStats& s : stats) out.stats.Merge(s);
   out.stats.cells = static_cast<std::int64_t>(out.cells->size());
 
-  // Install as the new cache entry. Builders are serialized, so this is
-  // strictly newer than whatever is cached; a racing writer may already
-  // have moved the revision again, in which case the next gather rebuilds
-  // from the (then fresher) publications.
-  {
-    std::lock_guard<std::mutex> lock(gather_mu_);
-    if (tracker_ != nullptr) {
-      if (gather_valid_) {
-        tracker_->Release(kGatherCacheCategory,
-                          SliceBytes(*gather_cache_.cells));
-      }
-      tracker_->Add(kGatherCacheCategory, SliceBytes(*out.cells));
-    }
-    gather_cache_ = out;  // refcount copy of the shared run
-    gather_valid_ = true;
-  }
-  // The publish refresh above is the moment cells turn clean (spillable):
-  // writes and slot-sealing seals re-dirty them, so post-write enforcement
-  // can find nothing to spill in a hot-everywhere stream (without a reader
-  // only the export.dirty rung can). Enforcing here —
-  // after the dirty lists drained, outside every shard lock — is what
-  // lets a budgeted engine actually converge under ingest/read churn.
-  MaybeEnforceBudget();
+  EnforceAfterRepublish();
   return out;
+}
+
+void ShardedStreamEngine::EnforceAfterRepublish() {
+  // A republish is the moment cells turn clean (spillable): writes and
+  // slot-sealing seals re-dirty them, so post-write enforcement can find
+  // nothing to spill in a hot-everywhere stream (without a reader only the
+  // export.dirty rung can). Enforcing at the end of a full gather — after
+  // the dirty lists drained, outside every shard lock — is what lets a
+  // budgeted engine converge under ingest/read churn. Point queries
+  // republish too but never enforce (one per probe would thrash), so the
+  // next full gather pays for them, memo-served or not. With no republish
+  // since the last one, nothing was freed or faulted in: skip.
+  if (republished_.exchange(false, std::memory_order_relaxed)) {
+    MaybeEnforceBudget();
+  }
 }
 
 ShardedStreamEngine::MemberGather ShardedStreamEngine::GatherCellsMatching(
@@ -702,8 +650,8 @@ ShardedStreamEngine::ComputeCubeShared(int level, int k) {
   }
   GatheredCells gathered = GatherAlignedCells();
   RC_RETURN_IF_ERROR(gathered.status);
-  return cube_memo_->CubeFor(gathered.cells, gathered.revision, level, k,
-                             pool_.get());
+  return cube_memo_->CubeFor(std::move(gathered.cells), gathered.clock,
+                             gathered.revision, level, k, pool_.get());
 }
 
 IncrementalCubeCache::Stats ShardedStreamEngine::cube_memo_stats() const {
@@ -805,11 +753,11 @@ Status ShardedStreamEngine::ConfigureStorage(const MemoryBudgetConfig& config) {
         config.budget_bytes, [this] { return UsageBytes(); });
     // The typed eviction ladder, cheapest-to-rebuild first. The api layer
     // registers its snapshot cache at priority 19, between the memo and
-    // the core gather caches.
+    // the shard publications.
     governor_->AddRung(10, "cube.memo",
                        [this](std::int64_t) { return DropCubeMemoRung(); });
     governor_->AddRung(21, "gather.caches", [this](std::int64_t) {
-      return DropGatherCachesRung();
+      return RetirePublicationsRung();
     });
     if (frame_store_ != nullptr) {
       governor_->AddRung(30, "frames.spill", [this](std::int64_t excess) {
@@ -869,7 +817,7 @@ void ShardedStreamEngine::set_fault_injector(FaultInjector* injector) {
 }
 
 std::int64_t ShardedStreamEngine::ExportDirtyRung(std::int64_t excess) {
-  // Deliberately NOT a gather: rung 21 just dropped the cached run, so a
+  // Deliberately NOT a gather: rung 21 just retired the publications, so a
   // gather here would be a full export that faults every spilled cell
   // back in — undoing rung 30's work while claiming to help. Cleaning
   // the dirty queues touches only resident cells and costs no I/O.
@@ -897,32 +845,16 @@ std::int64_t ShardedStreamEngine::DropCubeMemoRung() {
   return bytes;
 }
 
-std::int64_t ShardedStreamEngine::DropGatherCachesRung() {
+std::int64_t ShardedStreamEngine::RetirePublicationsRung() {
+  // Frames the writers have cloned away from are only truly freed once no
+  // retained run shares them: rung 10 dropped the memo's run, rung 19 the
+  // api snapshot, and this drops each shard's publication. Readers that
+  // arrive before the next publish pay one locked full export (the
+  // eviction trade).
   std::int64_t freed = 0;
-  {
-    // Dropping the cached run is safe against an in-flight delta gather:
-    // the builder snapshotted its base earlier and installs its result
-    // unconditionally (re-registering tracker bytes), so the only effect
-    // here is that the *next* gather starts from a full export.
-    std::lock_guard<std::mutex> lock(gather_mu_);
-    if (gather_valid_) {
-      const std::int64_t bytes = SliceBytes(*gather_cache_.cells);
-      if (tracker_ != nullptr && bytes > 0) {
-        tracker_->Release(kGatherCacheCategory, bytes);
-      }
-      freed += bytes;
-      gather_cache_ = GatheredCells{};  // drops the run's shared_ptr
-      gather_valid_ = false;
-    }
-  }
-  // Retire each shard's published generation too: frames the writers have
-  // cloned since are only truly freed once no retained run shares them —
-  // which the drops above and below arrange. Readers that arrive before
-  // the next publish pay one locked full export (the eviction trade).
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
-    shard->Publish(nullptr);
-    freed += shard->engine.DropPublishedRun();
+    freed += shard->engine.RetirePublication();
   }
   return freed;
 }

@@ -49,26 +49,28 @@ struct MemoryBudgetConfig {
 /// every shard and drives all of them to one global clock.
 ///
 /// Reads are snapshot-based, O(changed cells), and — on the steady-state
-/// path — free of the shard mutex: each shard keeps a published generation
-/// (ShardPublication: an immutable sorted run of the cells' own
-/// copy-on-write frames plus the revision it reflects). Writers only
-/// absorb — sync callers and async shard-owner threads alike — and bump the
-/// shard's version; publishing happens on read. GatherAlignedCells /
-/// TakeSnapshot / point-query gathers copy the last published generation
-/// and never touch the shard mutex while it is fresh; a stale one is
-/// republished once under the lock by the first reader (only dirty cells
-/// are spliced in) and swapped in under a pointer-only mutex, so a shard
-/// publishes at most once per read however many batches it absorbed in
-/// between. The mutex shrinks to structural edits: absorb/ingest, seal
-/// and epoch roll (SealThrough), checkpointing, and compaction
-/// re-pointing. A whole-engine cache keyed by the global revision keeps
-/// repeat reads at one revision down to a refcount copy. Alignment to the
-/// global clock happens on copies outside every lock; a frame is
-/// re-materialized only when the clock crossed a tilt-unit boundary since
-/// it was published (otherwise advancing is observationally a no-op and
-/// the frame is shared as-is). Every read has exactly one implementation
-/// here; the copy-everything and project-every-key oracles the tests and
-/// benches compare against live outside the library.
+/// path — free of the shard mutex: each shard engine owns one publication
+/// (StreamCubeEngine::Publication: an immutable sorted run of the cells'
+/// own copy-on-write frames plus the clock and revision it reflects).
+/// Writers only absorb — sync callers and async shard-owner threads alike —
+/// and bump the shard's version; publishing happens on read.
+/// GatherAlignedCells / TakeSnapshot / point-query gathers copy the
+/// current publication and never touch the shard mutex while it is fresh;
+/// a stale one is republished once under the lock by the first reader
+/// (only dirty cells are spliced in) and swapped in under the engine's
+/// pointer-only mutex, so a shard publishes at most once per read however
+/// many batches it absorbed in between. The mutex shrinks to structural
+/// edits: absorb/ingest, seal and epoch roll (SealThrough), checkpointing,
+/// and compaction re-pointing. A gather at the cube memo's revision
+/// returns the run the memo retains (its diff base); any other gather
+/// folds the shard publications — a pointer merge that republishes
+/// nothing when no shard was written.
+/// Alignment to the global clock happens on copies outside every lock; a
+/// frame is re-materialized only when the clock crossed a tilt-unit
+/// boundary since it was published (otherwise advancing is observationally
+/// a no-op and the frame is shared as-is). Every read has exactly one
+/// implementation here; the copy-everything and project-every-key oracles
+/// the tests and benches compare against live outside the library.
 ///
 /// Point queries copy O(matching members): GatherCellsMatching probes the
 /// member index under the shard lock (a hash probe, no frame copies),
@@ -161,28 +163,32 @@ class ShardedStreamEngine {
 
   // ---- read side (gather briefly under per-shard locks, then lock-free) -
 
-  /// The gather-under-lock phase shared by every full read: shared views
-  /// of all cells, aligned to one clock, in canonical key order. Each
-  /// shard's lock is held only while its cells are exported; alignment and
-  /// merging happen outside. The run is behind a shared_ptr so cache hits
-  /// and snapshot installs are refcount copies, never cell-by-cell copies.
-  /// The result is immutable and self-contained — the api layer wraps it
-  /// as a CubeSnapshot.
+  /// The gather phase shared by every full read: shared views of all
+  /// cells, aligned to one clock, in canonical key order. A shard's lock is
+  /// taken only to republish a stale shard; alignment and merging happen
+  /// outside every lock. The run is behind a shared_ptr so a memo-served
+  /// gather and a snapshot install are refcount copies, never cell-by-cell
+  /// copies. The result is immutable and self-contained — the api layer
+  /// wraps it as a CubeSnapshot.
   struct GatheredCells {
     std::shared_ptr<const SnapshotCells> cells;  // canonical order, aligned
     TimeTick clock = 0;          // tick the cells are aligned to
     std::uint64_t revision = 0;  // engine revision when gathering began
     GatherStats stats;           // what this gather paid
     /// Non-OK when a shard's publish failed (a spilled cell could not be
-    /// faulted in). `cells` is then empty-but-valid, nothing was cached,
-    /// and no shard lost state — the failing shard kept its dirty list
-    /// and its previous generation, and a shard that did republish
-    /// retains its run — so a retry gathers exactly the same data.
+    /// faulted in). `cells` is then empty-but-valid and no shard lost
+    /// state — the failing shard kept its dirty list and its previous
+    /// publication, and a shard that did republish keeps its new one — so
+    /// a retry gathers exactly the same data.
     Status status;
   };
 
-  /// Shares the cells' own frames and serves clean shards (or a clean
-  /// engine) from the caches — O(changed cells).
+  /// Shares the cells' own frames — O(changed cells). At the cube memo's
+  /// revision it returns the memo's retained run itself (a probe that
+  /// never waits on memo maintenance: a busy memo means a fold); otherwise
+  /// it folds the shard publications, republishing only stale shards.
+  /// Either way it runs budget enforcement iff some shard republished
+  /// since the last gather that did (EnforceAfterRepublish).
   GatheredCells GatherAlignedCells();
 
   /// The member-only gather behind point queries: shared views of just the
@@ -278,7 +284,7 @@ class ShardedStreamEngine {
   }
 
   /// Installs analytic memory accounting for the shards' frames, indexes
-  /// and gather caches ("stream.tilt_frames", "index.members",
+  /// and publications ("stream.tilt_frames", "index.members",
   /// "snapshot.gather_cache"), the ingest queues and the cube memo. Not
   /// owned; must outlive the engine. Install before concurrent use.
   void set_memory_tracker(MemoryTracker* tracker);
@@ -288,11 +294,11 @@ class ShardedStreamEngine {
   /// Builds the cold tier and/or governor per `config`: opens the frame
   /// store (when a spill dir is configured), attaches it to every shard,
   /// and stands up the MemoryGovernor with the core eviction ladder —
-  /// cube memo (priority 10), gather caches and published runs (21), cold
-  /// spill (30); the api layer adds its snapshot cache at 19. Call once,
-  /// after set_memory_tracker and before concurrent use. Enforcement then
-  /// runs after every sync ingest and on the owner threads' post-batch
-  /// hook in async mode.
+  /// cube memo with its retained run (priority 10), the shard publications
+  /// (21), cold spill (30), dirty-queue cleaning (40); the api layer adds
+  /// its snapshot cache at 19. Call once, after set_memory_tracker and
+  /// before concurrent use. Enforcement then runs after every sync ingest
+  /// and on the owner threads' post-batch hook in async mode.
   Status ConfigureStorage(const MemoryBudgetConfig& config);
 
   /// The governor, or null when no budget is configured — the api layer
@@ -355,25 +361,10 @@ class ShardedStreamEngine {
   const Options& options() const { return options_; }
 
  private:
-  /// One published generation of a shard's cells: an immutable sorted run
-  /// of shared frames plus the shard clock and engine revision it
-  /// reflects. The first reader to find it stale builds a successor under
-  /// the shard mutex and swaps it in under the shard's pointer-only
-  /// `pub_mu`; readers copy it under that mutex and never touch the shard
-  /// mutex on the fast path. Retired generations stay alive as long as
-  /// some reader holds them — their frames are freed by the last
-  /// shared_ptr drop.
-  struct ShardPublication {
-    StreamCubeEngine::FrozenSlice cells;  // canonical order, this shard
-    TimeTick now = 0;            // shard clock when published
-    std::uint64_t revision = 0;  // shard engine revision the run reflects
-  };
-
   struct Shard {
     mutable std::mutex mu;
     // The engine holds the per-shard delta state: the copy-on-write
-    // frames, the dirty list, and the retained published run its
-    // publications share.
+    // frames, the dirty list, and the one publication readers share.
     StreamCubeEngine engine;
     // Mirror of engine.revision(), stored with release inside the mutex
     // at every mutation site. A reader whose loaded publication carries
@@ -383,25 +374,6 @@ class ShardedStreamEngine {
 
     explicit Shard(std::shared_ptr<const CubeSchema> schema, Options options)
         : engine(std::move(schema), std::move(options)) {}
-
-    /// The last published generation (null until the first publish).
-    std::shared_ptr<const ShardPublication> Published() const {
-      std::lock_guard<std::mutex> lock(pub_mu);
-      return published;
-    }
-
-    /// Swaps `pub` in. The retired generation, left in `pub`, is released
-    /// after the lock guard (a local) unlocks pub_mu.
-    void Publish(std::shared_ptr<const ShardPublication> pub) {
-      std::lock_guard<std::mutex> lock(pub_mu);
-      published.swap(pub);
-    }
-
-   private:
-    // Guards only copying or swapping `published`: a handoff TSan can
-    // check, unlike std::atomic<std::shared_ptr>.
-    mutable std::mutex pub_mu;
-    std::shared_ptr<const ShardPublication> published;
   };
 
   int ShardIndex(const CellKey& mapped_key) const;
@@ -440,12 +412,16 @@ class ShardedStreamEngine {
       const std::vector<StreamTuple>& tuples) const;
 
   /// The shard's current publication, fresh as of this call: lock-free
-  /// when the published generation's revision matches the version mirror,
-  /// otherwise a slow path takes the shard mutex and republishes. Returns
-  /// null (with `*status` set) only when a republish failed.
-  std::shared_ptr<const ShardPublication> PublicationFor(size_t i,
-                                                         GatherStats* stats,
-                                                         Status* status);
+  /// when its revision matches the version mirror, otherwise a slow path
+  /// takes the shard mutex and republishes. Returns null (with `*status`
+  /// set) only when a republish failed.
+  std::shared_ptr<const StreamCubeEngine::Publication> PublicationFor(
+      size_t i, GatherStats* stats, Status* status);
+
+  /// The tail of every successful full gather: MaybeEnforceBudget iff a
+  /// publication was rebuilt since the last such call (by this gather or
+  /// by a point query's member gather).
+  void EnforceAfterRepublish();
 
   /// Pre: all shard locks held. Re-mirrors every shard's version after a
   /// barrier mutated the engines (seal, force-align, restore).
@@ -459,7 +435,7 @@ class ShardedStreamEngine {
 
   // The eviction ladder's rungs (see ConfigureStorage for the order).
   std::int64_t DropCubeMemoRung();
-  std::int64_t DropGatherCachesRung();
+  std::int64_t RetirePublicationsRung();
   std::int64_t SpillColdFramesRung(std::int64_t excess);
   std::int64_t ExportDirtyRung(std::int64_t excess);
 
@@ -479,20 +455,13 @@ class ShardedStreamEngine {
   std::atomic<std::uint64_t> revision_{0};
   MemoryTracker* tracker_ = nullptr;
 
-  // Whole-engine gather cache: every full read at one revision shares one
-  // gather (the facade's TakeSnapshot, cube reads that miss the memo and
-  // the by-value ComputeCube all route here). A miss rebuilds the merged run
-  // from the per-shard publications (mutex-free for every shard whose
-  // generation is fresh). gather_work_mu_ serializes the rebuilds — pure
-  // thundering-herd protection now that publications retain their runs;
-  // correctness no longer depends on it.
-  std::mutex gather_mu_;
-  std::mutex gather_work_mu_;
-  bool gather_valid_ = false;
-  GatheredCells gather_cache_;
-
   // The maintained cube behind every cube read (see ComputeCubeShared).
+  // Its retained run also serves GatherAlignedCells at its revision.
   std::unique_ptr<IncrementalCubeCache> cube_memo_;
+
+  // Set by PublicationFor when it rebuilt a publication, cleared by the
+  // next full gather's EnforceAfterRepublish.
+  std::atomic<bool> republished_{false};
 
   // The memory-governed storage tier (both null until ConfigureStorage /
   // RestoreFrom): the shared cold tier and the budget enforcer. The store

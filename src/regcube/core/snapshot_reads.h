@@ -30,11 +30,6 @@ inline bool CellSnapshotCanonicalLess(const CellSnapshot& a,
   return CanonicalKeyLess(a.key, b.key);
 }
 
-/// The frozen m-layer cells a snapshot query runs against. Each entry
-/// shares an immutable refcounted frame block, so copying a SnapshotCells
-/// (or holding one in a cache) costs pointers, not frames.
-using SnapshotCells = std::vector<CellSnapshot>;
-
 /// The kernels' shared error vocabulary, exported so the member-only
 /// gather path (which pre-filters cells before calling a kernel) can
 /// preserve the exact legacy error contract.

@@ -16,9 +16,8 @@ namespace {
 constexpr char kMemberIndexCategory[] = "index.members";
 // Resident per-cell state (keys, map overhead, tilt frames).
 constexpr char kTiltFramesCategory[] = "stream.tilt_frames";
-// The retained published run's entry vector (the frames it points at are
-// the cells' own, counted under stream.tilt_frames). Same category as the
-// sharded engine's merged run — both are gather-cache state.
+// The publication's entry vector (the frames it points at are the cells'
+// own, counted under stream.tilt_frames).
 constexpr char kGatherCacheCategory[] = "snapshot.gather_cache";
 // Estimated unordered_map node overhead per cell, matching the historical
 // MemoryBytes formula.
@@ -38,8 +37,8 @@ StreamCubeEngine::StreamCubeEngine(std::shared_ptr<const CubeSchema> schema,
 }
 
 void StreamCubeEngine::MarkDirty(const CellKey& key, CellState& state) {
-  // Queue the cell for the next export's patch pass at most once; while it
-  // is queued, further writes change nothing the export needs to know.
+  // Queue the cell for the next publish's patch pass at most once; while
+  // it is queued, further writes change nothing the publish needs to know.
   if (!state.queued) {
     dirty_cells_.push_back({key, &state});
     state.queued = true;
@@ -243,8 +242,8 @@ void StreamCubeEngine::set_memory_tracker(MemoryTracker* tracker) {
       tracker_->Release(kMemberIndexCategory, member_index_tracked_);
     }
     if (frame_bytes_ > 0) tracker_->Release(kTiltFramesCategory, frame_bytes_);
-    if (published_run_bytes_ > 0) {
-      tracker_->Release(kGatherCacheCategory, published_run_bytes_);
+    if (publication_bytes_ > 0) {
+      tracker_->Release(kGatherCacheCategory, publication_bytes_);
     }
   }
   if (tracker != nullptr) {
@@ -252,8 +251,8 @@ void StreamCubeEngine::set_memory_tracker(MemoryTracker* tracker) {
       tracker->Add(kMemberIndexCategory, member_index_tracked_);
     }
     if (frame_bytes_ > 0) tracker->Add(kTiltFramesCategory, frame_bytes_);
-    if (published_run_bytes_ > 0) {
-      tracker->Add(kGatherCacheCategory, published_run_bytes_);
+    if (publication_bytes_ > 0) {
+      tracker->Add(kGatherCacheCategory, publication_bytes_);
     }
   }
   tracker_ = tracker;
@@ -271,85 +270,88 @@ Result<std::shared_ptr<const TiltTimeFrame>> StreamCubeEngine::SharedFrame(
   return std::shared_ptr<const TiltTimeFrame>(state.frame);
 }
 
-Status StreamCubeEngine::RefreshPublishedRun(FrozenSlice* out,
-                                             GatherStats* stats) {
+std::shared_ptr<const StreamCubeEngine::Publication>
+StreamCubeEngine::Published() const {
+  std::lock_guard<std::mutex> lock(pub_mu_);
+  return publication_;
+}
+
+Result<std::shared_ptr<const StreamCubeEngine::Publication>>
+StreamCubeEngine::Publish(GatherStats* stats) {
   if (stats != nullptr) stats->cells += num_cells();
-  if (published_run_ != nullptr && revision_ == export_revision_) {
-    // No observable change since the run was built: hand it back as-is.
+  if (publication_ != nullptr && publication_->revision == revision_) {
+    // No observable change since the last publish: hand it back as-is.
     if (stats != nullptr) ++stats->shards_reused;
-    *out = published_run_;
-    return Status::OK();
+    return publication_;
   }
-  if (published_run_ == nullptr) {
-    // No retained run (first refresh, or the run was dropped by a ladder
-    // rung / CleanDirtyCells): full sorted export.
-    auto full = std::make_shared<std::vector<CellSnapshot>>();
-    full->reserve(cells_.size());
+  auto run = std::make_shared<SnapshotCells>();
+  if (publication_ == nullptr) {
+    // Nothing published (first publish, or retired by a ladder rung or
+    // CleanDirtyCells): full sorted export.
+    run->reserve(cells_.size());
     for (auto& [key, state] : cells_) {
       auto frame = SharedFrame(state, stats);
       if (!frame.ok()) return frame.status();
-      full->push_back({key, *std::move(frame)});
+      run->push_back({key, *std::move(frame)});
     }
-    std::sort(full->begin(), full->end(), CellSnapshotCanonicalLess);
-    published_run_ = std::move(full);
+    std::sort(run->begin(), run->end(), CellSnapshotCanonicalLess);
   } else {
-    // Patch refresh: share only the dirty cells' frames, then splice them
-    // over a pointer-copy of the previous run in one tandem merge — O(changed
+    // Patch: share only the dirty cells' frames, then splice them over a
+    // pointer-copy of the current run in one tandem merge — O(changed
     // cells) frame work, O(cells) pointer moves. (The only revision bump
     // that skips the dirty list is RestoreCell, which requires an empty —
-    // and therefore runless — engine, so an empty dirty list here really
-    // does mean only no-op changes.)
+    // and therefore unpublished — engine, so an empty dirty list here
+    // really does mean only no-op changes.)
     std::vector<CellSnapshot> patches;
     patches.reserve(dirty_cells_.size());
     for (auto& [key, state] : dirty_cells_) {
       auto frame = SharedFrame(*state, stats);
-      if (!frame.ok()) {
-        // Leave the dirty list, the run, and the export revision
-        // untouched: the next refresh retries exactly this work.
-        return frame.status();
-      }
+      // On failure the dirty list and the publication stay untouched: the
+      // next publish retries exactly this work.
+      if (!frame.ok()) return frame.status();
       patches.push_back({key, *std::move(frame)});
     }
     std::sort(patches.begin(), patches.end(), CellSnapshotCanonicalLess);
-    auto next = std::make_shared<std::vector<CellSnapshot>>();
-    next->reserve(published_run_->size() + patches.size());
-    auto base_it = published_run_->begin();
+    const SnapshotCells& base = *publication_->cells;
+    run->reserve(base.size() + patches.size());
+    auto base_it = base.begin();
     for (CellSnapshot& patch : patches) {
-      while (base_it != published_run_->end() &&
+      while (base_it != base.end() &&
              CanonicalKeyLess(base_it->key, patch.key)) {
-        next->push_back(*base_it++);
+        run->push_back(*base_it++);
       }
-      if (base_it != published_run_->end() && base_it->key == patch.key) {
+      if (base_it != base.end() && base_it->key == patch.key) {
         ++base_it;  // replaced by the patch
       }
-      next->push_back(std::move(patch));
+      run->push_back(std::move(patch));
     }
-    next->insert(next->end(), base_it, published_run_->end());
-    published_run_ = std::move(next);
+    run->insert(run->end(), base_it, base.end());
   }
   for (auto& entry : dirty_cells_) entry.second->queued = false;
   dirty_cells_.clear();
-  export_revision_ = revision_;
-  AccountPublishedRun();
-  *out = published_run_;
-  return Status::OK();
+  auto next = std::make_shared<const Publication>(
+      Publication{std::move(run), now_, revision_});
+  SwapPublication(next);
+  return next;
 }
 
-std::int64_t StreamCubeEngine::DropPublishedRun() {
-  if (published_run_ == nullptr) return 0;
-  const std::int64_t freed = published_run_bytes_;
-  published_run_ = nullptr;
-  AccountPublishedRun();
+std::int64_t StreamCubeEngine::RetirePublication() {
+  const std::int64_t freed = publication_bytes_;
+  SwapPublication(nullptr);
   return freed;
 }
 
-void StreamCubeEngine::AccountPublishedRun() {
+void StreamCubeEngine::SwapPublication(
+    std::shared_ptr<const Publication> next) {
   const std::int64_t bytes =
-      published_run_ != nullptr
-          ? static_cast<std::int64_t>(published_run_->size() *
-                                      sizeof(CellSnapshot))
-          : 0;
-  const std::int64_t delta = bytes - published_run_bytes_;
+      next != nullptr ? static_cast<std::int64_t>(next->cells->size() *
+                                                  sizeof(CellSnapshot))
+                      : 0;
+  {
+    std::lock_guard<std::mutex> lock(pub_mu_);
+    publication_.swap(next);
+  }
+  const std::int64_t delta = bytes - publication_bytes_;
   if (delta != 0 && tracker_ != nullptr) {
     if (delta > 0) {
       tracker_->Add(kGatherCacheCategory, delta);
@@ -357,7 +359,7 @@ void StreamCubeEngine::AccountPublishedRun() {
       tracker_->Release(kGatherCacheCategory, -delta);
     }
   }
-  published_run_bytes_ = bytes;
+  publication_bytes_ = bytes;
 }
 
 void StreamCubeEngine::AppendMemberKeys(CuboidId cuboid, const CellKey& key,
@@ -376,7 +378,7 @@ StreamCubeEngine::SpillSweep StreamCubeEngine::SpillColdFrames(
   SpillSweep sweep;
   if (store_ == nullptr || target_bytes <= 0) return sweep;
   // Cold-first: resident cells that are clean (not queued for the next
-  // export — a dirty cell would be faulted straight back in), least
+  // publish — a dirty cell would be faulted straight back in), least
   // recently modified first.
   std::vector<CellState*> candidates;
   candidates.reserve(cells_.size());
@@ -430,12 +432,10 @@ std::int64_t StreamCubeEngine::CleanDirtyCells() {
       static_cast<std::int64_t>(dirty_cells_.size());
   for (auto& entry : dirty_cells_) entry.second->queued = false;
   dirty_cells_.clear();
-  // Nobody exported the skipped patches, so the retained run must not
-  // pass for fresh at this revision: drop it, and the next refresh
-  // re-exports in full — correctness is preserved, only the delta
-  // shortcut is forfeited.
-  export_revision_ = revision_;
-  DropPublishedRun();
+  // The publication is the base the dirty list patches: without the list
+  // it cannot be brought up to date, so it goes with it and the next
+  // publish re-exports in full — only the delta shortcut is forfeited.
+  RetirePublication();
   return cleaned;
 }
 
@@ -472,7 +472,7 @@ Status StreamCubeEngine::RestoreCell(const CellKey& key, const BlockRef& ref) {
   CellState& state = it->second;
   state.spill = ref;
   // Creation is observable; the cell is NOT dirty-queued — a restored
-  // engine has no gather base, so its first export is a full one and picks
+  // engine has no publication, so its first publish is a full one and picks
   // the cell up there (faulting it in from the checkpoint mapping).
   state.last_modified = ++revision_;
   const auto id = static_cast<MemberIndex::MemberId>(cells_by_id_.size());

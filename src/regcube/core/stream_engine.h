@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -60,15 +61,22 @@ struct CellSnapshot {
   std::shared_ptr<const TiltTimeFrame> frame;
 };
 
+/// The frozen m-layer cells a snapshot query runs against, in canonical
+/// key order. Each entry shares an immutable refcounted frame block, so
+/// copying a SnapshotCells (or holding one in a cache) costs pointers, not
+/// frames.
+using SnapshotCells = std::vector<CellSnapshot>;
+
 /// What one gather actually paid: how many frames had to be materialized
-/// (deep-copied) versus shared with the engine — on the delta path only
-/// realignment across a tilt-unit boundary copies — and the bytes those
-/// copies retain. The bench's delta-vs-full comparison reads these.
+/// (deep-copied) versus shared with the engine — only realignment across a
+/// tilt-unit boundary copies — and the bytes those copies retain, plus the
+/// shards served without a republish and the spilled frames faulted back
+/// in. Snapshots, tests and benches read these.
 struct GatherStats {
   std::int64_t cells = 0;         // cells in the gather
-  std::int64_t materialized = 0;  // frames deep-copied (realigned, or kFull)
+  std::int64_t materialized = 0;  // frames deep-copied by realignment
   std::int64_t bytes_copied = 0;  // bytes retained by those copies
-  std::int64_t shards_reused = 0; // shards served wholesale from their cache
+  std::int64_t shards_reused = 0; // shards served without a republish
   std::int64_t fault_ins = 0;       // spilled frames read back for this gather
   std::int64_t fault_in_bytes = 0;  // encoded bytes those fault-ins decoded
 
@@ -84,12 +92,11 @@ struct GatherStats {
 
 /// The write half of the on-line analysis engine of §4.5: maintains one
 /// tilt time frame per m-layer cell, continuously absorbing the stream,
-/// and publishes those frames as an immutable canonical run
-/// (RefreshPublishedRun). It has no read method of its own: every read —
-/// windows, cubes, the observation deck, trend changes, point queries —
-/// runs over a published run (ShardedStreamEngine gathers one per shard,
-/// snapshot_reads.h aggregates it), so there is one implementation of
-/// each read.
+/// and publishes those frames as an immutable canonical run (Publish). It
+/// has no read method of its own: every read — windows, cubes, the
+/// observation deck, trend changes, point queries — runs over a published
+/// run (ShardedStreamEngine gathers one per shard, snapshot_reads.h
+/// aggregates it), so there is one implementation of each read.
 ///
 /// Tick semantics: ticks arrive in non-decreasing order per cell (enforced
 /// per frame); missing ticks contribute zero (additive stream semantics,
@@ -161,33 +168,44 @@ class StreamCubeEngine {
 
   // ---- the publish half of the snapshot read path -----------------------
 
-  /// An immutable canonical-key-ordered run of published cells, shared
-  /// between the engine's retained published run, the per-shard published
-  /// generation, the sharded gather cache, and any snapshots holding them.
-  using FrozenSlice = std::shared_ptr<const std::vector<CellSnapshot>>;
+  /// One published generation of this engine's cells: an immutable run of
+  /// the cells' own copy-on-write frames in canonical key order, plus the
+  /// clock and revision it reflects. Retired generations stay alive as
+  /// long as some reader holds them; their frames are freed by the last
+  /// shared_ptr drop.
+  struct Publication {
+    std::shared_ptr<const SnapshotCells> cells;
+    TimeTick now = 0;
+    std::uint64_t revision = 0;
+  };
 
-  /// Brings this engine's retained published run up to date and hands it
-  /// back. The run is a full sorted export of every cell; the engine keeps
-  /// it across calls, so a refresh after writes pays only for the cells on
-  /// the dirty list (each cell's own frame marked shared, then spliced over
-  /// a pointer-copy of the previous run) and a refresh with no intervening
-  /// writes returns the same run unchanged (counted as shards_reused). No
-  /// frame is copied here: the writer clones a shared frame before its
-  /// next mutation. Frames are published at their own clock; callers align
-  /// to a global clock outside the lock (sharing survives the alignment
-  /// when no tilt-unit boundary was crossed, see TiltPolicy::AnyUnitEndIn)
-  /// and must align *copies*: the returned run is immutable and shared.
+  /// The current publication (null before the first Publish and after a
+  /// retire). Takes only the engine's pointer-only mutex, never the
+  /// caller's write lock: the mutex-free half of the read path, safe
+  /// concurrently with Publish and the writes around it.
+  std::shared_ptr<const Publication> Published() const;
+
+  /// Brings the publication up to date and hands it back. The run is a
+  /// full sorted export of every cell; the next publish after writes pays
+  /// only for the cells on the dirty list (each cell's own frame marked
+  /// shared, then spliced over a pointer-copy of the current run), and a
+  /// publish with no intervening writes returns the current publication
+  /// unchanged (counted as shards_reused). No frame is copied here: the
+  /// writer clones a shared frame before its next mutation. Frames are
+  /// published at their own clock; callers align *copies* to a global
+  /// clock outside the lock (sharing survives the alignment when no
+  /// tilt-unit boundary was crossed, see TiltPolicy::AnyUnitEndIn).
+  /// Like every write, runs under the caller's write lock.
   ///
   /// On a fault-in failure (typed Unavailable from the store) nothing is
-  /// consumed: the dirty list, the retained run, and the export revision
-  /// all stay put, so the next refresh retries exactly the same work.
-  Status RefreshPublishedRun(FrozenSlice* out, GatherStats* stats);
+  /// consumed: the dirty list and the current publication stay put, so the
+  /// next publish retries exactly the same work.
+  Result<std::shared_ptr<const Publication>> Publish(GatherStats* stats);
 
-  /// Releases the retained published run (re-built in full by the next
-  /// refresh) and returns the bytes its entry vector retained. Readers
-  /// holding the old run keep it alive — retiring a generation frees its
-  /// frames only once the last holder drops it.
-  std::int64_t DropPublishedRun();
+  /// Retires the publication (the next Publish re-exports in full) and
+  /// returns the bytes its entry vector retained. Readers holding it keep
+  /// it alive.
+  std::int64_t RetirePublication();
 
   /// Appends the m-layer keys that roll up into `key` of `cuboid` (index
   /// probe, activating the cuboid's map on first use) — the member feed
@@ -248,9 +266,8 @@ class StreamCubeEngine {
   SpillSweep SpillColdFrames(std::int64_t target_bytes);
 
   /// Turns every dirty-queued cell clean without exporting anything: the
-  /// queue is dropped, the export revision advances, and the retained
-  /// published run is released (it would otherwise pass for fresh while
-  /// missing the skipped patches), so the next refresh re-exports in
+  /// queue is dropped and the publication retired with it (a patch over
+  /// it would miss the skipped cells), so the next publish re-exports in
   /// full. Dirty cells are resident by construction, so this touches no
   /// spilled cell — unlike a gather, which would fault the whole cold tier
   /// back in. The governor's all-dirty escape hatch: after this,
@@ -261,7 +278,7 @@ class StreamCubeEngine {
   /// every BlockRef that names a rewritten block is re-pointed at its copy
   /// in the new segment. Must run under the same lock that guards this
   /// engine's locked reads (the sharded engine holds the shard mutex
-  /// across CompactShardSegment + this call). The published run needs no
+  /// across CompactShardSegment + this call). The publication needs no
   /// re-pointing: it carries materialized frames, not refs, so readers on
   /// the mutex-free publish path never see a retired segment.
   void RepointSpilledBlocks(
@@ -318,7 +335,7 @@ class StreamCubeEngine {
     BlockRef spill;                   // valid iff frame == nullptr
     std::int64_t tracked_bytes = 0;   // this cell's share of frame_bytes_
     std::uint64_t last_modified = 0;  // revision of the last observable change
-    bool queued = false;  // on dirty_cells_, awaiting the next export
+    bool queued = false;  // on dirty_cells_, awaiting the next publish
     bool shared = false;  // `frame` may be held by a reader: clone to write
 
     explicit CellState(std::shared_ptr<TiltTimeFrame> f)
@@ -351,7 +368,7 @@ class StreamCubeEngine {
 
   /// Records an observable change to a cell: bumps the revision, stamps the
   /// cell, and — if the cell was clean — queues it on the dirty list the
-  /// next export patches from.
+  /// next publish patches from.
   void MarkDirty(const CellKey& key, CellState& state);
 
   /// The cell's frame for a run: faults it in (counted into `stats`) and
@@ -397,22 +414,25 @@ class StreamCubeEngine {
   std::int64_t spill_io_errors_ = 0;
   std::int64_t spill_retries_ = 0;
 
-  /// Re-registers the retained published run's entry bytes with the
-  /// tracker after the run changed (under "snapshot.gather_cache"; the
-  /// frames it shares are the cells' own, counted as "stream.tilt_frames").
-  void AccountPublishedRun();
+  /// Swaps `next` in as the publication and re-registers its entry bytes
+  /// with the tracker (under "snapshot.gather_cache"; the frames it shares
+  /// are the cells' own, counted as "stream.tilt_frames"). The retired
+  /// generation is released after pub_mu_ unlocks.
+  void SwapPublication(std::shared_ptr<const Publication> next);
 
-  // Delta-export bookkeeping: published_run_ is the retained full sorted
-  // run RefreshPublishedRun hands out, export_revision_ the revision it
-  // reflects; dirty_cells_ lists each cell modified since — exactly what
-  // the next refresh must patch. The `queued` flag keeps every cell on
-  // the list at most once, so the list is bounded by num_cells()
-  // regardless of how writes interleave with refreshes or member gathers.
-  // CellState pointers are stable (node-based map) and cells are never
-  // erased, so the raw pointer is safe for the engine's lifetime.
-  FrozenSlice published_run_;
-  std::int64_t published_run_bytes_ = 0;
-  std::uint64_t export_revision_ = 0;
+  // The publication and the dirty list it is patched from: dirty_cells_
+  // lists each cell modified since the publication — exactly what the next
+  // publish must patch. The `queued` flag keeps every cell on the list at
+  // most once, so the list is bounded by num_cells() regardless of how
+  // writes interleave with publishes or member gathers. CellState pointers
+  // are stable (node-based map) and cells are never erased, so the raw
+  // pointer is safe for the engine's lifetime. pub_mu_ guards only copying
+  // or swapping `publication_` (a handoff TSan can check, unlike
+  // std::atomic<std::shared_ptr>); the swap also runs under the caller's
+  // write lock, so the write-locked side reads the pointer without it.
+  mutable std::mutex pub_mu_;
+  std::shared_ptr<const Publication> publication_;
+  std::int64_t publication_bytes_ = 0;
   std::vector<std::pair<CellKey, CellState*>> dirty_cells_;
 
   // The ingest-maintained per-cuboid roll-up index (see MemberIndex):

@@ -461,9 +461,9 @@ TEST(AsyncIngestConcurrencyTest,
 
 // Publish on read: owner threads only absorb, so the first gather after
 // Flush() republishes every shard that changed (none is served from its
-// previous generation), a second gather at the same revision is served
-// from the whole-engine cache, and both match the reference store bit for
-// bit.
+// previous publication), a second gather at the same revision folds the
+// same publications again (every shard reused, no frame copied or
+// replaced), and both match the reference store bit for bit.
 TEST(AsyncIngestPublishTest, FirstGatherAfterFlushPublishesEveryShard) {
   const auto spec = ChurnWorkload(64, 8, 83);
   auto schema = MakeWorkloadSchemaPtr(spec);
@@ -495,10 +495,22 @@ TEST(AsyncIngestPublishTest, FirstGatherAfterFlushPublishesEveryShard) {
       const auto first = engine.GatherAlignedCells();
       ASSERT_TRUE(first.status.ok()) << first.status.ToString();
       EXPECT_EQ(first.stats.shards_reused, 0);
+      // With no write between them, the second gather folds the same
+      // publications again: every shard reused, no frame copied, and every
+      // cell shares the first gather's frame.
       const auto second = engine.GatherAlignedCells();
+      ASSERT_TRUE(second.status.ok()) << second.status.ToString();
       EXPECT_EQ(second.revision, first.revision);
-      EXPECT_EQ(second.cells, first.cells);  // the cached run itself
       EXPECT_EQ(second.stats.shards_reused, shards);
+      EXPECT_EQ(second.stats.materialized, 0);
+      ASSERT_EQ(second.cells->size(), first.cells->size());
+      int changed_frames = 0;
+      for (size_t i = 0; i < first.cells->size(); ++i) {
+        if ((*first.cells)[i].frame != (*second.cells)[i].frame) {
+          ++changed_frames;
+        }
+      }
+      EXPECT_EQ(changed_frames, 0);
 
       const auto want = oracle.Gather();
       ExpectGathersIdentical(first, want, num_levels);

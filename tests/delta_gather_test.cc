@@ -1,14 +1,16 @@
 // O(changed-cells) gather contracts: the delta gather (frozen blocks shared
-// for clean cells, patch exports folded into the cached run) must stay
-// bit-identical to the reference store's full gather and from-scratch cube
-// under randomized ingest interleaved with snapshots, for shard counts
-// {1, 2, 8}; seals that change nothing must not move the revision; point
-// queries routed through the member-only gather must match the reference
-// store's scan and keep the error contract; concurrent churn + TakeSnapshot
-// must be race-free (this test runs in the TSan CI job); publishing must
-// share the cells' own copy-on-write frames (only a write changes a frame
-// pointer); and the frame / gather-cache bytes must show up in the
-// facade's memory tracker, each frame counted once.
+// for clean cells, dirty cells spliced into each shard's publication) must
+// stay bit-identical to the reference store's full gather and from-scratch
+// cube under randomized ingest interleaved with snapshots, for shard counts
+// {1, 2, 8}; a gather at the cube memo's revision must return the memo's
+// run itself, and never once a write moved the revision; seals that change
+// nothing must not move the revision; point queries routed through the
+// member-only gather must match the reference store's scan and keep the
+// error contract; concurrent churn + TakeSnapshot must be race-free (this
+// test runs in the TSan CI job); publishing must share the cells' own
+// copy-on-write frames (only a write changes a frame pointer); and the
+// frame / publication bytes must show up in the facade's memory tracker,
+// each frame counted once.
 //
 // The randomized churn and the oracle comparators come from the shared
 // equivalence harness (tests/equivalence_harness.h).
@@ -301,6 +303,61 @@ TEST(DeltaGatherTest, MemberOnlyPointQueriesKeepErrorContract) {
             StatusCode::kNotFound);
 }
 
+// A cube query leaves its run in the memo: the gathers after it at the
+// same revision return that run itself (the memo's diff base, shared, no
+// shard touched), and the first gather after a write folds the write in
+// instead of serving the memo's older run.
+TEST(DeltaGatherTest, GatherAtTheMemoRevisionServesTheMemoRun) {
+  WorkloadSpec spec = ChurnSpec();
+  auto schema = MakeWorkloadSchemaPtr(spec);
+  ASSERT_TRUE(schema.ok());
+  StreamGenerator gen(spec);
+  const std::vector<StreamTuple> stream = gen.GenerateStream();
+  const int num_levels = ChurnEngineOptions().tilt_policy->num_levels();
+
+  for (int shards : {1, 2, 8}) {
+    SCOPED_TRACE(shards);
+    ReferenceStore reference(*schema, ChurnEngineOptions());
+    ShardedStreamEngine engine(*schema, ChurnEngineOptions(), shards);
+    ASSERT_TRUE(engine.IngestBatch(stream).ok());
+    ASSERT_TRUE(reference.IngestBatch(stream).ok());
+    ASSERT_TRUE(engine.SealThrough(spec.series_length - 1).ok());
+    ASSERT_TRUE(reference.SealThrough(spec.series_length - 1).ok());
+
+    // No memo yet: a fold of the publications.
+    const auto folded = engine.GatherAlignedCells();
+    ASSERT_TRUE(folded.status.ok()) << folded.status.ToString();
+    ASSERT_TRUE(engine.ComputeCubeShared(0, 4).ok());
+    const std::int64_t hits = engine.cube_memo_stats().hits;
+
+    const auto first = engine.GatherAlignedCells();
+    const auto second = engine.GatherAlignedCells();
+    ASSERT_TRUE(first.status.ok()) << first.status.ToString();
+    ASSERT_TRUE(second.status.ok()) << second.status.ToString();
+    EXPECT_NE(first.cells, folded.cells);   // the cube query's own gather
+    EXPECT_EQ(second.cells, first.cells);   // the memo's run itself
+    EXPECT_EQ(first.revision, engine.revision());
+    EXPECT_EQ(first.stats.shards_reused, shards);
+    EXPECT_EQ(first.stats.materialized, 0);
+    EXPECT_EQ(engine.cube_memo_stats().hits, hits);  // a probe is no hit
+    ExpectGathersIdentical(first, reference.Gather(), num_levels);
+
+    // A write moves the revision past the memo's: the memo's run is no
+    // longer the gather.
+    const StreamTuple late{gen.cells()[0].key, spec.series_length, 3.0};
+    ASSERT_TRUE(engine.Ingest(late).ok());
+    ASSERT_TRUE(reference.Ingest(late).ok());
+    const auto after_write = engine.GatherAlignedCells();
+    ASSERT_TRUE(after_write.status.ok()) << after_write.status.ToString();
+    EXPECT_NE(after_write.cells, first.cells);
+    EXPECT_EQ(after_write.revision, engine.revision());
+    ASSERT_TRUE(engine.SealThrough(spec.series_length + 3).ok());
+    ASSERT_TRUE(reference.SealThrough(spec.series_length + 3).ok());
+    ExpectGathersIdentical(engine.GatherAlignedCells(), reference.Gather(),
+                           num_levels);
+  }
+}
+
 // ------------------------------------------------- concurrency (TSan'd)
 
 TEST(DeltaGatherTest, ConcurrentChurnAndSnapshotLoop) {
@@ -390,7 +447,7 @@ TEST(DeltaGatherTest, ConcurrentChurnAndSnapshotLoop) {
 TEST(DeltaGatherTest, FrozenAndGatherBytesAreTracked) {
   // Snapshots share the cells' own frames, counted once under
   // stream.tilt_frames (nothing under snapshot.frozen_frames), and the
-  // gather caches stay bounded under churn.
+  // shard publications stay bounded under churn.
   WorkloadSpec spec = ChurnSpec();
   auto schema = MakeWorkloadSchemaPtr(spec);
   ASSERT_TRUE(schema.ok());
@@ -411,7 +468,9 @@ TEST(DeltaGatherTest, FrozenAndGatherBytesAreTracked) {
       engine.memory_tracker().category_bytes("snapshot.gather_cache");
   EXPECT_EQ(engine.memory_tracker().category_bytes("snapshot.frozen_frames"),
             0);
-  EXPECT_GT(cached, 0);
+  // The shard publications are the only gather state: one entry per cell.
+  EXPECT_EQ(cached, snap->num_cells() *
+                        static_cast<std::int64_t>(sizeof(CellSnapshot)));
   EXPECT_EQ(engine.MemoryBytes(), frames_before)
       << "publishing copies no frame";
 

@@ -324,12 +324,13 @@ std::int64_t ReportedBytes(const Engine& engine, const std::string& name) {
 }
 
 /// A budget below memo + frames makes every enforcement drop the memo, and
-/// every gather ends in an enforcement. Cube queries at the revision the
-/// memo was built at must still be answered from it: no gather, so no
-/// fault-in and no enforcement, and every answer bit-identical to a
-/// from-scratch cube. The first query after a write must decline the memo.
-/// The memo's retained run is reported while the memo lives and released
-/// with it.
+/// every gather that republishes a shard ends in an enforcement. Cube
+/// queries at the revision the memo was built at must still be answered
+/// from it: no gather, so no fault-in and no enforcement, and every answer
+/// bit-identical to a from-scratch cube. A snapshot taken after them is
+/// the memo's own run and pays nothing either. The first query after a
+/// write must decline the memo. The memo's retained run is reported while
+/// the memo lives.
 void RunSameRevisionCubeQueries(int num_shards) {
   WorkloadSpec spec = ChurnWorkload(/*tuples=*/200, /*ticks=*/24,
                                     /*seed=*/33);
@@ -382,13 +383,19 @@ void RunSameRevisionCubeQueries(int num_shards) {
   EXPECT_EQ(engine.cube_memo_stats().hits,
             hits_before + static_cast<std::int64_t>(specs.size()));
 
-  // The oracle's gather faults the spilled cells back in and enforces;
-  // rung 10 drops the memo, and its pinned frames with it.
-  auto scratch = engine.TakeSnapshot()->ComputeCube(kLevel, kSlots);
+  // A snapshot at the memo's revision is the memo's own run: it faults
+  // nothing in, runs no enforcement, and leaves the memo (and its pinned
+  // run) in place. Its from-scratch cube is the oracle for the answers.
+  auto snapshot = engine.TakeSnapshot();
+  ASSERT_TRUE(snapshot->status().ok()) << snapshot->status().ToString();
+  const SpillStats after_snapshot = engine.SpillStats();
+  EXPECT_EQ(after_snapshot.fault_ins, before.fault_ins);
+  EXPECT_EQ(after_snapshot.enforcements, before.enforcements);
+  EXPECT_EQ(after_snapshot.memo_evictions, before.memo_evictions);
+  EXPECT_GT(ReportedBytes(engine, "cube.memo.pinned_frames"), 0);
+  auto scratch = snapshot->ComputeCube(kLevel, kSlots);
   ASSERT_TRUE(scratch.ok()) << scratch.status().ToString();
   equivalence::ExpectAnswersMatchCube(*scratch, policy, specs, answers);
-  EXPECT_GT(engine.SpillStats().memo_evictions, after.memo_evictions);
-  EXPECT_EQ(ReportedBytes(engine, "cube.memo.pinned_frames"), 0);
 
   // A write moves the revision: the next drill is no hit, and still exact.
   ASSERT_TRUE(engine.Ingest({gen.cells()[0].key, spec.series_length, 1.0})
@@ -414,6 +421,113 @@ TEST(MemoryBudgetTest, SameRevisionCubeQueriesDoNoGatherWorkTwoShards) {
 
 TEST(MemoryBudgetTest, SameRevisionCubeQueriesDoNoGatherWorkEightShards) {
   RunSameRevisionCubeQueries(8);
+}
+
+/// An enforcement with no read since the last write runs the whole ladder
+/// under budget 1: the publications retire (rung 21) and the dirty queues
+/// are cleaned (rung 40, which retires them again). Either retire point
+/// left out would let the next gather patch nothing over a stale
+/// publication — a silent wrong answer — so the gather after it must match
+/// the reference store bit for bit, and so must a memo-served gather after
+/// a point query, which also owes the point query's enforcement.
+TEST(MemoryBudgetTest, EnforcementWithoutReadsKeepsTheNextGatherExact) {
+  WorkloadSpec spec = ChurnWorkload(/*tuples=*/120, /*ticks=*/16,
+                                    /*seed=*/91);
+  StreamGenerator gen(spec);
+  const auto stream = gen.GenerateStream();
+  auto schema = MakeWorkloadSchemaPtr(spec);
+  ASSERT_TRUE(schema.ok());
+  const int num_levels = ChurnEngineOptions().tilt_policy->num_levels();
+
+  testing_util::ReferenceStore oracle(*schema, ChurnEngineOptions());
+  ShardedStreamEngine engine(*schema, ChurnEngineOptions(), 2);
+  MemoryBudgetConfig config;
+  config.budget_bytes = 1;
+  config.spill_dir = FreshDir("enforce_without_reads");
+  ASSERT_TRUE(engine.ConfigureStorage(config).ok());
+  ASSERT_TRUE(engine.IngestBatch(stream).ok());
+  ASSERT_TRUE(oracle.IngestBatch(stream).ok());
+  ASSERT_TRUE(engine.SealThrough(spec.series_length - 1).ok());
+  ASSERT_TRUE(oracle.SealThrough(spec.series_length - 1).ok());
+  ExpectGathersIdentical(engine.GatherAlignedCells(), oracle.Gather(),
+                         num_levels);
+
+  // Writes the next seal closes, then an enforcement with no read since.
+  for (size_t i = 0; i < 6; ++i) {
+    const StreamTuple tuple{gen.cells()[i].key, spec.series_length,
+                            2.0 + static_cast<double>(i)};
+    ASSERT_TRUE(engine.Ingest(tuple).ok());
+    ASSERT_TRUE(oracle.Ingest(tuple).ok());
+  }
+  ASSERT_TRUE(engine.SealThrough(spec.series_length + 3).ok());
+  ASSERT_TRUE(oracle.SealThrough(spec.series_length + 3).ok());
+  const SpillStats before = engine.SpillStats();
+  engine.MaybeEnforceBudget();
+  const SpillStats after = engine.SpillStats();
+  EXPECT_GT(after.enforcements, before.enforcements);
+  EXPECT_GT(after.export_evictions, 0);
+
+  ExpectGathersIdentical(engine.GatherAlignedCells(), oracle.Gather(),
+                         num_levels);
+
+  // The cube query leaves its run in the memo. A point query then
+  // republishes its shard (the last enforcement retired every
+  // publication) without enforcing, so the next gather enforces even
+  // though the memo serves it without touching a shard.
+  ASSERT_TRUE(engine.ComputeCubeShared(0, 2).ok());
+  const std::int64_t checks = engine.governor()->stats().checks;
+  const CellKey& key = gen.cells()[0].key;
+  ASSERT_TRUE(engine.QueryCell(engine.lattice().m_layer_id(), key, 0, 2).ok());
+  EXPECT_EQ(engine.governor()->stats().checks, checks);
+  const auto served = engine.GatherAlignedCells();
+  EXPECT_EQ(served.stats.fault_ins, 0);  // no shard touched
+  EXPECT_EQ(engine.governor()->stats().checks, checks + 1);
+  ExpectGathersIdentical(served, oracle.Gather(), num_levels);
+}
+
+/// Enforcement follows republishing: a gather that republished a shard
+/// probes the budget, while one with no republish since the last probe
+/// (every shard fresh, or the memo's run served) freed and dirtied nothing
+/// and skips it. A point query republishes without probing, so the next
+/// full gather probes for it.
+TEST(MemoryBudgetTest, GatherThatRepublishesNothingSkipsEnforcement) {
+  WorkloadSpec spec = ChurnWorkload(/*tuples=*/80, /*ticks=*/16,
+                                    /*seed=*/93);
+  StreamGenerator gen(spec);
+  auto schema = MakeWorkloadSchemaPtr(spec);
+  ASSERT_TRUE(schema.ok());
+  ShardedStreamEngine engine(*schema, ChurnEngineOptions(), 2);
+  MemoryBudgetConfig config;
+  config.budget_bytes = std::int64_t{1} << 40;  // a governor, never over
+  ASSERT_TRUE(engine.ConfigureStorage(config).ok());
+  ASSERT_TRUE(engine.IngestBatch(gen.GenerateStream()).ok());
+  ASSERT_TRUE(engine.SealThrough(spec.series_length - 1).ok());
+  auto checks = [&engine] { return engine.governor()->stats().checks; };
+
+  std::int64_t before = checks();
+  ASSERT_TRUE(engine.GatherAlignedCells().status.ok());
+  EXPECT_EQ(checks(), before + 1);  // republished both shards
+
+  before = checks();
+  const auto fresh = engine.GatherAlignedCells();
+  ASSERT_TRUE(fresh.status.ok());
+  EXPECT_EQ(fresh.stats.shards_reused, 2);
+  EXPECT_EQ(checks(), before);
+
+  ASSERT_TRUE(engine.ComputeCubeShared(0, 4).ok());
+  before = checks();
+  ASSERT_TRUE(engine.GatherAlignedCells().status.ok());  // the memo's run
+  EXPECT_EQ(checks(), before);
+
+  const CellKey& key = gen.cells()[0].key;
+  ASSERT_TRUE(engine.Ingest({key, spec.series_length, 1.0}).ok());
+  before = checks();
+  ASSERT_TRUE(engine.QueryCell(engine.lattice().m_layer_id(), key, 0, 1).ok());
+  EXPECT_EQ(checks(), before);
+  const auto after_point = engine.GatherAlignedCells();
+  ASSERT_TRUE(after_point.status.ok());
+  EXPECT_EQ(after_point.stats.shards_reused, 2);
+  EXPECT_EQ(checks(), before + 1);
 }
 
 // ------------------------------------------------- all-dirty convergence

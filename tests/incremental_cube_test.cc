@@ -16,7 +16,11 @@
 // equivalence harness (tests/equivalence_harness.h).
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <future>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -328,10 +332,10 @@ TEST(IncrementalCubeTest, FacadeCubeQueriesRideTheMemoAndAccountMemory) {
   }
 }
 
-// The memo's retained run pins its frame blocks past any engine-side
-// eviction, so they are accounted under their own category: sized when a
-// run is installed, moved on a tracker swap, released on Invalidate and
-// when the memo is destroyed.
+// The memo's retained run pins its entry vector and frame blocks past any
+// engine-side eviction, so they are accounted under their own category:
+// sized when a run is installed, moved on a tracker swap, released on
+// Invalidate and when the memo is destroyed.
 TEST(IncrementalCubeTest, PinnedFramesAreAccountedAndMoveBetweenTrackers) {
   WorkloadSpec spec = LagSpec();
   auto schema = MakeWorkloadSchemaPtr(spec);
@@ -346,10 +350,12 @@ TEST(IncrementalCubeTest, PinnedFramesAreAccountedAndMoveBetweenTrackers) {
     SeedLagging(engine, gen);
     EXPECT_EQ(first.category_bytes(kPinned), 0);
 
-    // The memo's run is the gather cached at the memo's revision.
+    // At the memo's revision a gather returns the memo's run itself.
     auto run_frame_bytes = [&engine] {
-      std::int64_t bytes = 0;
-      for (const CellSnapshot& cell : *engine.GatherAlignedCells().cells) {
+      const auto run = engine.GatherAlignedCells().cells;
+      std::int64_t bytes = static_cast<std::int64_t>(
+          run->size() * sizeof(CellSnapshot));
+      for (const CellSnapshot& cell : *run) {
         bytes += cell.frame->MemoryBytes();
       }
       return bytes;
@@ -371,6 +377,78 @@ TEST(IncrementalCubeTest, PinnedFramesAreAccountedAndMoveBetweenTrackers) {
   }
   EXPECT_EQ(second.category_bytes(kPinned), 0);
   EXPECT_EQ(second.category_bytes("cube.memo"), 0);
+}
+
+// The memo's run serves a gather only at exactly the memo's revision, and
+// the probe never waits on maintenance: while a patch holds the memo (here
+// parked inside its member lookup), RunAt declines even at the memo's own
+// revision, so a TakeSnapshot folds instead of queueing behind the patch.
+TEST(IncrementalCubeTest, RunProbeServesOneRevisionAndNeverWaits) {
+  WorkloadSpec spec = LagSpec();
+  auto schema = MakeWorkloadSchemaPtr(spec);
+  ASSERT_TRUE(schema.ok());
+  ShardedStreamEngine engine(*schema, LagOptions(), 2);
+  StreamGenerator gen(spec);
+  SeedLagging(engine, gen);
+
+  IncrementalCubeCache memo(*schema, LagOptions());
+  std::mutex mu;
+  std::condition_variable cv;
+  bool entered = false;
+  bool release = false;
+  memo.set_member_lookup(
+      [&](CuboidId cuboid, const std::vector<CellKey>& keys) {
+        std::unique_lock<std::mutex> lock(mu);
+        entered = true;
+        cv.notify_all();
+        cv.wait(lock, [&] { return release; });
+        return engine.MemberKeysForBatch(cuboid, keys);
+      });
+
+  const auto base = engine.GatherAlignedCells();
+  ASSERT_TRUE(memo.CubeFor(base.cells, base.clock, base.revision, 0, 2,
+                           nullptr)
+                  .ok());
+  const auto served = memo.RunAt(base.revision);
+  EXPECT_EQ(served.cells, base.cells);
+  EXPECT_EQ(served.clock, base.clock);
+  EXPECT_EQ(memo.RunAt(base.revision + 1).cells, nullptr);
+  EXPECT_EQ(memo.RunAt(base.revision - 1).cells, nullptr);
+
+  // Late data into the sealed window: the next CubeFor patches, and its
+  // member lookup parks the patch with the memo held.
+  ASSERT_TRUE(engine.Ingest({gen.cells()[0].key, 7, 9.0}).ok());
+  const auto next = engine.GatherAlignedCells();
+  Status patched;
+  std::thread maintainer([&] {
+    patched = memo.CubeFor(next.cells, next.clock, next.revision, 0, 2,
+                           nullptr)
+                  .status();
+  });
+  bool parked;
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    parked = cv.wait_for(lock, std::chrono::seconds(30),
+                         [&] { return entered; });
+  }
+  EXPECT_TRUE(parked) << "the patch never consulted the member lookup";
+  auto probe = std::async(std::launch::async,
+                          [&] { return memo.RunAt(base.revision).cells; });
+  const bool returned =
+      probe.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  EXPECT_TRUE(returned) << "the run probe waited on memo maintenance";
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  maintainer.join();
+  EXPECT_EQ(probe.get(), nullptr);
+
+  ASSERT_TRUE(patched.ok()) << patched.ToString();
+  EXPECT_EQ(memo.stats().patches, 1);
+  EXPECT_EQ(memo.RunAt(next.revision).cells, next.cells);
+  EXPECT_EQ(memo.RunAt(base.revision).cells, nullptr);
 }
 
 // ------------------------------------------------------------ error contract

@@ -1,10 +1,10 @@
 // StreamCubeEngine — the per-shard write half of the on-line engine. It
 // has no read API of its own, so each test reads what it published
-// (RefreshPublishedRun, aligned to the engine clock the way a gather
-// aligns) through the snapshot_reads kernels every library read uses, and
-// checks the §4.5 semantics against direct fits of the raw series; the
-// write rules themselves are checked bit for bit against the reference
-// store (tests/reference_store.h).
+// (Publish, aligned to the engine clock the way a gather aligns) through
+// the snapshot_reads kernels every library read uses, and checks the §4.5
+// semantics against direct fits of the raw series; the write rules
+// themselves are checked bit for bit against the reference store
+// (tests/reference_store.h).
 
 #include "regcube/core/stream_engine.h"
 
@@ -26,12 +26,11 @@ using testing_util::MustFit;
 /// The engine's published run with every frame copied and advanced to the
 /// engine clock — the cells a gather of a one-shard engine reads.
 SnapshotCells AlignedRun(StreamCubeEngine& engine) {
-  StreamCubeEngine::FrozenSlice run;
-  const Status published = engine.RefreshPublishedRun(&run, nullptr);
-  EXPECT_TRUE(published.ok()) << published.ToString();
+  auto published = engine.Publish(nullptr);
+  EXPECT_TRUE(published.ok()) << published.status().ToString();
   SnapshotCells cells;
-  if (run == nullptr) return cells;
-  for (const CellSnapshot& cell : *run) {
+  if (!published.ok()) return cells;
+  for (const CellSnapshot& cell : *(*published)->cells) {
     auto frame = std::make_shared<TiltTimeFrame>(*cell.frame);
     EXPECT_TRUE(frame->AdvanceTo(engine.now()).ok());
     cells.push_back({cell.key, std::move(frame)});
@@ -408,6 +407,43 @@ TEST(StreamEngineTest, PublishedRunMatchesReferenceStoreWriteRules) {
 
   EXPECT_EQ(engine.num_cells(), reference.num_cells());
   EXPECT_EQ(engine.now(), reference.now());
+  equivalence::ExpectCellRunsIdentical(
+      AlignedRun(engine), *reference.Gather().cells,
+      options.tilt_policy->num_levels());
+}
+
+TEST(StreamEngineTest, CleanDirtyCellsRetiresThePublication) {
+  // CleanDirtyCells drops the dirty list the next publish would patch the
+  // publication from, so the publication must go with it: a patch over it
+  // would miss every cleaned cell and answer stale. Publish, write and
+  // seal, clean with no read in between, then publish again.
+  const WorkloadSpec spec = equivalence::ChurnWorkload(40, 16, /*seed=*/9);
+  auto schema = MakeWorkloadSchemaPtr(spec);
+  ASSERT_TRUE(schema.ok());
+  const StreamCubeEngine::Options options = equivalence::ChurnEngineOptions();
+  StreamCubeEngine engine(*schema, options);
+  testing_util::ReferenceStore reference(*schema, options);
+  StreamGenerator gen(spec);
+  const auto stream = gen.GenerateStream();
+  ASSERT_TRUE(engine.IngestBatch(stream).ok());
+  ASSERT_TRUE(reference.IngestBatch(stream).ok());
+  ASSERT_TRUE(engine.SealThrough(spec.series_length - 1).ok());
+  ASSERT_TRUE(reference.SealThrough(spec.series_length - 1).ok());
+  ASSERT_TRUE(engine.Publish(nullptr).ok());
+  ASSERT_NE(engine.Published(), nullptr);
+
+  // Writes the next seal closes, so they show in the sealed slots.
+  for (size_t i = 0; i < 5; ++i) {
+    const StreamTuple tuple{gen.cells()[i].key, spec.series_length,
+                            4.0 + static_cast<double>(i)};
+    ASSERT_TRUE(engine.Ingest(tuple).ok());
+    ASSERT_TRUE(reference.Ingest(tuple).ok());
+  }
+  ASSERT_TRUE(engine.SealThrough(spec.series_length + 3).ok());
+  ASSERT_TRUE(reference.SealThrough(spec.series_length + 3).ok());
+
+  EXPECT_GT(engine.CleanDirtyCells(), 0);
+  EXPECT_EQ(engine.Published(), nullptr);
   equivalence::ExpectCellRunsIdentical(
       AlignedRun(engine), *reference.Gather().cells,
       options.tilt_policy->num_levels());
