@@ -1,14 +1,19 @@
 // M1 — micro-benchmarks of the regression-measure primitives: direct LSE
 // fit, the two lossless aggregations, moment round trips, tilt-frame
 // ingestion, the frame block codec and its checksum, NCR updates/solves,
-// and H-tree construction. Complements the
-// figure harnesses with per-operation costs.
+// H-tree construction, and the exception-guided drill (one DrillDown step
+// and a supporters walk). Complements the figure harnesses with
+// per-operation costs.
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
 #include <string>
 
 #include "benchmark/benchmark.h"
 #include "regcube/common/pcg_random.h"
+#include "regcube/core/mo_cubing.h"
+#include "regcube/core/query.h"
 #include "regcube/gen/stream_generator.h"
 #include "regcube/htree/htree.h"
 #include "regcube/io/binary_io.h"
@@ -219,6 +224,78 @@ void BM_HTreeBuild(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_HTreeBuild)->Arg(1000)->Arg(10000);
+
+/// A 20k-cell D3L2C10 cube (3 dimensions, 2 levels, fan-out 10: the shape
+/// of perfbench's drill workload), m/o-cubed once and shared.
+struct DrillCube {
+  ExceptionPolicy policy{0.02};
+  std::unique_ptr<const RegressionCube> cube;
+};
+
+const DrillCube& SharedDrillCube() {
+  static const DrillCube* shared = [] {
+    WorkloadSpec spec;
+    spec.num_dims = 3;
+    spec.num_levels = 2;
+    spec.fanout = 10;
+    spec.num_tuples = 20000;
+    spec.series_length = 16;
+    StreamGenerator gen(spec);
+    auto* out = new DrillCube;
+    MoCubingOptions options;
+    options.policy = out->policy;
+    auto cube = ComputeMoCubing(*MakeWorkloadSchemaPtr(spec),
+                                gen.GenerateMLayerTuples(), options);
+    out->cube = std::make_unique<const RegressionCube>(std::move(cube).value());
+    return out;
+  }();
+  return *shared;
+}
+
+/// One drill step from the strongest exception of (A1, B2, C2), one level
+/// above the m-layer, into the 20k m-layer cells.
+void BM_DrillDown(benchmark::State& state) {
+  const DrillCube& drill = SharedDrillCube();
+  const CubeView view(*drill.cube, drill.policy);
+  const CuboidId cuboid = drill.cube->lattice().id({1, 2, 2});
+  const std::vector<CellResult> exceptions = view.ExceptionsAt(cuboid);
+  if (exceptions.empty()) {
+    state.SkipWithError("no exception to drill");
+    return;
+  }
+  const CellResult& from = *std::max_element(
+      exceptions.begin(), exceptions.end(),
+      [](const CellResult& a, const CellResult& b) {
+        return std::fabs(a.isb.slope) < std::fabs(b.isb.slope);
+      });
+  std::size_t children = 0;
+  for (auto _ : state) {
+    auto cells = view.DrillDown(cuboid, from.key);
+    children = cells.size();
+    benchmark::DoNotOptimize(cells);
+  }
+  state.counters["children"] = static_cast<double>(children);
+}
+BENCHMARK(BM_DrillDown);
+
+/// The whole supporters tree of the cube's strongest exception.
+void BM_DrillSupporters(benchmark::State& state) {
+  const DrillCube& drill = SharedDrillCube();
+  const CubeView view(*drill.cube, drill.policy);
+  const std::vector<CellResult> top = view.TopExceptions(1);
+  if (top.empty()) {
+    state.SkipWithError("no exception to drill");
+    return;
+  }
+  std::size_t supporters = 0;
+  for (auto _ : state) {
+    auto cells = view.ExceptionSupporters(top[0].cuboid, top[0].key);
+    supporters = cells.size();
+    benchmark::DoNotOptimize(cells);
+  }
+  state.counters["supporters"] = static_cast<double>(supporters);
+}
+BENCHMARK(BM_DrillSupporters);
 
 }  // namespace
 }  // namespace regcube

@@ -16,10 +16,15 @@ CubeSnapshot::CubeSnapshot(std::shared_ptr<const CubeSchema> schema,
       clock_(gathered.clock),
       revision_(gathered.revision),
       status_(std::move(gathered.status)),
-      stats_(gathered.stats) {
-  for (const CellSnapshot& cell : *cells_) {
-    pinned_frame_bytes_ += cell.frame->MemoryBytes();
-  }
+      stats_(gathered.stats) {}
+
+std::int64_t CubeSnapshot::PinnedFrameBytes() const {
+  std::call_once(pinned_once_, [this] {
+    for (const CellSnapshot& cell : *cells_) {
+      pinned_frame_bytes_ += cell.frame->MemoryBytes();
+    }
+  });
+  return pinned_frame_bytes_;
 }
 
 Result<std::vector<MLayerTuple>> CubeSnapshot::Window(int level, int k) const {

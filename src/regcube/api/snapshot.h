@@ -119,8 +119,9 @@ class CubeSnapshot {
   /// cube memo's run, so while the engine holds them too they are already
   /// accounted there — but a live snapshot pins them past any engine-side
   /// eviction, and the memory report surfaces that residual as
-  /// "snapshot.pinned_frames".
-  std::int64_t PinnedFrameBytes() const { return pinned_frame_bytes_; }
+  /// "snapshot.pinned_frames". Summed over the frames on the first call
+  /// and kept, so taking a snapshot stays O(1) when the run is shared.
+  std::int64_t PinnedFrameBytes() const;
 
   const CubeSchema& schema() const { return *schema_; }
   const CuboidLattice& lattice() const { return lattice_; }
@@ -158,7 +159,9 @@ class CubeSnapshot {
   TimeTick clock_ = 0;
   std::uint64_t revision_ = 0;
   Status status_;  // the gather's outcome; non-OK poisons every query
-  std::int64_t pinned_frame_bytes_ = 0;  // Σ frozen frame MemoryBytes()
+  // Σ frozen frame MemoryBytes(), summed once by PinnedFrameBytes().
+  mutable std::once_flag pinned_once_;
+  mutable std::int64_t pinned_frame_bytes_ = 0;
   GatherStats stats_;  // what the gather behind this snapshot paid
   mutable CubeMemo memo_;  // logically immutable: a memo of the derived cube
 };

@@ -122,18 +122,26 @@ Result<Isb> CubeView::GetCell(CuboidId cuboid, const CellKey& key) const {
 Result<Isb> CubeView::ComputeCellOnTheFly(CuboidId cuboid,
                                           const CellKey& key) const {
   const CuboidLattice& lattice = cube_->lattice();
-  Isb acc;
-  bool found = false;
-  for (const auto& [m_key, isb] : cube_->m_layer()) {
-    if (lattice.ProjectMLayerKey(m_key, cuboid) == key) {
-      AccumulateStandardDim(acc, isb);
-      found = true;
+  std::vector<const CellMap::value_type*> members;
+  for (const auto& cell : cube_->m_layer()) {
+    if (lattice.ProjectMLayerKey(cell.first, cuboid) == key) {
+      members.push_back(&cell);
     }
   }
-  if (!found) {
+  if (members.empty()) {
     return Status::NotFound(StrPrintf(
         "cell %s of cuboid %s has no descendant m-layer cells",
         key.ToString().c_str(), lattice.CuboidName(cuboid).c_str()));
+  }
+  // A floating-point sum depends on its order: sum in canonical key order,
+  // so the answer does not depend on how the m-layer map was filled.
+  std::sort(members.begin(), members.end(),
+            [](const CellMap::value_type* a, const CellMap::value_type* b) {
+              return CanonicalKeyLess(a->first, b->first);
+            });
+  Isb acc;
+  for (const CellMap::value_type* cell : members) {
+    AccumulateStandardDim(acc, cell->second);
   }
   return acc;
 }
@@ -168,11 +176,40 @@ std::vector<CellResult> CubeView::ExceptionsAt(CuboidId cuboid) const {
 std::vector<CellResult> CubeView::DrillDown(CuboidId cuboid,
                                             const CellKey& key) const {
   const CuboidLattice& lattice = cube_->lattice();
+  const CubeSchema& schema = cube_->schema();
+  const LayerSpec& spec = lattice.spec(cuboid);
   std::vector<CellResult> out;
+  // No stored key has another dimension count, so nothing descends.
+  if (key.num_dims() != schema.num_dims()) return out;
   for (CuboidId child : lattice.DrillChildren(cuboid)) {
     const CellMap* cells = cube_->CellsAt(child);
     if (cells == nullptr) continue;
     const ExceptionPolicy::CellTest is_exception = ExceptionTestFor(child);
+    // The child refines one dimension d by one level, so a descendant
+    // equals `key` everywhere but d, and holds a child of key[d] there.
+    // Probing those children costs the fan-out; scanning costs the
+    // cuboid, which is cheaper when it holds fewer cells. Out of `*`
+    // (level 0) the children are unbounded, so that step always scans.
+    const LayerSpec& child_spec = lattice.spec(child);
+    int d = 0;
+    while (child_spec[static_cast<size_t>(d)] == spec[static_cast<size_t>(d)]) {
+      ++d;
+    }
+    const int level = spec[static_cast<size_t>(d)];
+    if (level != 0) {
+      const std::vector<ValueId> values =
+          schema.dim(d).hierarchy().Children(level, key[d]);
+      if (values.size() < cells->size()) {
+        CellKey probe = key;
+        for (ValueId v : values) {
+          probe.set(d, v);
+          const auto it = cells->find(probe);
+          if (it == cells->end() || !is_exception(it->second)) continue;
+          out.push_back(CellResult{child, it->first, it->second, true});
+        }
+        continue;
+      }
+    }
     for (const auto& [child_key, isb] : *cells) {
       if (!lattice.KeyIsDescendant(child_key, child, key, cuboid)) continue;
       if (!is_exception(isb)) continue;

@@ -40,7 +40,8 @@ class CubeView {
   Result<Isb> GetCell(CuboidId cuboid, const CellKey& key) const;
 
   /// Computes any cell on the fly from the retained m-layer by direct
-  /// aggregation (for cells pruned as non-exceptions). O(|m-layer|).
+  /// aggregation (for cells pruned as non-exceptions), summing the members
+  /// in canonical key order. O(|m-layer|).
   Result<Isb> ComputeCellOnTheFly(CuboidId cuboid, const CellKey& key) const;
 
   /// All retained exception cells of one cuboid, in canonical key order.
@@ -49,7 +50,11 @@ class CubeView {
   /// Retained exception children of `key` one drill step below `cuboid`
   /// (the next layer of "supporters"), ordered by (cuboid, canonical key).
   /// The m-layer counts as computed, so drilling from the last intermediate
-  /// layer surfaces exceptional m-cells.
+  /// layer surfaces exceptional m-cells. Each child cuboid costs the
+  /// drilled value's children (hash probes), or one scan of the cuboid
+  /// when it holds fewer cells than that or the step drills out of `*`.
+  /// A key that is no cell of `cuboid` (wrong dimension count, a star or a
+  /// value where none can be) has no descendants.
   std::vector<CellResult> DrillDown(CuboidId cuboid, const CellKey& key) const;
 
   /// Full supporters tree: recursively drills from `key` and returns every

@@ -1,7 +1,10 @@
 #include "regcube/cube/dimension.h"
 
+#include <algorithm>
+
 #include "regcube/common/logging.h"
 #include "regcube/common/str.h"
+#include "regcube/cube/cell.h"
 
 namespace regcube {
 
@@ -41,6 +44,24 @@ ValueId FanoutHierarchy::Parent(int level, ValueId value) const {
   return value / static_cast<ValueId>(fanout_);
 }
 
+std::vector<ValueId> FanoutHierarchy::Children(int level,
+                                               ValueId value) const {
+  RC_CHECK(level >= 1 && level <= num_levels_);
+  if (level == num_levels_) return {};
+  const std::uint64_t begin =
+      static_cast<std::uint64_t>(value) * static_cast<std::uint64_t>(fanout_);
+  const std::uint64_t end =
+      std::min<std::uint64_t>(begin + static_cast<std::uint64_t>(fanout_),
+                              kStarValue);
+  std::vector<ValueId> out;
+  if (begin >= end) return out;
+  out.reserve(static_cast<size_t>(end - begin));
+  for (std::uint64_t c = begin; c < end; ++c) {
+    out.push_back(static_cast<ValueId>(c));
+  }
+  return out;
+}
+
 Result<ExplicitHierarchy> ExplicitHierarchy::Create(
     std::int64_t level1_cardinality, std::vector<std::vector<ValueId>> parents,
     std::vector<std::vector<std::string>> labels) {
@@ -72,6 +93,22 @@ Result<ExplicitHierarchy> ExplicitHierarchy::Create(
   h.level1_cardinality_ = level1_cardinality;
   h.parents_ = std::move(parents);
   h.labels_ = std::move(labels);
+  // Invert each parent table by counting sort: children visited in id
+  // order land in each parent's list ascending.
+  for (size_t k = 0; k < h.parents_.size(); ++k) {
+    const auto& table = h.parents_[k];
+    std::vector<std::uint32_t> begin(
+        static_cast<size_t>(h.Cardinality(static_cast<int>(k) + 1)) + 1, 0);
+    for (ValueId p : table) ++begin[static_cast<size_t>(p) + 1];
+    for (size_t v = 1; v < begin.size(); ++v) begin[v] += begin[v - 1];
+    std::vector<ValueId> ids(table.size());
+    std::vector<std::uint32_t> next(begin.begin(), begin.end() - 1);
+    for (size_t c = 0; c < table.size(); ++c) {
+      ids[next[table[c]]++] = static_cast<ValueId>(c);
+    }
+    h.child_begin_.push_back(std::move(begin));
+    h.child_ids_.push_back(std::move(ids));
+  }
   return h;
 }
 
@@ -91,6 +128,17 @@ ValueId ExplicitHierarchy::Parent(int level, ValueId value) const {
   const auto& table = parents_[static_cast<size_t>(level - 2)];
   RC_CHECK_LT(value, table.size());
   return table[value];
+}
+
+std::vector<ValueId> ExplicitHierarchy::Children(int level,
+                                                 ValueId value) const {
+  RC_CHECK(level >= 1 && level <= num_levels());
+  if (level == num_levels()) return {};
+  const auto& begin = child_begin_[static_cast<size_t>(level - 1)];
+  if (value >= begin.size() - 1) return {};
+  const auto& ids = child_ids_[static_cast<size_t>(level - 1)];
+  return std::vector<ValueId>(ids.begin() + begin[value],
+                              ids.begin() + begin[value + 1]);
 }
 
 std::string ExplicitHierarchy::Label(int level, ValueId value) const {

@@ -19,6 +19,11 @@ using ValueId = std::uint32_t;
 /// materialized), level 1 the most general stored level, and deeper levels
 /// are more specific. Every value at level l+1 has exactly one parent at
 /// level l.
+///
+/// The hierarchy can be walked both ways: `Parent` rolls a value up one
+/// level, `Children` lists the values one level down whose parent it is
+/// (their count is the list's size). A drill step probes exactly those
+/// children instead of scanning a whole cuboid.
 class ConceptHierarchy {
  public:
   virtual ~ConceptHierarchy() = default;
@@ -33,6 +38,13 @@ class ConceptHierarchy {
   /// value < Cardinality(level) (checked by implementations).
   virtual ValueId Parent(int level, ValueId value) const = 0;
 
+  /// Children (at level+1) of `value` (at `level`): every value whose
+  /// Parent is `value`, ascending. Empty at the deepest level and for a
+  /// value with no children. Never checks `value` against the level's
+  /// cardinality, so a malformed key asks safely. Pre: 1 <= level <=
+  /// num_levels() (checked).
+  virtual std::vector<ValueId> Children(int level, ValueId value) const = 0;
+
   /// Display label of a value (defaults to "L<level>:<id>").
   virtual std::string Label(int level, ValueId value) const;
 
@@ -45,7 +57,9 @@ class ConceptHierarchy {
 /// level l+1, so Cardinality(l) = fanout^l and Parent(v) = v / fanout.
 /// This is the generator's hierarchy shape ("the node fan-out factor
 /// (cardinality) is 10, i.e. 10 children per node" — §5) with O(1) ancestor
-/// arithmetic.
+/// arithmetic. Children(v) = [v*fanout, v*fanout + fanout), computed in 64
+/// bits and clipped below kStarValue; that is exact also for values beyond
+/// a level's cardinality (a key mapper's), whose Parent is v / fanout too.
 class FanoutHierarchy : public ConceptHierarchy {
  public:
   /// Pre: num_levels >= 1, fanout >= 1 (checked).
@@ -54,6 +68,7 @@ class FanoutHierarchy : public ConceptHierarchy {
   int num_levels() const override { return num_levels_; }
   std::int64_t Cardinality(int level) const override;
   ValueId Parent(int level, ValueId value) const override;
+  std::vector<ValueId> Children(int level, ValueId value) const override;
 
   int fanout() const { return fanout_; }
 
@@ -65,7 +80,8 @@ class FanoutHierarchy : public ConceptHierarchy {
 
 /// Hierarchy backed by explicit parent tables, for real-world dimensions
 /// (e.g. street-block -> district -> city). Level l's table maps each value
-/// to its parent at level l-1.
+/// to its parent at level l-1; Create inverts the tables once into child
+/// lists (CSR), so Children is a copy of one list.
 class ExplicitHierarchy : public ConceptHierarchy {
  public:
   /// `parents[k]` is the parent table of level k+2 (level 1 has no table).
@@ -79,6 +95,7 @@ class ExplicitHierarchy : public ConceptHierarchy {
   int num_levels() const override;
   std::int64_t Cardinality(int level) const override;
   ValueId Parent(int level, ValueId value) const override;
+  std::vector<ValueId> Children(int level, ValueId value) const override;
   std::string Label(int level, ValueId value) const override;
 
  private:
@@ -86,6 +103,11 @@ class ExplicitHierarchy : public ConceptHierarchy {
 
   std::int64_t level1_cardinality_ = 0;
   std::vector<std::vector<ValueId>> parents_;
+  // Per level l (index l-1): the children of value v at level l are
+  // child_ids_[l-1][child_begin_[l-1][v] .. child_begin_[l-1][v+1]),
+  // ascending. Built in Create from parents_.
+  std::vector<std::vector<std::uint32_t>> child_begin_;
+  std::vector<std::vector<ValueId>> child_ids_;
   std::vector<std::vector<std::string>> labels_;
 };
 

@@ -1,8 +1,10 @@
 #include "regcube/cube/dimension.h"
 
+#include <algorithm>
 #include <memory>
 
 #include "gtest/gtest.h"
+#include "regcube/cube/cell.h"
 
 namespace regcube {
 namespace {
@@ -74,6 +76,81 @@ TEST(ExplicitHierarchyTest, DefaultLabelFallback) {
 
 TEST(ExplicitHierarchyTest, LabelCountMustMatchLevels) {
   EXPECT_FALSE(ExplicitHierarchy::Create(2, {{0, 1}}, {{"a", "b"}}).ok());
+}
+
+// ---- Children ------------------------------------------------------------
+
+/// Children agrees with Parent over every in-range value: each list is
+/// ascending, each child's Parent is the value asked about, and the lists
+/// partition the level below. The deepest level has no children.
+void ExpectChildrenInvertParent(const ConceptHierarchy& h) {
+  for (int level = 1; level < h.num_levels(); ++level) {
+    std::int64_t listed = 0;
+    for (ValueId v = 0; v < h.Cardinality(level); ++v) {
+      const std::vector<ValueId> children = h.Children(level, v);
+      EXPECT_TRUE(std::is_sorted(children.begin(), children.end()));
+      EXPECT_EQ(std::adjacent_find(children.begin(), children.end()),
+                children.end());
+      for (ValueId c : children) {
+        ASSERT_LT(c, h.Cardinality(level + 1));
+        EXPECT_EQ(h.Parent(level + 1, c), v) << "level " << level;
+      }
+      listed += static_cast<std::int64_t>(children.size());
+    }
+    EXPECT_EQ(listed, h.Cardinality(level + 1)) << "level " << level;
+  }
+  for (ValueId v = 0; v < h.Cardinality(h.num_levels()); ++v) {
+    EXPECT_TRUE(h.Children(h.num_levels(), v).empty());
+  }
+}
+
+TEST(FanoutHierarchyTest, ChildrenInvertParent) {
+  ExpectChildrenInvertParent(FanoutHierarchy(3, 4));
+  ExpectChildrenInvertParent(FanoutHierarchy(3, 1));
+  const FanoutHierarchy h(3, 10);
+  EXPECT_EQ(h.Children(2, 98),
+            (std::vector<ValueId>{980, 981, 982, 983, 984, 985, 986, 987, 988,
+                                  989}));
+}
+
+TEST(FanoutHierarchyTest, ChildrenOfWideValuesAreArithmeticAndClipped) {
+  // Values beyond a level's cardinality (a key mapper's) have the children
+  // v*f .. v*f+f-1, computed in 64 bits, but never kStarValue or beyond.
+  const FanoutHierarchy h(2, 10);
+  EXPECT_EQ(h.Children(1, 12),
+            (std::vector<ValueId>{120, 121, 122, 123, 124, 125, 126, 127, 128,
+                                  129}));
+  const ValueId last = kStarValue / 10;  // 429496729: children up to ...299
+  const std::vector<ValueId> clipped = h.Children(1, last);
+  ASSERT_EQ(clipped.size(), 5u);
+  EXPECT_EQ(clipped.front(), last * 10);
+  EXPECT_EQ(clipped.back(), kStarValue - 1);
+  EXPECT_TRUE(h.Children(1, last + 1).empty());
+  EXPECT_TRUE(h.Children(1, kStarValue).empty());
+  EXPECT_TRUE(FanoutHierarchy(2, 1).Children(1, kStarValue).empty());
+  EXPECT_EQ(FanoutHierarchy(2, 1).Children(1, kStarValue - 1),
+            (std::vector<ValueId>{kStarValue - 1}));
+}
+
+TEST(ExplicitHierarchyTest, ChildrenInvertParentWhenNotContiguous) {
+  // Districts interleave their cities, blocks interleave their districts,
+  // and district 3 has no blocks at all.
+  auto h = ExplicitHierarchy::Create(
+      3, {{2, 0, 1, 0, 2, 1}, {5, 0, 2, 0, 5, 1, 2, 4, 1, 0}});
+  ASSERT_TRUE(h.ok());
+  ExpectChildrenInvertParent(*h);
+  EXPECT_EQ(h->Children(1, 0), (std::vector<ValueId>{1, 3}));
+  EXPECT_EQ(h->Children(1, 2), (std::vector<ValueId>{0, 4}));
+  EXPECT_EQ(h->Children(2, 0), (std::vector<ValueId>{1, 3, 9}));
+  EXPECT_TRUE(h->Children(2, 3).empty());
+}
+
+TEST(ExplicitHierarchyTest, OutOfRangeValuesHaveNoChildren) {
+  auto h = ExplicitHierarchy::Create(2, {{0, 0, 1}});
+  ASSERT_TRUE(h.ok());
+  EXPECT_TRUE(h->Children(1, 2).empty());
+  EXPECT_TRUE(h->Children(1, kStarValue).empty());
+  EXPECT_TRUE(h->Children(2, 0).empty());  // deepest level
 }
 
 TEST(DimensionTest, AutoLevelNames) {

@@ -423,6 +423,86 @@ TEST(MemoryBudgetTest, SameRevisionCubeQueriesDoNoGatherWorkEightShards) {
   RunSameRevisionCubeQueries(8);
 }
 
+/// What a snapshot of the reference store's state pins: Σ MemoryBytes over
+/// its aligned frames, which are bit-identical to the engine's.
+std::int64_t FrameWalkBytes(const testing_util::ReferenceStore& reference) {
+  const auto gathered = reference.Gather();
+  std::int64_t bytes = 0;
+  for (const CellSnapshot& cell : *gathered.cells) {
+    bytes += cell.frame->MemoryBytes();
+  }
+  return bytes;
+}
+
+/// A snapshot sums its pinned frame bytes on first use instead of at the
+/// take. The sum must equal the walk over the same frames for a take that
+/// folds the shard publications and for one served from the cube memo's
+/// run, with and without a memory budget that spills and faults frames in.
+void RunPinnedFrameBytesEqualTheWalk(bool budgeted) {
+  SCOPED_TRACE(budgeted ? "budgeted" : "unbounded");
+  WorkloadSpec spec = ChurnWorkload(/*tuples=*/200, /*ticks=*/24,
+                                    /*seed=*/35);
+  StreamGenerator gen(spec);
+  const auto stream = gen.GenerateStream();
+  const auto schema = *MakeWorkloadSchemaPtr(spec);
+  const ExceptionPolicy policy(0.02);
+  EngineBuilder builder;
+  builder.SetSchema(schema)
+      .SetTiltPolicy(SmallTiltPolicy())
+      .SetExceptionPolicy(policy)
+      .SetShardCount(2);
+  if (budgeted) {
+    auto unbounded = builder.Build();
+    ASSERT_TRUE(unbounded.ok()) << unbounded.status().ToString();
+    ASSERT_TRUE(unbounded->IngestBatch(stream).ok());
+    const std::int64_t peak = unbounded->memory_tracker().category_peak_bytes(
+        "stream.tilt_frames");
+    builder.SetMemoryBudget(peak / 4).SetSpillDir(FreshDir("pinned_frames"));
+  }
+  auto built = builder.Build();
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  Engine engine = std::move(built).value();
+  testing_util::ReferenceStore reference(schema, ChurnEngineOptions());
+  ASSERT_TRUE(engine.IngestBatch(stream).ok());
+  ASSERT_TRUE(reference.IngestBatch(stream).ok());
+  ASSERT_TRUE(engine.SealThrough(spec.series_length - 1).ok());
+  ASSERT_TRUE(reference.SealThrough(spec.series_length - 1).ok());
+
+  // No cube query yet: the take folds the shard publications.
+  const auto folded = engine.TakeSnapshot();
+  ASSERT_TRUE(folded->status().ok()) << folded->status().ToString();
+  const std::int64_t folded_walk = FrameWalkBytes(reference);
+  ASSERT_GT(folded_walk, 0);
+  EXPECT_EQ(ReportedBytes(engine, "snapshot.pinned_frames"), folded_walk);
+  EXPECT_EQ(folded->PinnedFrameBytes(), folded_walk);
+
+  // A write moves the revision, a cube query builds the memo at it, and
+  // the next take is the memo's own run.
+  const std::vector<StreamTuple> late = {
+      StreamTuple{stream.front().key, spec.series_length, 1.5},
+      StreamTuple{stream.back().key, spec.series_length + 5, -2.0}};
+  ASSERT_TRUE(engine.IngestBatch(late).ok());
+  ASSERT_TRUE(reference.IngestBatch(late).ok());
+  ASSERT_TRUE(engine.Query(QuerySpec::TopExceptions(5, 0, 4)).ok());
+  const auto served = engine.TakeSnapshot();
+  ASSERT_TRUE(served->status().ok()) << served->status().ToString();
+  ASSERT_NE(served.get(), folded.get());
+  EXPECT_EQ(served->gather_stats().fault_ins, 0);
+  const std::int64_t served_walk = FrameWalkBytes(reference);
+  EXPECT_EQ(served->PinnedFrameBytes(), served_walk);
+  EXPECT_EQ(ReportedBytes(engine, "snapshot.pinned_frames"), served_walk);
+  // The first snapshot's sum is kept, not recomputed from moved frames.
+  EXPECT_EQ(folded->PinnedFrameBytes(), folded_walk);
+  if (budgeted) {
+    EXPECT_GT(engine.SpillStats().spill_evictions, 0);
+  }
+}
+
+TEST(MemoryBudgetTest, PinnedFrameBytesEqualTheFrameWalk) {
+  RunPinnedFrameBytesEqualTheWalk(/*budgeted=*/false);
+  RunPinnedFrameBytesEqualTheWalk(/*budgeted=*/true);
+}
+
 /// An enforcement with no read since the last write runs the whole ladder
 /// under budget 1: the publications retire (rung 21) and the dirty queues
 /// are cleaned (rung 40, which retires them again). Either retire point

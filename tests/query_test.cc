@@ -247,6 +247,30 @@ TEST_F(QueryTest, AnswerOrderDoesNotDependOnInsertOrder) {
   }
 }
 
+TEST_F(QueryTest, OnTheFlyDoesNotDependOnInsertOrder) {
+  // A floating-point sum depends on its order. On-the-fly cells sum their
+  // m-layer members in canonical key order, so a cube whose m-layer map
+  // was filled the other way round answers every cell in the same bits.
+  const RegressionCube a = RefillCube(*cube_, /*reversed=*/false, 16);
+  const RegressionCube b = RefillCube(*cube_, /*reversed=*/true, 4096);
+  const CubeView va(a, *policy_), vb(b, *policy_);
+  const CuboidLattice& lattice = a.lattice();
+  std::size_t checked = 0;
+  for (CuboidId c = 0; c < lattice.num_cuboids(); ++c) {
+    for (const auto& [key, isb] :
+         ComputeCuboidBruteForce(lattice, workload_.tuples, c)) {
+      auto x = va.ComputeCellOnTheFly(c, key);
+      auto y = vb.ComputeCellOnTheFly(c, key);
+      ASSERT_TRUE(x.ok() && y.ok()) << key.ToString();
+      EXPECT_TRUE(SameCells({CellResult{c, key, *x, false}},
+                            {CellResult{c, key, *y, false}}))
+          << lattice.CuboidName(c) << " " << key.ToString();
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 500u);
+}
+
 TEST_F(QueryTest, SupportersMatchExactKeyBreadthFirstWalk) {
   // Oracle: breadth-first over DrillDown, deduped on the exact (cuboid, key)
   // pair in an ordered set — no hashing anywhere.
