@@ -1,5 +1,7 @@
 #include "regcube/api/engine.h"
 
+#include <utility>
+
 #include "regcube/common/str.h"
 #include "regcube/io/binary_io.h"
 #include "regcube/io/frame_store.h"
@@ -62,6 +64,10 @@ std::shared_ptr<const CubeSnapshot> Engine::TakeSnapshot() {
     // take retries the gather instead of being served the failure.
     return fresh;
   }
+  // The replaced snapshot is released after unlocking: when the cache held
+  // its last reference, freeing its frames and cube must not keep
+  // MemoryReport and the governor's usage probe waiting on the cache lock.
+  std::shared_ptr<const CubeSnapshot> replaced;
   {
     std::lock_guard<std::mutex> lock(cache_->mu);
     // Install only if strictly newer: a slow gather must not clobber a
@@ -69,7 +75,7 @@ std::shared_ptr<const CubeSnapshot> Engine::TakeSnapshot() {
     // entry could never match again and every read would re-gather).
     if (cache_->snapshot == nullptr ||
         cache_->snapshot->revision() < fresh->revision()) {
-      cache_->snapshot = fresh;
+      replaced = std::exchange(cache_->snapshot, fresh);
     }
   }
   return fresh;
@@ -173,8 +179,12 @@ Status Engine::InitStorage(const MemoryBudgetConfig& budget) {
     SnapshotCache* cache = cache_.get();
     governor->AddRung(19, "snapshot.cache",
                       [cache](std::int64_t /*excess*/) -> std::int64_t {
-                        std::lock_guard<std::mutex> lock(cache->mu);
-                        cache->snapshot.reset();
+                        std::shared_ptr<const CubeSnapshot> dropped;
+                        {
+                          // Released after unlocking, as in TakeSnapshot.
+                          std::lock_guard<std::mutex> lock(cache->mu);
+                          dropped = std::move(cache->snapshot);
+                        }
                         return 0;  // freed bytes show up via the tracker
                       });
     // The cached snapshot's pinned frames join the budget probe: after

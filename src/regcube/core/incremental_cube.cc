@@ -81,19 +81,11 @@ void IncrementalCubeCache::Invalidate() {
   window_.shrink_to_fit();
   tree_.reset();
   indexes_.clear();
-  index_full_.clear();
-  index_bytes_by_cuboid_.clear();
-  index_seed_budget_.clear();
   prefix_depth_.clear();
   tree_bytes_ = 0;
   index_bytes_ = 0;
   cube_.reset();
   AccountLocked();
-}
-
-void IncrementalCubeCache::set_member_lookup(MemberLookup lookup) {
-  std::lock_guard<std::mutex> lock(mu_);
-  member_lookup_ = std::move(lookup);
 }
 
 IncrementalCubeCache::Stats IncrementalCubeCache::stats() const {
@@ -159,11 +151,6 @@ Status IncrementalCubeCache::ApplyPatchLocked(
     tree_bytes_ = tree_->MemoryBytes();
     indexes_.assign(static_cast<size_t>(lattice_.num_cuboids()),
                     std::nullopt);
-    index_full_.assign(static_cast<size_t>(lattice_.num_cuboids()), 0);
-    index_bytes_by_cuboid_.assign(static_cast<size_t>(lattice_.num_cuboids()),
-                                  0);
-    index_seed_budget_.assign(static_cast<size_t>(lattice_.num_cuboids()),
-                              -1);
     index_bytes_ = 0;
     // Tree-prefix cuboids (the deepest introduced level per dimension over
     // each attribute-order prefix, when that spec lies in the lattice) get
@@ -230,66 +217,12 @@ Status IncrementalCubeCache::ApplyPatchLocked(
       CellKey key = lattice_.ProjectMLayerKey(*cell.key, cuboid);
       if (seen.insert(key).second) touched.push_back(std::move(key));
     }
-    // Make every touched cell resolvable. Small deltas — the online
-    // trickle the maintained cube exists for — seed their missing entries
-    // from the ingest-maintained member lookup: O(members of the touched
-    // cells), no chain scan, so a handful of late cells never pays the
-    // cuboid-wide O(chain nodes) build. Bulk patches go straight to the
-    // complete chain-scan build (the pre-seeding behavior): per-cell
-    // resolution has real constant costs (cross-shard probes, leaf
-    // walks), and once the member volume rivals one chain scan the scan
-    // is strictly better — it serves the tree's whole lifetime. A
-    // cumulative per-cuboid budget (the cuboid's own chain length) caps
-    // total seeding spend the same way, and any disagreement with the
-    // memoized tree (a member newer than the window) falls back too.
+    // The first patch to touch this cuboid since the tree was built
+    // indexes it with one chain scan; later patches reuse the index.
     auto& index = indexes_[static_cast<size_t>(cuboid)];
-    if (!index.has_value()) index.emplace();
-    std::int64_t added_bytes = 0;
-    if (index_full_[static_cast<size_t>(cuboid)] == 0) {
-      std::vector<CellKey> missing;
-      missing.reserve(touched.size());
-      for (const CellKey& key : touched) {
-        if (index->Find(*tree_, key) == nullptr) missing.push_back(key);
-      }
-      std::int64_t& budget = index_seed_budget_[static_cast<size_t>(cuboid)];
-      if (budget < 0) budget = CuboidChainLength(*tree_, lattice_, cuboid);
-      bool seeded = missing.empty();
-      // The trickle gate: beyond this many missing cells the complete
-      // build amortizes better than per-cell resolution (and an
-      // undersized budget is known before paying for the lookup).
-      constexpr size_t kSeedMissingMax = 64;
-      if (!seeded &&
-          (missing.size() > kSeedMissingMax ||
-           static_cast<std::int64_t>(missing.size()) * 2 > budget)) {
-        budget = 0;
-      }
-      if (!seeded && member_lookup_ && budget > 0) {
-        const auto member_lists = member_lookup_(cuboid, missing);
-        RC_CHECK(member_lists.size() == missing.size());
-        for (const auto& members : member_lists) {
-          budget -= static_cast<std::int64_t>(members.size());
-        }
-        seeded = true;
-        for (size_t m = 0; m < missing.size(); ++m) {
-          auto nodes = SeedCellNodesFromMembers(*tree_, lattice_, cuboid,
-                                                member_lists[m]);
-          if (!nodes.has_value()) {
-            seeded = false;  // a member newer than the tree: fall back
-            break;
-          }
-          added_bytes += index->Insert(*tree_, missing[m], std::move(*nodes));
-        }
-      }
-      if (!seeded) {
-        *index = BuildCuboidMemberIndex(*tree_, lattice_, cuboid);
-        index_full_[static_cast<size_t>(cuboid)] = 1;
-        added_bytes = index->MemoryBytes() -
-                      index_bytes_by_cuboid_[static_cast<size_t>(cuboid)];
-      }
-    }
-    if (added_bytes != 0) {
-      built_index_bytes[static_cast<size_t>(i)] = added_bytes;
-      index_bytes_by_cuboid_[static_cast<size_t>(cuboid)] += added_bytes;
+    if (!index.has_value()) {
+      index = BuildCuboidMemberIndex(*tree_, lattice_, cuboid);
+      built_index_bytes[static_cast<size_t>(i)] = index->MemoryBytes();
     }
     recomputed[static_cast<size_t>(i)] =
         RecomputeCellsFromIndex(*tree_, *index, touched);
@@ -359,9 +292,6 @@ IncrementalCubeCache::RebuildLocked(
   k_ = k;
   tree_.reset();
   indexes_.clear();
-  index_full_.clear();
-  index_bytes_by_cuboid_.clear();
-  index_seed_budget_.clear();
   tree_bytes_ = 0;
   index_bytes_ = 0;
   InstallCubeLocked(std::make_shared<RegressionCube>(std::move(*cube)));

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -46,8 +45,9 @@ class ThreadPool;
 ///  - changed frames, same windows:  O(changed cells) regressions to prove
 ///    the windows didn't move (churn confined to open slots), then O(1).
 ///  - changed windows, same epoch:   O(Σ touched cells' members) — the
-///    patch. Lazily pays one tree + index build on the first patch after a
-///    rebuild, amortized across the steady state.
+///    patch. Lazily pays one tree build on the first patch after a rebuild
+///    and one chain scan per cuboid on the first patch that touches it,
+///    amortized across the steady state.
 ///  - new cells / window interval moved / (level, k) changed: full
 ///    from-scratch H-cubing (the memoized from-scratch kernel is the same
 ///    one the oracle uses, so a rebuild is trivially bit-identical).
@@ -113,22 +113,6 @@ class IncrementalCubeCache {
   /// query rebuilds from scratch.
   void Invalidate();
 
-  /// Resolves the member m-layer keys of a batch of cuboid cells (one
-  /// member list per input key, each in canonical key order) — the
-  /// ingest-maintained MemberIndex feed (the sharded engine installs a
-  /// merged cross-shard probe; batching keeps the per-shard locking cost
-  /// per patch, not per cell). When set, a patch seeds each touched
-  /// cell's node list from its members (O(members)) instead of scanning
-  /// the cuboid's whole chain (O(chain nodes)); the chain scan remains
-  /// the fallback whenever the lookup disagrees with the memoized tree
-  /// (e.g. cells ingested after the memoized gather) or the cumulative
-  /// member volume outgrows one chain scan. Install before concurrent
-  /// use. The callback may take shard locks: it is invoked with only this
-  /// cache's mutex held, which no shard-lock holder ever takes.
-  using MemberLookup = std::function<std::vector<std::vector<CellKey>>(
-      CuboidId, const std::vector<CellKey>&)>;
-  void set_member_lookup(MemberLookup lookup);
-
   /// Maintenance counters (monotone), for tests and benches.
   struct Stats {
     std::int64_t hits = 0;           // served at the memoized revision
@@ -149,6 +133,9 @@ class IncrementalCubeCache {
   void set_memory_tracker(MemoryTracker* tracker);
 
  private:
+  // Tests lock `mu_` through it to stand in for maintenance in progress.
+  friend class IncrementalCubeCacheTestPeer;
+
   /// One changed m-layer cell: its key, the window regression the memo
   /// must now reflect, and its position in the canonical run (== its
   /// position in `window_`, since populations match when patching).
@@ -214,23 +201,12 @@ class IncrementalCubeCache {
   // The memoized window in canonical order — the retraction base (old
   // per-cell measures) and the build input for the lazy tree.
   std::vector<MLayerTuple> window_;
-  // Lazy patch machinery: the window's H-tree and per-cuboid member
-  // indexes, built on the first patch after a rebuild and reused until the
-  // next structural change. An index normally grows cell-by-cell, each
-  // touched cell's node list seeded from the ingest-maintained member
-  // lookup (index_full_[c] == 0); the full chain scan is the fallback and
-  // marks the cuboid complete (index_full_[c] == 1; plain chars, not
-  // vector<bool>, because cuboids are patched concurrently on the pool).
+  // Lazy patch machinery: the window's H-tree, built on the first patch
+  // after a rebuild, and per-cuboid member indexes, each built by one
+  // chain scan on the first patch to touch its cuboid. Both live until the
+  // next rebuild.
   std::optional<HTree> tree_;
   std::vector<std::optional<CuboidMemberIndex>> indexes_;  // by cuboid id
-  std::vector<unsigned char> index_full_;                  // by cuboid id
-  std::vector<std::int64_t> index_bytes_by_cuboid_;
-  // Lifetime seeding budget per cuboid (-1 = not yet initialized to the
-  // cuboid's chain length): once the cumulative member volume seeded for a
-  // cuboid rivals one chain scan, further seeding would cost more than the
-  // complete build — fall back.
-  std::vector<std::int64_t> index_seed_budget_;
-  MemberLookup member_lookup_;
   // Tree-prefix depth per cuboid (-1 = not a prefix). A prefix cuboid's
   // touched cells are the refreshed dirty nodes at its depth — no
   // projection, no member index (see PrefixCellsFromNodes).

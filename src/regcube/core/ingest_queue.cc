@@ -15,21 +15,6 @@ std::int64_t NowNs() {
 }
 }  // namespace
 
-double P99FromLatencyHistogram(const std::vector<std::int64_t>& hist,
-                               std::int64_t samples) {
-  if (samples == 0) return 0.0;
-  const std::int64_t target = (samples * 99 + 99) / 100;  // ceil(0.99 * n)
-  std::int64_t seen = 0;
-  for (size_t i = 0; i < hist.size(); ++i) {
-    seen += hist[i];
-    if (seen >= target) {
-      // Upper bound of bucket i is 2^i ns (bucket 0: 1 ns).
-      return static_cast<double>(1ll << std::min<size_t>(i, 62)) / 1000.0;
-    }
-  }
-  return 0.0;
-}
-
 void ShardIngestStats::Merge(const ShardIngestStats& other) {
   depth += other.depth;
   high_water += other.high_water;
@@ -39,19 +24,11 @@ void ShardIngestStats::Merge(const ShardIngestStats& other) {
   rejected += other.rejected;
   blocked += other.blocked;
   absorb_errors += other.absorb_errors;
-  if (!other.latency_hist.empty()) {
-    if (latency_hist.size() < other.latency_hist.size()) {
-      latency_hist.resize(other.latency_hist.size(), 0);
-    }
-    for (size_t i = 0; i < other.latency_hist.size(); ++i) {
-      latency_hist[i] += other.latency_hist[i];
-    }
-  }
-  latency_samples += other.latency_samples;
-  if (!latency_hist.empty() && latency_samples > 0) {
+  enqueue_latency.Merge(other.enqueue_latency);
+  if (enqueue_latency.samples() > 0) {
     // The percentile of the union, recomputed from the summed buckets —
     // never an average of per-shard percentiles.
-    p99_enqueue_us = P99FromLatencyHistogram(latency_hist, latency_samples);
+    p99_enqueue_us = enqueue_latency.P99Us();
   } else if (other.p99_enqueue_us > p99_enqueue_us) {
     p99_enqueue_us = other.p99_enqueue_us;  // no histogram: worst dominates
   }
@@ -130,7 +107,7 @@ IngestTicket IngestQueue::Enqueue(StreamTuple* tuples, std::int64_t n) {
   ticket.dropped = static_cast<std::int64_t>(dropped_ - dropped_before);
   if (waited) ++blocked_calls_;
   if (ticket.enqueued > 0) not_empty_.notify_one();
-  RecordEnqueueLatencyLocked(NowNs() - start_ns);
+  enqueue_latency_.Record(NowNs() - start_ns);
   return ticket;
 }
 
@@ -191,21 +168,9 @@ ShardIngestStats IngestQueue::Stats() const {
   stats.rejected = rejected_;
   stats.blocked = blocked_calls_;
   stats.absorb_errors = static_cast<std::int64_t>(failed_);
-  stats.latency_hist.assign(latency_ns_buckets_,
-                            latency_ns_buckets_ + kLatencyBuckets);
-  stats.latency_samples = latency_samples_;
-  stats.p99_enqueue_us =
-      P99FromLatencyHistogram(stats.latency_hist, latency_samples_);
+  stats.enqueue_latency = enqueue_latency_;
+  stats.p99_enqueue_us = enqueue_latency_.P99Us();
   return stats;
-}
-
-void IngestQueue::RecordEnqueueLatencyLocked(std::int64_t ns) {
-  int bucket = 0;
-  for (std::int64_t v = ns; v > 0 && bucket < kLatencyBuckets - 1; v >>= 1) {
-    ++bucket;
-  }
-  ++latency_ns_buckets_[bucket];
-  ++latency_samples_;
 }
 
 }  // namespace regcube

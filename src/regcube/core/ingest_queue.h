@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "regcube/common/bounded_ring.h"
+#include "regcube/common/latency_histogram.h"
 #include "regcube/common/status.h"
 #include "regcube/core/stream_engine.h"
 
@@ -78,26 +79,18 @@ struct ShardIngestStats {
   std::int64_t absorb_errors = 0; // drained tuples the shard engine refused
   double p99_enqueue_us = 0.0;
 
-  // The histogram behind p99_enqueue_us (bucket i counts calls in
-  // [2^(i-1), 2^i) ns), carried so Merge can recompute the percentile of
-  // the *union* of samples. A percentile has no sum: averaging per-shard
-  // p99s understates the tail whenever shards are imbalanced, and even
-  // taking the max is only an upper bound — the histogram sum is exact
-  // (to bucket resolution).
-  std::vector<std::int64_t> latency_hist;
-  std::int64_t latency_samples = 0;
+  // The histogram behind p99_enqueue_us, carried so Merge can recompute
+  // the percentile of the *union* of samples. A percentile has no sum:
+  // averaging per-shard p99s understates the tail whenever shards are
+  // imbalanced, and even taking the max is only an upper bound — the
+  // histogram sum is exact (to bucket resolution).
+  LatencyHistogram enqueue_latency;
 
   /// Histogram-sums the latency figures (recomputing p99 from the summed
-  /// buckets); falls back to worst-shard max when a side carries no
-  /// histogram. All counters add.
+  /// buckets); falls back to worst-shard max when neither side carries a
+  /// sample. All counters add.
   void Merge(const ShardIngestStats& other);
 };
-
-/// Nearest-rank p99, in microseconds, of a power-of-two ns histogram
-/// (bucket i counts samples in [2^(i-1), 2^i) ns; the bucket's upper bound
-/// is reported). 0 when `samples` is 0.
-double P99FromLatencyHistogram(const std::vector<std::int64_t>& hist,
-                               std::int64_t samples);
 
 /// The whole-engine ingest report (Engine::IngestStats): the configured
 /// mode/policy plus per-shard queue stats and their merged totals. In sync
@@ -181,8 +174,6 @@ class IngestQueue {
   }
 
  private:
-  void RecordEnqueueLatencyLocked(std::int64_t ns);
-
   const std::int64_t capacity_;
   const BackpressurePolicy policy_;
 
@@ -205,11 +196,7 @@ class IngestQueue {
   std::int64_t high_water_ = 0;
   Status first_error_;
 
-  // Power-of-two latency histogram: bucket i counts enqueue calls that
-  // took [2^(i-1), 2^i) ns (bucket 0: < 1 ns).
-  static constexpr int kLatencyBuckets = 40;
-  std::int64_t latency_ns_buckets_[kLatencyBuckets] = {};
-  std::int64_t latency_samples_ = 0;
+  LatencyHistogram enqueue_latency_;  // per Enqueue call
 };
 
 }  // namespace regcube

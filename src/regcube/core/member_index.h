@@ -26,12 +26,8 @@ namespace regcube {
 /// Cuboid maps activate lazily: the first point query of a cuboid pays one
 /// O(cells) projection pass (under the shard lock), after which every
 /// probe is O(matching members) and ingest keeps the map current. Cuboids
-/// never probed cost nothing. Note the cube memo's patch seeding is also a
-/// prober: a small (trickle-gated) patch activates the maps of the cuboids
-/// it seeds, trading O(activated cuboids × cells) accounted bytes — the
-/// same shape of spend as the memo's own indexes — for never re-scanning
-/// chains; bulk patches skip the lookup entirely and leave inactive
-/// cuboids alone.
+/// never probed cost nothing. Point queries are the only probers; the cube
+/// memo indexes its own H-tree (BuildCuboidMemberIndex).
 ///
 /// When the schema's packed-key codec holds, each cuboid map keys its
 /// entries by the 64-bit packed projection instead of the CellKey (half

@@ -92,13 +92,6 @@ ShardedStreamEngine::ShardedStreamEngine(
     shards_.push_back(std::make_unique<Shard>(schema_, options_));
   }
   cube_memo_ = std::make_unique<IncrementalCubeCache>(schema_, options_);
-  // Patches seed their per-cuboid node indexes from the ingest-maintained
-  // member index instead of chain-scanning the memoized tree. The memo is
-  // owned by this engine, so the raw `this` capture cannot dangle.
-  cube_memo_->set_member_lookup(
-      [this](CuboidId cuboid, const std::vector<CellKey>& keys) {
-        return MemberKeysForBatch(cuboid, keys);
-      });
   if (ingest_.mode == IngestMode::kAsync) {
     RC_CHECK(ingest_.queue_capacity >= 1)
         << "ingest queue capacity must be >= 1, got "
@@ -602,23 +595,6 @@ ShardedStreamEngine::MemberGather ShardedStreamEngine::GatherCellsMatching(
                   /*pool=*/nullptr, /*stats=*/nullptr);
   std::sort(out.cells.begin(), out.cells.end(), CellSnapshotCanonicalLess);
   return out;
-}
-
-std::vector<std::vector<CellKey>> ShardedStreamEngine::MemberKeysForBatch(
-    CuboidId cuboid, const std::vector<CellKey>& keys) {
-  std::vector<std::vector<CellKey>> members(keys.size());
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    for (size_t i = 0; i < keys.size(); ++i) {
-      shard->engine.AppendMemberKeys(cuboid, keys[i], &members[i]);
-    }
-  }
-  // Canonical order — the order the memoized window (and therefore its
-  // H-tree) was built in, which the seeded node indexes rely on.
-  for (auto& list : members) {
-    std::sort(list.begin(), list.end(), CanonicalKeyLess);
-  }
-  return members;
 }
 
 Result<RegressionCube> ShardedStreamEngine::ComputeCube(int level, int k) {

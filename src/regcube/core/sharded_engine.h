@@ -205,13 +205,6 @@ class ShardedStreamEngine {
   };
   MemberGather GatherCellsMatching(CuboidId cuboid, const CellKey& key);
 
-  /// The m-layer keys that roll up into each of `keys` in `cuboid`,
-  /// merged across shards into canonical key order — the member feed the
-  /// cube memo's seeded node indexes consume. Batched so each shard's
-  /// lock is taken once per call, not once per key.
-  std::vector<std::vector<CellKey>> MemberKeysForBatch(
-      CuboidId cuboid, const std::vector<CellKey>& keys);
-
   /// The partially materialized cube over the most recent `k` sealed
   /// slots of tilt `level` with the configured algorithm, by value (a
   /// deep copy when served from the maintained memo) — for callers that

@@ -209,8 +209,8 @@ class StreamCubeEngine {
 
   /// Appends the m-layer keys that roll up into `key` of `cuboid` (index
   /// probe, activating the cuboid's map on first use) — the member feed
-  /// for the cube memo's seeded per-cuboid node indexes. Order is cell
-  /// creation order; callers canonicalize.
+  /// of point queries (ShardedStreamEngine::GatherCellsMatching). Order is
+  /// cell creation order.
   void AppendMemberKeys(CuboidId cuboid, const CellKey& key,
                         std::vector<CellKey>* out);
 

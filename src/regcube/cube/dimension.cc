@@ -40,7 +40,6 @@ std::int64_t FanoutHierarchy::Cardinality(int level) const {
 
 ValueId FanoutHierarchy::Parent(int level, ValueId value) const {
   RC_CHECK(level >= 2 && level <= num_levels_);
-  RC_DCHECK(value < Cardinality(level));
   return value / static_cast<ValueId>(fanout_);
 }
 

@@ -34,8 +34,10 @@ class ConceptHierarchy {
   /// Number of distinct values at `level` (1 <= level <= num_levels()).
   virtual std::int64_t Cardinality(int level) const = 0;
 
-  /// Parent (at level-1) of `value` (at `level`). Pre: level >= 2 and
-  /// value < Cardinality(level) (checked by implementations).
+  /// Parent (at level-1) of `value` (at `level`). Pre: level >= 2
+  /// (checked). A value beyond Cardinality(level) (a key mapper's wide
+  /// value) is the implementation's call: FanoutHierarchy rolls it up
+  /// arithmetically, ExplicitHierarchy rejects it (checked).
   virtual ValueId Parent(int level, ValueId value) const = 0;
 
   /// Children (at level+1) of `value` (at `level`): every value whose

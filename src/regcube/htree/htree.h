@@ -254,10 +254,9 @@ class HTree {
 
   /// The leaf holding m-layer cell `key`, or nullptr if no tuple with that
   /// key was built into the tree — the key-addressed entry point the
-  /// incremental patch machinery uses (UpdateLeafMeasure routes through it,
-  /// and the seeded member indexes resolve member keys to leaves with it).
-  /// One packed-key hash probe when the codec is available; otherwise the
-  /// attribute walk.
+  /// incremental patch machinery uses (UpdateLeafMeasure routes through
+  /// it). One packed-key hash probe when the codec is available; otherwise
+  /// the attribute walk.
   const HTreeNode* FindLeaf(const CubeSchema& schema,
                             const CellKey& key) const;
 

@@ -210,25 +210,6 @@ const std::vector<NodeId>* CuboidMemberIndex::Find(const HTree& tree,
   return it == by_key.end() ? nullptr : &it->second;
 }
 
-std::int64_t CuboidMemberIndex::Insert(const HTree& tree, const CellKey& key,
-                                       std::vector<NodeId> nodes) {
-  constexpr std::int64_t kEntryOverhead = 16;  // hash node + bucket share
-  const PackedKeyCodec* codec = tree.codec();
-  std::uint64_t packed = 0;
-  if (codec != nullptr && codec->Pack(key, &packed)) {
-    auto [it, inserted] = by_packed.try_emplace(packed, std::move(nodes));
-    if (!inserted) return 0;
-    return static_cast<std::int64_t>(sizeof(std::uint64_t)) + kEntryOverhead +
-           static_cast<std::int64_t>(sizeof(it->second)) +
-           static_cast<std::int64_t>(it->second.capacity() * sizeof(NodeId));
-  }
-  auto [it, inserted] = by_key.try_emplace(key, std::move(nodes));
-  if (!inserted) return 0;
-  return static_cast<std::int64_t>(sizeof(CellKey)) + kEntryOverhead +
-         static_cast<std::int64_t>(sizeof(it->second)) +
-         static_cast<std::int64_t>(it->second.capacity() * sizeof(NodeId));
-}
-
 std::int64_t CuboidMemberIndex::MemoryBytes() const {
   constexpr std::int64_t kEntryOverhead = 16;  // hash node + bucket share
   std::int64_t bytes = 0;
@@ -253,8 +234,15 @@ CuboidMemberIndex BuildCuboidMemberIndex(const HTree& tree,
   const CuboidAttrs ca = ResolveAttrs(tree, lattice, cuboid);
 
   if (ca.attrs.empty()) {
-    // Apex: the single all-star cell aggregates the root's subtree.
-    index.Insert(tree, CellKey(num_dims), {tree.id_of(tree.root())});
+    // Apex: the single all-star cell aggregates the root's subtree. Routed
+    // like Find routes it (the codec packs the apex to 0).
+    const CellKey apex(num_dims);
+    std::uint64_t packed = 0;
+    if (tree.codec() != nullptr && tree.codec()->Pack(apex, &packed)) {
+      index.by_packed[packed] = {tree.id_of(tree.root())};
+    } else {
+      index.by_key[apex] = {tree.id_of(tree.root())};
+    }
     return index;
   }
 
@@ -280,52 +268,6 @@ CuboidMemberIndex BuildCuboidMemberIndex(const HTree& tree,
     }
   }
   return index;
-}
-
-std::int64_t CuboidChainLength(const HTree& tree,
-                               const CuboidLattice& lattice,
-                               CuboidId cuboid) {
-  const CuboidAttrs ca = ResolveAttrs(tree, lattice, cuboid);
-  if (ca.attrs.empty()) return 1;  // apex: just the root
-  const int deep_pos = ca.positions[static_cast<size_t>(ca.deepest)];
-  return tree.header(deep_pos).total_nodes();
-}
-
-std::optional<std::vector<NodeId>> SeedCellNodesFromMembers(
-    const HTree& tree, const CuboidLattice& lattice, CuboidId cuboid,
-    const std::vector<CellKey>& members) {
-  if (members.empty()) return std::nullopt;
-  const CuboidAttrs ca = ResolveAttrs(tree, lattice, cuboid);
-  if (ca.attrs.empty()) {
-    // Apex: the single all-star cell aggregates the root's subtree.
-    return std::vector<NodeId>{tree.id_of(tree.root())};
-  }
-  const int deep_pos = ca.positions[static_cast<size_t>(ca.deepest)];
-  // Distinct ancestors at the deepest attribute's depth, in first-
-  // occurrence (== node creation) order. Lists are short; linear dedupe
-  // beats hashing for the typical member counts.
-  std::vector<NodeId> creation_order;
-  for (const CellKey& m_key : members) {
-    const HTreeNode* node = tree.FindLeaf(lattice.schema(), m_key);
-    if (node == nullptr) return std::nullopt;
-    while (node != nullptr && node->attr_index != deep_pos) {
-      node = tree.parent(node);
-    }
-    RC_CHECK(node != nullptr)
-        << "deepest cuboid attribute missing from a leaf path";
-    const NodeId id = tree.id_of(node);
-    bool seen = false;
-    for (const NodeId existing : creation_order) {
-      if (existing == id) {
-        seen = true;
-        break;
-      }
-    }
-    if (!seen) creation_order.push_back(id);
-  }
-  // Chains link at the head, so chain order is reverse creation order.
-  std::reverse(creation_order.begin(), creation_order.end());
-  return creation_order;
 }
 
 PatchedCells RecomputeCellsFromIndex(const HTree& tree,

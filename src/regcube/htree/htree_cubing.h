@@ -2,7 +2,6 @@
 #define REGCUBE_HTREE_HTREE_CUBING_H_
 
 #include <cstdint>
-#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -238,19 +237,14 @@ std::vector<CuboidCells> ComputeCuboidCellsTransientPartitioned(
 ///
 /// Storage is routed per key by the tree's packed-key codec: keys that pack
 /// live in a 64-bit-keyed map (half the key bytes, cheap hashing), the rest
-/// in the CellKey-keyed fallback map. Insert and Find route identically, so
-/// the split is invisible to callers.
+/// in the CellKey-keyed fallback map. BuildCuboidMemberIndex and Find route
+/// identically, so the split is invisible to callers.
 struct CuboidMemberIndex {
   std::unordered_map<std::uint64_t, std::vector<NodeId>> by_packed;
   std::unordered_map<CellKey, std::vector<NodeId>, CellKeyHash> by_key;
 
   /// The node list of `key`, or nullptr when the cell is not indexed.
   const std::vector<NodeId>* Find(const HTree& tree, const CellKey& key) const;
-
-  /// Indexes `nodes` as the member list of `key` (no-op if present) and
-  /// returns the bytes the insertion added to MemoryBytes().
-  std::int64_t Insert(const HTree& tree, const CellKey& key,
-                      std::vector<NodeId> nodes);
 
   /// Analytic footprint (entries + node-id lists), for the cube-memo
   /// memory accounting.
@@ -263,36 +257,6 @@ struct CuboidMemberIndex {
 CuboidMemberIndex BuildCuboidMemberIndex(const HTree& tree,
                                          const CuboidLattice& lattice,
                                          CuboidId cuboid);
-
-/// Chain nodes one full BuildCuboidMemberIndex / ComputeCuboidCells pass
-/// over `cuboid` visits: the node count at its deepest attribute's depth
-/// (1 for the apex). The cost yardstick adaptive seeding compares member
-/// volume against.
-std::int64_t CuboidChainLength(const HTree& tree, const CuboidLattice& lattice,
-                               CuboidId cuboid);
-
-/// Seeds one cell's member-index node list from its member m-layer keys
-/// (the ingest-maintained MemberIndex feed) instead of scanning the whole
-/// chain: each member's leaf is looked up, its ancestor at the cuboid's
-/// deepest attribute taken, and the distinct ancestors ordered to
-/// reproduce the chain order exactly — so the result is the same list
-/// BuildCuboidMemberIndex would store for this cell, in the same order,
-/// at O(members) cost instead of O(chain nodes).
-///
-/// Why the order comes out right: header chains link at the head, so a
-/// cell's chain order is the reverse of its nodes' creation order, and a
-/// node is created by the first tuple inserted under it. `members` must
-/// be in canonical key order — the order the tree was built from (the
-/// memoized window is canonical) — so first-occurrence-of-ancestor over
-/// the member walk IS creation order, and reversing it is chain order.
-///
-/// Returns nullopt when any member has no leaf in the tree (the caller's
-/// member set is newer than the tree — e.g. a cell ingested after the
-/// memoized gather; fall back to the chain scan) or when `members` is
-/// empty. O(members · depth) plus the dedupe.
-std::optional<std::vector<NodeId>> SeedCellNodesFromMembers(
-    const HTree& tree, const CuboidLattice& lattice, CuboidId cuboid,
-    const std::vector<CellKey>& members);
 
 /// One recomputed cell of a patch: key + its new aggregate. Kept as a flat
 /// vector (touched keys are already unique) so the hot patch path never

@@ -364,7 +364,7 @@ Result<TiltTimeFrame> FrameStore::ReadFrame(
   if (!frame.ok()) return frame.status();
   fault_ins_ += 1;
   fault_in_bytes_ += ref.size;
-  RecordFaultInLocked(NowNs() - start_ns);
+  fault_in_latency_.Record(NowNs() - start_ns);
   return frame;
 }
 
@@ -602,7 +602,7 @@ FrameStoreStats FrameStore::Stats() const {
   stats.spilled_bytes = spilled_bytes_;
   stats.fault_ins = fault_ins_;
   stats.fault_in_bytes = fault_in_bytes_;
-  stats.fault_in_p99_us = FaultInP99Locked();
+  stats.fault_in_p99_us = fault_in_latency_.P99Us();
   for (const MappedFile& f : files_) {
     stats.live_blocks += static_cast<std::int64_t>(f.refs.size());
     stats.live_bytes += f.live_bytes;
@@ -617,28 +617,6 @@ std::int64_t FrameStore::DiskBytes() const {
   std::int64_t bytes = 0;
   for (const MappedFile& f : files_) bytes += f.file_size;
   return bytes;
-}
-
-void FrameStore::RecordFaultInLocked(std::int64_t ns) {
-  int bucket = 0;
-  for (std::int64_t v = ns; v > 0 && bucket < kLatencyBuckets - 1; v >>= 1) {
-    ++bucket;
-  }
-  ++latency_ns_buckets_[bucket];
-  ++latency_samples_;
-}
-
-double FrameStore::FaultInP99Locked() const {
-  if (latency_samples_ == 0) return 0.0;
-  const std::int64_t target = (latency_samples_ * 99 + 99) / 100;
-  std::int64_t seen = 0;
-  for (int i = 0; i < kLatencyBuckets; ++i) {
-    seen += latency_ns_buckets_[i];
-    if (seen >= target) {
-      return static_cast<double>(1ll << std::min(i, 62)) / 1000.0;
-    }
-  }
-  return 0.0;
 }
 
 CheckpointShardWriter::CheckpointShardWriter(int shard,

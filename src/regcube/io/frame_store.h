@@ -9,6 +9,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "regcube/common/latency_histogram.h"
 #include "regcube/common/status.h"
 #include "regcube/cube/cell.h"
 #include "regcube/io/binary_io.h"
@@ -223,9 +224,6 @@ class FrameStore {
   /// payload bytes through the mapping. View is valid only under mu_.
   Result<std::string_view> ViewLocked(const BlockRef& ref);
 
-  void RecordFaultInLocked(std::int64_t ns);
-  double FaultInP99Locked() const;
-
   /// Consults the installed injector (if any) before a real I/O.
   Status CheckFaultLocked(FaultOp op) const;
 
@@ -241,11 +239,7 @@ class FrameStore {
   std::int64_t spilled_bytes_ = 0;
   std::int64_t fault_ins_ = 0;
   std::int64_t fault_in_bytes_ = 0;
-  // Power-of-two fault-in latency histogram: bucket i counts reads that
-  // took [2^(i-1), 2^i) ns (bucket 0: < 1 ns).
-  static constexpr int kLatencyBuckets = 40;
-  std::int64_t latency_ns_buckets_[kLatencyBuckets] = {};
-  std::int64_t latency_samples_ = 0;
+  LatencyHistogram fault_in_latency_;
 };
 
 /// The checksum of one checkpoint block, stored in the cell table and

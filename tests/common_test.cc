@@ -1,8 +1,12 @@
+#include <cstdint>
+#include <limits>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "gtest/gtest.h"
+#include "regcube/common/latency_histogram.h"
 #include "regcube/common/memory_tracker.h"
 #include "regcube/core/ingest_queue.h"
 #include "regcube/common/pcg_random.h"
@@ -283,22 +287,77 @@ TEST(PercentileTest, NearestRankOnKnownSample) {
   EXPECT_EQ(bench::PercentileOfSorted(sorted, 100.0), 100.0);
 }
 
+TEST(LatencyHistogramTest, EmptyHistogramReadsZero) {
+  LatencyHistogram h;
+  EXPECT_EQ(h.samples(), 0);
+  EXPECT_EQ(h.P99Us(), 0.0);
+  h.Merge(LatencyHistogram());
+  EXPECT_EQ(h.samples(), 0);
+  EXPECT_EQ(h.P99Us(), 0.0);
+}
+
+TEST(LatencyHistogramTest, ReportsTheUpperBoundOfTheSamplesBucket) {
+  // Bucket i holds [2^(i-1), 2^i) ns and reports 2^i ns; bucket 0 holds
+  // <= 0 ns and the last bucket everything from 2^38 ns on.
+  const std::vector<std::pair<std::int64_t, double>> cases = {
+      {-5, 0.001},      {0, 0.001},     {1, 0.002},
+      {2, 0.004},       {3, 0.004},     {1000, 1.024},
+      {1024, 2.048},    {std::int64_t{1} << 38, 549755813.888},
+      {std::numeric_limits<std::int64_t>::max(), 549755813.888}};
+  for (const auto& [ns, us] : cases) {
+    LatencyHistogram h;
+    h.Record(ns);
+    EXPECT_EQ(h.samples(), 1) << ns;
+    EXPECT_EQ(h.P99Us(), us) << ns;
+  }
+}
+
+TEST(LatencyHistogramTest, P99IsNearestRank) {
+  // 100 samples: the 99th smallest decides. One slow sample is beyond it,
+  // two are not.
+  LatencyHistogram one_slow, two_slow;
+  for (int i = 0; i < 99; ++i) one_slow.Record(10);
+  one_slow.Record(10000);
+  for (int i = 0; i < 98; ++i) two_slow.Record(10);
+  two_slow.Record(10000);
+  two_slow.Record(10000);
+  EXPECT_EQ(one_slow.P99Us(), 0.016);
+  EXPECT_EQ(two_slow.P99Us(), 16.384);
+}
+
+TEST(LatencyHistogramTest, MergeEqualsRecordingTheUnion) {
+  LatencyHistogram a, b, both;
+  for (int i = 0; i < 60; ++i) {
+    a.Record(10 + i);
+    both.Record(10 + i);
+  }
+  for (int i = 0; i < 40; ++i) {
+    b.Record(5000 * i);
+    both.Record(5000 * i);
+  }
+  LatencyHistogram merged = a;
+  merged.Merge(b);
+  EXPECT_EQ(merged.samples(), both.samples());
+  EXPECT_EQ(merged.P99Us(), both.P99Us());
+  merged.Merge(LatencyHistogram());
+  EXPECT_EQ(merged.samples(), 100);
+  EXPECT_EQ(merged.P99Us(), both.P99Us());
+}
+
 TEST(IngestStatsMergeTest, P99MergesByHistogramSumNotAverage) {
   // Shard A: 99 fast calls in bucket 4 (~16 ns). Shard B: 99 slow calls in
   // bucket 14 (~16 us). The union's p99 sits in the slow bucket; an
   // average of per-shard p99s (~8 us) would understate it.
   ShardIngestStats a, b;
-  a.latency_hist.assign(20, 0);
-  a.latency_hist[4] = 99;
-  a.latency_samples = 99;
-  a.p99_enqueue_us = P99FromLatencyHistogram(a.latency_hist, 99);
-  b.latency_hist.assign(20, 0);
-  b.latency_hist[14] = 99;
-  b.latency_samples = 99;
-  b.p99_enqueue_us = P99FromLatencyHistogram(b.latency_hist, 99);
+  for (int i = 0; i < 99; ++i) {
+    a.enqueue_latency.Record(10);
+    b.enqueue_latency.Record(10000);
+  }
+  a.p99_enqueue_us = a.enqueue_latency.P99Us();
+  b.p99_enqueue_us = b.enqueue_latency.P99Us();
   ShardIngestStats merged = a;
   merged.Merge(b);
-  EXPECT_EQ(merged.latency_samples, 198);
+  EXPECT_EQ(merged.enqueue_latency.samples(), 198);
   EXPECT_EQ(merged.p99_enqueue_us, b.p99_enqueue_us);
   EXPECT_GT(merged.p99_enqueue_us,
             (a.p99_enqueue_us + b.p99_enqueue_us) / 2.0);

@@ -130,6 +130,9 @@ TEST(FanoutHierarchyTest, ChildrenOfWideValuesAreArithmeticAndClipped) {
   EXPECT_TRUE(FanoutHierarchy(2, 1).Children(1, kStarValue).empty());
   EXPECT_EQ(FanoutHierarchy(2, 1).Children(1, kStarValue - 1),
             (std::vector<ValueId>{kStarValue - 1}));
+  // Their Parent is v / f in every build, so Children inverts it.
+  EXPECT_EQ(h.Parent(2, 129), 12u);
+  EXPECT_EQ(h.Parent(2, kStarValue - 1), last);
 }
 
 TEST(ExplicitHierarchyTest, ChildrenInvertParentWhenNotContiguous) {

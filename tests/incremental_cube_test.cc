@@ -17,8 +17,8 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <future>
+#include <initializer_list>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -30,6 +30,14 @@
 #include "test_util.h"
 
 namespace regcube {
+
+// Holds the memo's mutex the way maintenance (a patch or a rebuild) holds
+// it.
+class IncrementalCubeCacheTestPeer {
+ public:
+  static std::mutex& Mutex(IncrementalCubeCache& memo) { return memo.mu_; }
+};
+
 namespace {
 
 using equivalence::ChurnEngineOptions;
@@ -40,6 +48,7 @@ using equivalence::FreshKeyOutside;
 using equivalence::Key2;
 using equivalence::ScratchCube;
 using equivalence::SmallTiltPolicy;
+using equivalence::UnusedMLayerKey;
 
 WorkloadSpec LagSpec(std::int64_t tuples = 150) {
   // ticks 0..7: quarter [0,4) sealed, [4,8) open.
@@ -111,33 +120,70 @@ TEST(IncrementalCubeTest, MaintainedCubeMatchesScratchUnderRandomizedChurn) {
   ExpectCellMapsIdentical(o_layers[0], o_layers[2]);
 }
 
+// The maintained cube against the reference store at 1, 2 and 8 shards:
+// once the global clock has sealed the window, after late data into the sealed window (the first patch
+// indexes each touched cuboid of the memo's tree; three late cells touch
+// at most three cells per cuboid), after a second patch on the same tree
+// (it reuses those indexes), and after a new cell rebuilds (the patch
+// after it indexes the rebuilt tree afresh), and after every cell seals.
 TEST(IncrementalCubeTest, MatchesReferenceStoreAcrossShardCounts) {
   WorkloadSpec spec = LagSpec();
   auto schema = MakeWorkloadSchemaPtr(spec);
   ASSERT_TRUE(schema.ok());
-  testing_util::ReferenceStore reference(*schema, LagOptions());
-  StreamGenerator reference_gen(spec);
-  ASSERT_TRUE(reference.IngestBatch(reference_gen.GenerateStream()).ok());
-  ASSERT_TRUE(reference.SealThrough(spec.series_length - 1).ok());
-  auto want = reference.ComputeCube(0, 2);
-  ASSERT_TRUE(want.ok()) << want.status().ToString();
 
   std::vector<RegressionCube> cubes;
   for (int shards : {1, 2, 8}) {
+    SCOPED_TRACE(shards);
     auto pool = std::make_shared<ThreadPool>(2);
     ShardedStreamEngine engine(*schema, LagOptions(), shards, pool);
+    testing_util::ReferenceStore reference(*schema, LagOptions());
     StreamGenerator gen(spec);
-    ASSERT_TRUE(engine.IngestBatch(gen.GenerateStream()).ok());
-    ASSERT_TRUE(engine.SealThrough(spec.series_length - 1).ok());
-
+    const std::vector<StreamTuple> stream = gen.GenerateStream();
+    ASSERT_TRUE(engine.IngestBatch(stream).ok());
+    ASSERT_TRUE(reference.IngestBatch(stream).ok());
+    auto ingest = [&](const StreamTuple& tuple) {
+      ASSERT_TRUE(engine.Ingest(tuple).ok());
+      ASSERT_TRUE(reference.Ingest(tuple).ok());
+    };
+    auto late = [&](std::initializer_list<size_t> cells, double value) {
+      for (size_t i : cells) ingest({gen.cells()[i].key, 7, value + i});
+    };
     // The maintained cube, the from-scratch cube over the engine's own
     // gather and the reference store's cube must agree bitwise.
-    auto maintained = engine.ComputeCubeShared(0, 2);
-    ASSERT_TRUE(maintained.ok()) << maintained.status().ToString();
-    ExpectCubesIdentical(*want, **maintained);
-    RegressionCube scratch = ScratchCube(*schema, engine, LagOptions(), 0, 2);
-    ExpectCubesIdentical(scratch, **maintained);
-    cubes.push_back((**maintained).Clone());
+    auto expect_matches = [&](std::int64_t patches, std::int64_t rebuilds) {
+      auto maintained = engine.ComputeCubeShared(0, 2);
+      ASSERT_TRUE(maintained.ok()) << maintained.status().ToString();
+      auto want = reference.ComputeCube(0, 2);
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      ExpectCubesIdentical(*want, **maintained);
+      RegressionCube scratch =
+          ScratchCube(*schema, engine, LagOptions(), 0, 2);
+      ExpectCubesIdentical(scratch, **maintained);
+      const auto stats = engine.cube_memo_stats();
+      EXPECT_EQ(stats.patches, patches);
+      EXPECT_EQ(stats.rebuilds, rebuilds);
+    };
+    // The pacer drives the global clock to 11: [4,8) is sealed from the
+    // aligned view while every generated cell's frame still sits at 7.
+    ingest({PacerKey(), 11, 1.0});
+    expect_matches(/*patches=*/0, /*rebuilds=*/1);
+    late({0, 1, 2}, 5.0);
+    expect_matches(1, 1);
+    late({0, 3, 4}, 8.0);
+    expect_matches(2, 1);
+    // A new cell early in canonical order: the rebuilt tree's node ids
+    // differ from the old tree's.
+    ingest({UnusedMLayerKey(gen), 7, 3.0});
+    expect_matches(2, 2);
+    late({5, 6}, 2.0);
+    expect_matches(3, 2);
+    ASSERT_TRUE(engine.SealThrough(11).ok());
+    ASSERT_TRUE(reference.SealThrough(11).ok());
+    expect_matches(3, 3);
+
+    auto last = engine.ComputeCubeShared(0, 2);
+    ASSERT_TRUE(last.ok());
+    cubes.push_back((**last).Clone());
   }
   // Shard-count invariance of the maintained cube itself.
   ExpectCubesIdentical(cubes[0], cubes[1]);
@@ -380,9 +426,9 @@ TEST(IncrementalCubeTest, PinnedFramesAreAccountedAndMoveBetweenTrackers) {
 }
 
 // The memo's run serves a gather only at exactly the memo's revision, and
-// the probe never waits on maintenance: while a patch holds the memo (here
-// parked inside its member lookup), RunAt declines even at the memo's own
-// revision, so a TakeSnapshot folds instead of queueing behind the patch.
+// the probe never waits on maintenance: while maintenance holds the memo
+// (here the test holds its mutex), RunAt declines even at the memo's own
+// revision, so a TakeSnapshot folds instead of queueing behind a patch.
 TEST(IncrementalCubeTest, RunProbeServesOneRevisionAndNeverWaits) {
   WorkloadSpec spec = LagSpec();
   auto schema = MakeWorkloadSchemaPtr(spec);
@@ -392,19 +438,6 @@ TEST(IncrementalCubeTest, RunProbeServesOneRevisionAndNeverWaits) {
   SeedLagging(engine, gen);
 
   IncrementalCubeCache memo(*schema, LagOptions());
-  std::mutex mu;
-  std::condition_variable cv;
-  bool entered = false;
-  bool release = false;
-  memo.set_member_lookup(
-      [&](CuboidId cuboid, const std::vector<CellKey>& keys) {
-        std::unique_lock<std::mutex> lock(mu);
-        entered = true;
-        cv.notify_all();
-        cv.wait(lock, [&] { return release; });
-        return engine.MemberKeysForBatch(cuboid, keys);
-      });
-
   const auto base = engine.GatherAlignedCells();
   ASSERT_TRUE(memo.CubeFor(base.cells, base.clock, base.revision, 0, 2,
                            nullptr)
@@ -415,37 +448,24 @@ TEST(IncrementalCubeTest, RunProbeServesOneRevisionAndNeverWaits) {
   EXPECT_EQ(memo.RunAt(base.revision + 1).cells, nullptr);
   EXPECT_EQ(memo.RunAt(base.revision - 1).cells, nullptr);
 
-  // Late data into the sealed window: the next CubeFor patches, and its
-  // member lookup parks the patch with the memo held.
-  ASSERT_TRUE(engine.Ingest({gen.cells()[0].key, 7, 9.0}).ok());
-  const auto next = engine.GatherAlignedCells();
-  Status patched;
-  std::thread maintainer([&] {
-    patched = memo.CubeFor(next.cells, next.clock, next.revision, 0, 2,
-                           nullptr)
-                  .status();
-  });
-  bool parked;
-  {
-    std::unique_lock<std::mutex> lock(mu);
-    parked = cv.wait_for(lock, std::chrono::seconds(30),
-                         [&] { return entered; });
-  }
-  EXPECT_TRUE(parked) << "the patch never consulted the member lookup";
+  std::unique_lock<std::mutex> maintenance(
+      IncrementalCubeCacheTestPeer::Mutex(memo));
   auto probe = std::async(std::launch::async,
                           [&] { return memo.RunAt(base.revision).cells; });
   const bool returned =
       probe.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  maintenance.unlock();
   EXPECT_TRUE(returned) << "the run probe waited on memo maintenance";
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    release = true;
-  }
-  cv.notify_all();
-  maintainer.join();
   EXPECT_EQ(probe.get(), nullptr);
+  EXPECT_EQ(memo.RunAt(base.revision).cells, base.cells);
 
-  ASSERT_TRUE(patched.ok()) << patched.ToString();
+  // Late data into the sealed window: the next CubeFor patches, and the
+  // run moves to the patched revision.
+  ASSERT_TRUE(engine.Ingest({gen.cells()[0].key, 7, 9.0}).ok());
+  const auto next = engine.GatherAlignedCells();
+  ASSERT_TRUE(memo.CubeFor(next.cells, next.clock, next.revision, 0, 2,
+                           nullptr)
+                  .ok());
   EXPECT_EQ(memo.stats().patches, 1);
   EXPECT_EQ(memo.RunAt(next.revision).cells, next.cells);
   EXPECT_EQ(memo.RunAt(base.revision).cells, nullptr);

@@ -3,12 +3,12 @@
 // store's O(cells) project-every-key scan across shard counts {1, 2, 8}
 // under randomized churn; it must stay coherent across seals, window-epoch
 // rolls and brand-new cells (activation backfills the population, ingest
-// maintains it from then on); the seeded per-cuboid node indexes the cube
-// memo consumes must reproduce the chain-scan index exactly, order
-// included; its bytes must be accounted under "index.members"; the
-// out-of-range-cuboid error contract must be typed (no RC_CHECK aborts);
-// and concurrent ingest + point queries must be race-free (this test runs
-// in the TSan CI job).
+// maintains it from then on); the cube memo's per-cuboid node index must
+// re-fold every cell of every cuboid bit for bit as H-cubing does, on a
+// packed and on a wide schema; the member index's bytes must be accounted
+// under "index.members"; the out-of-range-cuboid error contract must be
+// typed (no RC_CHECK aborts); and concurrent ingest + point queries must
+// be race-free (this test runs in the TSan CI job).
 //
 // The randomized churn and the oracle comparators come from the shared
 // equivalence harness (tests/equivalence_harness.h).
@@ -16,6 +16,7 @@
 #include <atomic>
 #include <memory>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -30,6 +31,7 @@ namespace {
 
 using equivalence::ChurnEngineOptions;
 using equivalence::ChurnWorkload;
+using equivalence::ExpectCellMapsIdentical;
 using equivalence::ExpectMemberGathersIdentical;
 using equivalence::Key2;
 using equivalence::SmallTiltPolicy;
@@ -186,73 +188,90 @@ TEST(MemberIndexTest, IndexStaysCoherentAcrossSealsAndEpochRolls) {
                                2);
 }
 
-// ----------------------------------------------------- seeded node indexes
+// ------------------------------------------- the memo's node index
 
-TEST(MemberIndexTest, SeededNodeIndexReproducesChainScanExactly) {
-  // The cube memo seeds each touched cell's node list from the member
-  // index instead of scanning the cuboid's chain; the two must agree not
-  // just as sets but in ORDER — the fold order is the bit-identity
-  // contract. Verify every cell of every cuboid on a randomized window.
-  WorkloadSpec spec = IndexSpec(/*tuples=*/150);
-  auto schema = MakeWorkloadSchemaPtr(spec);
-  ASSERT_TRUE(schema.ok());
-  StreamGenerator gen(spec);
-  ShardedStreamEngine engine(*schema, ChurnEngineOptions(), 4);
-  ASSERT_TRUE(engine.IngestBatch(gen.GenerateStream()).ok());
-  ASSERT_TRUE(engine.SealThrough(spec.series_length - 1).ok());
-
-  auto run = engine.GatherAlignedCells();
-  auto window = SnapshotWindowOf(*run.cells, 0, 2);
-  ASSERT_TRUE(window.ok());
-
-  HTree::Options tree_options;
-  tree_options.attribute_order = CardinalityAscendingOrder(**schema);
-  tree_options.store_nonleaf_measures = true;
-  auto tree = HTree::Build(**schema, *window, std::move(tree_options));
-  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
-
-  const CuboidLattice& lattice = engine.lattice();
-  for (CuboidId c = 0; c < lattice.num_cuboids(); ++c) {
-    const CuboidMemberIndex full = BuildCuboidMemberIndex(*tree, lattice, c);
-    // Materialize the index cells with CellKey keys regardless of which
-    // representation (packed or keyed) the build chose.
-    std::vector<std::pair<CellKey, std::vector<NodeId>>> index_cells;
-    for (const auto& [packed, nodes] : full.by_packed) {
-      ASSERT_NE(tree->codec(), nullptr);
-      index_cells.emplace_back(tree->codec()->Unpack(packed), nodes);
+/// A window of `tuples` distinct m-layer cells over `schema` (every
+/// dimension a 2-level hierarchy of fan-out `fanout` >= 4), drawn from the
+/// first 4 children of the first 4 level-1 values whatever the fan-out, so
+/// the coarser cells have several members each.
+std::vector<MLayerTuple> ClusteredWindow(const CubeSchema& schema,
+                                         ValueId fanout, std::int64_t tuples,
+                                         std::uint64_t seed) {
+  Pcg32 rng(seed, 3);
+  std::unordered_set<CellKey, CellKeyHash> seen;
+  std::vector<MLayerTuple> window;
+  while (static_cast<std::int64_t>(window.size()) < tuples) {
+    CellKey key(schema.num_dims());
+    for (int d = 0; d < schema.num_dims(); ++d) {
+      const ValueId parent = rng.Uniform(4);
+      key.set(d, parent * fanout + rng.Uniform(4));
     }
-    for (const auto& [key, nodes] : full.by_key) {
-      index_cells.emplace_back(key, nodes);
-    }
-    for (const auto& [cell_key, chain_nodes] : index_cells) {
-      // Member keys via the engine's index, canonical order — exactly the
-      // feed the memo's MemberLookup hands SeedCellNodesFromMembers.
-      const std::vector<CellKey> members =
-          engine.MemberKeysForBatch(c, {cell_key}).front();
-      ASSERT_FALSE(members.empty()) << cell_key.ToString();
-      auto seeded = SeedCellNodesFromMembers(*tree, lattice, c, members);
-      ASSERT_TRUE(seeded.has_value()) << cell_key.ToString();
-      ASSERT_EQ(seeded->size(), chain_nodes.size()) << cell_key.ToString();
-      for (size_t i = 0; i < chain_nodes.size(); ++i) {
-        EXPECT_EQ((*seeded)[i], chain_nodes[i])
-            << "node order diverged for cell " << cell_key.ToString()
-            << " of cuboid " << lattice.CuboidName(c) << " at position "
-            << i;
+    if (!seen.insert(key).second) continue;
+    const double base = static_cast<double>(rng.Uniform(1000)) / 7.0;
+    const double slope = static_cast<double>(rng.Uniform(100)) / 13.0 - 3.0;
+    window.push_back(MLayerTuple{key, Isb{TimeInterval{0, 15}, base, slope}});
+  }
+  return window;
+}
+
+/// For every cuboid, the memo's member index re-folds every cell exactly
+/// as the H-cubing kernel folds it: RecomputeCellsFromIndex over all of a
+/// cuboid's keys equals ComputeCuboidCells bitwise, with and without
+/// stored subtree measures.
+void ExpectIndexRecomputesEveryCell(const CubeSchema& schema,
+                                    const std::vector<MLayerTuple>& window,
+                                    bool packed) {
+  const CuboidLattice lattice(schema);
+  for (bool stored : {true, false}) {
+    SCOPED_TRACE(stored ? "stored subtree measures" : "lazy subtree walk");
+    HTree::Options options;
+    options.attribute_order = CardinalityAscendingOrder(schema);
+    options.store_nonleaf_measures = stored;
+    auto tree = HTree::Build(schema, window, std::move(options));
+    ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+    ASSERT_EQ(tree->codec() != nullptr, packed);
+    for (CuboidId c = 0; c < lattice.num_cuboids(); ++c) {
+      SCOPED_TRACE(lattice.CuboidName(c));
+      const CellMap want = ComputeCuboidCells(*tree, lattice, c);
+      std::vector<CellKey> keys;
+      keys.reserve(want.size());
+      for (const auto& [key, isb] : want) keys.push_back(key);
+      const CuboidMemberIndex index = BuildCuboidMemberIndex(*tree, lattice, c);
+      CellMap got;
+      for (auto& [key, isb] : RecomputeCellsFromIndex(*tree, index, keys)) {
+        got.emplace(std::move(key), isb);
       }
+      ExpectCellMapsIdentical(want, got);
+      EXPECT_EQ(index.by_packed.size() + index.by_key.size(), want.size());
     }
   }
+}
 
-  // A member the tree does not hold (a cell newer than the window) must
-  // refuse to seed — the caller's signal to fall back to the chain scan.
-  std::vector<CellKey> with_stranger = {gen.cells()[0].key,
-                                        equivalence::FreshKeyOutside(gen, 16)};
-  EXPECT_FALSE(SeedCellNodesFromMembers(
-                   *tree, lattice, lattice.o_layer_id(),
-                   with_stranger)
-                   .has_value());
-  EXPECT_FALSE(
-      SeedCellNodesFromMembers(*tree, lattice, lattice.o_layer_id(), {})
-          .has_value());
+TEST(MemberIndexTest, NodeIndexRecomputesEveryCellOfEveryCuboidBitwise) {
+  // The o-layer is "*" in every dimension, so the lattice holds the apex.
+  {
+    SCOPED_TRACE("packed schema");
+    auto h = std::make_shared<FanoutHierarchy>(2, 4);
+    auto schema = CubeSchema::Create(
+        {Dimension("A", h), Dimension("B", h), Dimension("C", h)},
+        {2, 2, 2}, {0, 0, 0});
+    ASSERT_TRUE(schema.ok()) << schema.status().ToString();
+    ExpectIndexRecomputesEveryCell(
+        *schema, ClusteredWindow(*schema, 4, /*tuples=*/200, /*seed=*/61),
+        /*packed=*/true);
+  }
+  {
+    // 65536^2 values per dimension need 33 bits each: no codec, so every
+    // key takes the CellKey path.
+    SCOPED_TRACE("wide schema");
+    auto h = std::make_shared<FanoutHierarchy>(2, 65536);
+    auto schema = CubeSchema::Create({Dimension("A", h), Dimension("B", h)},
+                                     {2, 2}, {0, 0});
+    ASSERT_TRUE(schema.ok()) << schema.status().ToString();
+    ExpectIndexRecomputesEveryCell(
+        *schema, ClusteredWindow(*schema, 65536, /*tuples=*/120, /*seed=*/67),
+        /*packed=*/false);
+  }
 }
 
 // ------------------------------------------------------ memory accounting

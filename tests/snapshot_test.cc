@@ -412,6 +412,46 @@ TEST(SnapshotTest, SnapshotSharedByRevisionUntilNextWrite) {
   EXPECT_GT(third->revision(), first->revision());
 }
 
+// A snapshot the cache replaces or drops is released by then: once a
+// TakeSnapshot installs a newer one, or a write's budget enforcement runs
+// the snapshot.cache rung (19), nothing keeps the old one alive. Both
+// release it after unlocking the cache, so freeing it never holds up
+// MemoryReport or the governor's usage probe.
+TEST(SnapshotTest, ReplacedSnapshotIsReleasedByTheTakeAndByRung19) {
+  WorkloadSpec spec = SnapSpec();
+  CellKey key(2);
+  key.set(0, 0);
+  key.set(1, 0);
+  {
+    Engine engine = MakeSealedEngine(spec, 2);
+    std::weak_ptr<const CubeSnapshot> replaced = engine.TakeSnapshot();
+    EXPECT_FALSE(replaced.expired()) << "the cache holds the snapshot";
+    ASSERT_TRUE(engine.Ingest({key, spec.series_length + 1, 1.0}).ok());
+    EXPECT_FALSE(replaced.expired()) << "no budget, so no rung drops it";
+    auto fresh = engine.TakeSnapshot();
+    EXPECT_TRUE(replaced.expired());
+    EXPECT_EQ(engine.TakeSnapshot(), fresh);
+  }
+  {
+    auto schema = MakeWorkloadSchemaPtr(spec);
+    ASSERT_TRUE(schema.ok());
+    auto built = EngineBuilder()
+                     .SetSchema(*schema)
+                     .SetTiltPolicy(SmallPolicy())
+                     .SetShardCount(2)
+                     .SetMemoryBudget(1)  // every write runs every rung
+                     .Build();
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    Engine engine = std::move(built).value();
+    StreamGenerator gen(spec);
+    ASSERT_TRUE(engine.IngestBatch(gen.GenerateStream()).ok());
+    std::weak_ptr<const CubeSnapshot> dropped = engine.TakeSnapshot();
+    EXPECT_FALSE(dropped.expired()) << "the cache holds the snapshot";
+    ASSERT_TRUE(engine.Ingest({key, spec.series_length + 1, 1.0}).ok());
+    EXPECT_TRUE(dropped.expired());
+  }
+}
+
 TEST(SnapshotTest, EmptyEngineSnapshotFailsCleanly) {
   WorkloadSpec spec = SnapSpec();
   auto schema = MakeWorkloadSchemaPtr(spec);
