@@ -115,9 +115,10 @@ Result<QueryResult> Engine::Query(const QuerySpec& spec) {
       // Cube-side kinds ride the engine's maintained cube, whatever the
       // algorithm: between writes the memo answers in O(1), writes confined
       // to open slots only revalidate it, and after churn an m/o cube folds
-      // in just the changed cells (a popular-path cube rebuilds). A
-      // user-held CubeSnapshot still memoizes its own from-scratch cube;
-      // both are bit-identical over the same window.
+      // in just the changed cells or, on an epoch roll, refolds its kept
+      // tree (a popular-path cube rebuilds). A user-held CubeSnapshot
+      // still memoizes its own from-scratch cube; both are bit-identical
+      // over the same window.
       auto cube = sharded_->ComputeCubeShared(spec.level, spec.k);
       if (!cube.ok()) return cube.status();
       return regcube::Query(**cube, policy_, spec);

@@ -121,7 +121,8 @@ class Engine {
   Status Checkpoint(const std::string& dir);
 
   /// Maintenance counters of the cube memo behind the cube-side Query
-  /// kinds: hits, revalidations, patches (m/o only) and rebuilds.
+  /// kinds: hits, revalidations, patches and rolls (m/o only) and
+  /// rebuilds.
   IncrementalCubeCache::Stats cube_memo_stats() const {
     return sharded_->cube_memo_stats();
   }

@@ -6,6 +6,7 @@
 #include "regcube/common/logging.h"
 #include "regcube/common/memory_tracker.h"
 #include "regcube/common/thread_pool.h"
+#include "regcube/core/mo_cubing.h"
 #include "regcube/core/stream_engine.h"
 
 namespace regcube {
@@ -73,18 +74,21 @@ void IncrementalCubeCache::set_memory_tracker(MemoryTracker* tracker) {
 }
 
 void IncrementalCubeCache::Invalidate() {
+  Retired retired;  // freed after the lock is released
   std::lock_guard<std::mutex> lock(mu_);
   valid_ = false;
-  run_.reset();
+  retired.run = std::move(run_);
   run_frame_bytes_ = 0;
+  retired.window = std::move(window_);
   window_.clear();
-  window_.shrink_to_fit();
+  retired.tree = std::move(tree_);
   tree_.reset();
+  retired.indexes = std::move(indexes_);
   indexes_.clear();
   prefix_depth_.clear();
   tree_bytes_ = 0;
   index_bytes_ = 0;
-  cube_.reset();
+  retired.cube = std::move(cube_);
   AccountLocked();
 }
 
@@ -108,6 +112,9 @@ IncrementalCubeCache::DiffVerdict IncrementalCubeCache::DiffLocked(
   const SnapshotCells& base = *run_;
   if (base.size() != run.size()) return DiffVerdict::kRebuild;
   const TimeInterval& window_interval = window_.front().measure.interval;
+  // Cells whose window left the memo's interval, and where they went.
+  size_t moved = 0;
+  TimeInterval moved_to;
   for (size_t i = 0; i < run.size(); ++i) {
     if (!(base[i].key == run[i].key)) return DiffVerdict::kRebuild;
     // A cell whose frame is shared with the memoized run cannot have
@@ -120,59 +127,27 @@ IncrementalCubeCache::DiffVerdict IncrementalCubeCache::DiffLocked(
     // A failing regression (or any other anomaly) falls back to the
     // from-scratch kernel, which reproduces the exact legacy error.
     if (!isb.ok()) return DiffVerdict::kRebuild;
-    // The window moved for everyone when its slot interval moved (a new
-    // slot sealed at this level): that is an epoch roll, not a patch.
-    if (!(isb->interval == window_interval)) return DiffVerdict::kRebuild;
-    if (*isb == window_[i].measure) continue;  // open-slot churn only
+    if (isb->interval == window_interval) {
+      if (*isb == window_[i].measure) continue;  // open-slot churn only
+    } else if (moved++ == 0) {
+      moved_to = isb->interval;
+    } else if (!(isb->interval == moved_to)) {
+      return DiffVerdict::kRebuild;  // no common window left to roll to
+    }
     changed->push_back(ChangedCell{&run[i].key, *isb, i});
+  }
+  // A slot sealed at this level moves every cell's window at once: an
+  // epoch roll. A move that left some cells behind spans two windows,
+  // which only the from-scratch kernel answers (with its error).
+  if (moved > 0) {
+    return moved == run.size() ? DiffVerdict::kRoll : DiffVerdict::kRebuild;
   }
   return changed->empty() ? DiffVerdict::kClean : DiffVerdict::kPatch;
 }
 
 Status IncrementalCubeCache::ApplyPatchLocked(
     const std::vector<ChangedCell>& changed, ThreadPool* pool) {
-  // Lazily build the patch machinery: the H-tree over the memoized window.
-  // Built from the same canonical tuple sequence a fresh cubing run would
-  // use, so its structure, chains and hash layouts are identical to the
-  // tree the from-scratch kernel would build — the property every
-  // bit-identity argument below rests on.
-  if (!tree_.has_value()) {
-    HTree::Options tree_options;
-    tree_options.attribute_order = CardinalityAscendingOrder(*schema_);
-    // Stored subtree measures make every chain node's contribution an O(1)
-    // read during cell re-aggregation. The build-time fold is bitwise
-    // equal to the lazy subtree walk of the from-scratch (m/o) tree, so
-    // the oracle relationship is unchanged; the patch below keeps the
-    // stored measures current along the dirty paths only.
-    tree_options.store_nonleaf_measures = true;
-    auto built = HTree::Build(*schema_, window_, std::move(tree_options));
-    if (!built.ok()) return built.status();
-    tree_ = std::move(built).value();
-    tree_bytes_ = tree_->MemoryBytes();
-    indexes_.assign(static_cast<size_t>(lattice_.num_cuboids()),
-                    std::nullopt);
-    index_bytes_ = 0;
-    // Tree-prefix cuboids (the deepest introduced level per dimension over
-    // each attribute-order prefix, when that spec lies in the lattice) get
-    // the node-is-cell shortcut below.
-    prefix_depth_.assign(static_cast<size_t>(lattice_.num_cuboids()), -1);
-    const LayerSpec& o = schema_->o_layer();
-    const LayerSpec& m = schema_->m_layer();
-    LayerSpec deepest(static_cast<size_t>(schema_->num_dims()), 0);
-    for (int pos = 0; pos < tree_->num_attributes(); ++pos) {
-      const Attribute& a = tree_->attribute(pos);
-      auto& level = deepest[static_cast<size_t>(a.dim)];
-      level = std::max(level, a.level);
-      bool in_lattice = true;
-      for (size_t d = 0; d < deepest.size(); ++d) {
-        in_lattice = in_lattice && deepest[d] >= o[d] && deepest[d] <= m[d];
-      }
-      if (in_lattice) {
-        prefix_depth_[static_cast<size_t>(lattice_.id(deepest))] = pos + 1;
-      }
-    }
-  }
-
+  RC_CHECK(tree_.has_value());
   // Fold the new leaf measures into the tree and the memoized window, then
   // refresh the stored aggregates along the dirty paths (shared ancestors
   // refold once, deepest first).
@@ -271,17 +246,84 @@ Status IncrementalCubeCache::ApplyPatchLocked(
   return Status::OK();
 }
 
+void IncrementalCubeCache::ApplyRollLocked(
+    const std::vector<ChangedCell>& changed, ThreadPool* pool,
+    Retired* retired) {
+  RC_CHECK(tree_.has_value());
+  RC_CHECK_EQ(changed.size(), window_.size());
+  for (const ChangedCell& cell : changed) {
+    window_[cell.pos].measure = cell.measure;
+  }
+  tree_->Rebase(window_);
+
+  // Never mutate a cube some snapshot or caller still holds: roll a copy
+  // of its m-layer instead (the rest is recomputed anyway).
+  if (cube_handles_->load(std::memory_order_acquire) > 0) {
+    auto fresh = std::make_shared<RegressionCube>(schema_);
+    fresh->mutable_m_layer() = cube_->m_layer();
+    retired->cube = std::move(cube_);
+    InstallCubeLocked(std::move(fresh));
+  }
+  RegressionCube& cube = *cube_;
+  for (const MLayerTuple& cell : window_) {
+    auto it = cube.mutable_m_layer().find(cell.key);
+    RC_CHECK(it != cube.mutable_m_layer().end());
+    it->second = cell.measure;
+  }
+  retired->o_layer = std::exchange(cube.mutable_o_layer(), CellMap());
+  retired->exceptions =
+      std::exchange(cube.mutable_exceptions(), ExceptionStore());
+  MoCubingOptions mo;
+  mo.policy = options_.policy;
+  mo.pool = pool;
+  MemoryTracker transient;
+  CubeFromTree(*tree_, mo, transient, &cube);
+}
+
 Result<std::shared_ptr<const RegressionCube>>
 IncrementalCubeCache::RebuildLocked(
     const std::shared_ptr<const SnapshotCells>& run, TimeTick clock,
-    std::uint64_t revision, int level, int k, ThreadPool* pool) {
+    std::uint64_t revision, int level, int k, ThreadPool* pool,
+    Retired* retired) {
   auto window = SnapshotWindowOf(*run, level, k);
   if (!window.ok()) return window.status();
-  auto cube = ComputeCubeFromWindow(schema_, *window, options_, pool);
-  if (!cube.ok()) return cube.status();
+  std::optional<HTree> tree;
+  std::shared_ptr<RegressionCube> cube;
+  if (options_.algorithm == StreamCubeEngine::Algorithm::kMoCubing) {
+    // The one tree the memo keeps: stored subtree measures make every
+    // chain node's contribution an O(1) read, here and in later patches
+    // and rolls. Its cells are bitwise those of ComputeMoCubing's
+    // leaf-only tree (a stored measure is the same FoldLeafRange the lazy
+    // walk runs).
+    HTree::Options tree_options;
+    tree_options.attribute_order = CardinalityAscendingOrder(*schema_);
+    tree_options.store_nonleaf_measures = true;
+    auto built = HTree::Build(*schema_, *window, std::move(tree_options));
+    if (!built.ok()) return built.status();
+    tree.emplace(std::move(built).value());
+    // A run holds each key once, so every window tuple is its own leaf and
+    // the window is the m-layer.
+    RC_CHECK_EQ(tree->num_leaves(),
+                static_cast<std::int64_t>(window->size()));
+    cube = std::make_shared<RegressionCube>(schema_);
+    CellMap& m_layer = cube->mutable_m_layer();
+    m_layer.reserve(window->size());
+    for (const MLayerTuple& cell : *window) {
+      m_layer.emplace(cell.key, cell.measure);
+    }
+    MoCubingOptions mo;
+    mo.policy = options_.policy;
+    mo.pool = pool;
+    MemoryTracker transient;
+    CubeFromTree(*tree, mo, transient, cube.get());
+  } else {
+    auto computed = ComputeCubeFromWindow(schema_, *window, options_, pool);
+    if (!computed.ok()) return computed.status();
+    cube = std::make_shared<RegressionCube>(std::move(*computed));
+  }
 
-  window_ = std::move(*window);
-  run_ = run;
+  retired->window = std::exchange(window_, std::move(*window));
+  retired->run = std::exchange(run_, run);
   run_clock_ = clock;
   run_frame_bytes_ = 0;
   for (const CellSnapshot& cell : *run) {
@@ -290,11 +332,38 @@ IncrementalCubeCache::RebuildLocked(
   revision_ = revision;
   level_ = level;
   k_ = k;
-  tree_.reset();
+  retired->tree = std::exchange(tree_, std::move(tree));
+  retired->indexes = std::move(indexes_);
   indexes_.clear();
+  prefix_depth_.clear();
   tree_bytes_ = 0;
   index_bytes_ = 0;
-  InstallCubeLocked(std::make_shared<RegressionCube>(std::move(*cube)));
+  if (tree_.has_value()) {
+    tree_bytes_ = tree_->MemoryBytes();
+    indexes_.assign(static_cast<size_t>(lattice_.num_cuboids()),
+                    std::nullopt);
+    // Tree-prefix cuboids (the deepest introduced level per dimension over
+    // each attribute-order prefix, when that spec lies in the lattice) get
+    // the patch's node-is-cell shortcut.
+    prefix_depth_.assign(static_cast<size_t>(lattice_.num_cuboids()), -1);
+    const LayerSpec& o = schema_->o_layer();
+    const LayerSpec& m = schema_->m_layer();
+    LayerSpec deepest(static_cast<size_t>(schema_->num_dims()), 0);
+    for (int pos = 0; pos < tree_->num_attributes(); ++pos) {
+      const Attribute& a = tree_->attribute(pos);
+      auto& deepest_level = deepest[static_cast<size_t>(a.dim)];
+      deepest_level = std::max(deepest_level, a.level);
+      bool in_lattice = true;
+      for (size_t d = 0; d < deepest.size(); ++d) {
+        in_lattice = in_lattice && deepest[d] >= o[d] && deepest[d] <= m[d];
+      }
+      if (in_lattice) {
+        prefix_depth_[static_cast<size_t>(lattice_.id(deepest))] = pos + 1;
+      }
+    }
+  }
+  retired->cube = std::move(cube_);
+  InstallCubeLocked(std::move(cube));
   valid_ = true;
   stats_.rebuilds += 1;
   AccountLocked();
@@ -349,6 +418,7 @@ Result<std::shared_ptr<const RegressionCube>> IncrementalCubeCache::CubeFor(
     std::shared_ptr<const SnapshotCells> run, TimeTick clock,
     std::uint64_t revision, int level, int k, ThreadPool* pool) {
   RC_CHECK(run != nullptr);
+  Retired retired;  // declared first: freed after the lock is released
   std::lock_guard<std::mutex> lock(mu_);
   // A reader that gathered before the memo last advanced must not rewind
   // the shared state (revisions are monotonic): serve its stale run from
@@ -365,40 +435,41 @@ Result<std::shared_ptr<const RegressionCube>> IncrementalCubeCache::CubeFor(
   if (valid_ && level == level_ && k == k_) {
     std::vector<ChangedCell> changed;
     std::int64_t frame_bytes_delta = 0;
+    // The memo now reflects `run`: move to it and hand the cube out.
+    auto advance = [&] {
+      revision_ = revision;
+      retired.run = std::exchange(run_, std::move(run));
+      run_clock_ = clock;
+      run_frame_bytes_ += frame_bytes_delta;
+      AccountLocked();
+      return HandOutLocked();
+    };
+    // Popular-path cubes keep subtree measures in non-leaf nodes and
+    // derive their exception subset from drill reachability; patches and
+    // rolls replay only the m/o kernel, so they rebuild instead.
+    const bool mo =
+        options_.algorithm == StreamCubeEngine::Algorithm::kMoCubing;
     switch (DiffLocked(*run, level, k, &changed, &frame_bytes_delta)) {
       case DiffVerdict::kClean:
         // The writes since the memo touched only open slots; the sealed
         // windows (and therefore the cube) are untouched.
         stats_.revalidations += 1;
-        revision_ = revision;
-        run_ = std::move(run);
-        run_clock_ = clock;
-        run_frame_bytes_ += frame_bytes_delta;
-        AccountLocked();
-        return HandOutLocked();
-      case DiffVerdict::kPatch: {
-        // Popular-path cubes keep subtree measures in non-leaf nodes and
-        // derive their exception subset from drill reachability; the patch
-        // replays only the m/o kernel, so they rebuild instead.
-        if (options_.algorithm != StreamCubeEngine::Algorithm::kMoCubing) {
-          break;
-        }
-        Status patched = ApplyPatchLocked(changed, pool);
-        if (patched.ok()) {
-          revision_ = revision;
-          run_ = std::move(run);
-          run_clock_ = clock;
-          run_frame_bytes_ += frame_bytes_delta;
-          AccountLocked();
-          return HandOutLocked();
-        }
-        break;  // fall back to the from-scratch kernel
-      }
+        return advance();
+      case DiffVerdict::kPatch:
+        if (!mo) break;
+        if (ApplyPatchLocked(changed, pool).ok()) return advance();
+        valid_ = false;  // part-patched: the from-scratch kernel decides
+        break;
+      case DiffVerdict::kRoll:
+        if (!mo) break;
+        ApplyRollLocked(changed, pool, &retired);
+        stats_.rolls += 1;
+        return advance();
       case DiffVerdict::kRebuild:
         break;
     }
   }
-  return RebuildLocked(run, clock, revision, level, k, pool);
+  return RebuildLocked(run, clock, revision, level, k, pool, &retired);
 }
 
 }  // namespace regcube

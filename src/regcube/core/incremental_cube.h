@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "regcube/common/status.h"
+#include "regcube/core/exception_store.h"
 #include "regcube/core/snapshot_reads.h"
 #include "regcube/htree/htree.h"
 #include "regcube/htree/htree_cubing.h"
@@ -27,30 +28,42 @@ class ThreadPool;
 /// How a patch stays bit-identical to from-scratch H-cubing (the
 /// correctness bar every RC_CHECK in the tests and benches enforces):
 /// floating-point retraction ((S + x) - x) does not reproduce a recomputed
-/// sum's bits, so the memo does not subtract — it re-aggregates. It keeps
-/// the H-tree of the window alive across revisions; the tree's structure,
-/// chains and hash layouts are a function of the canonical key sequence
-/// alone, so as long as the cell population is unchanged it is *the* tree a
-/// fresh build over the new window would produce. A changed cell updates
-/// its leaf in place (HTree::UpdateLeafMeasure), and every cuboid cell it
-/// rolls up into is recomputed from a per-cuboid member index
-/// (BuildCuboidMemberIndex) that replays the kernel's exact fold order.
-/// Touched o-layer cells are overwritten; touched intermediate cells
-/// re-evaluate the exception predicate and are inserted into or erased
-/// from the exception store. Untouched cells keep their bits because their
-/// operand sequences are untouched.
+/// sum's bits, so the memo does not subtract — it re-aggregates. A rebuild
+/// builds one H-tree over the window, with stored subtree measures, cubes
+/// from it (CubeFromTree, the same cuboid loop and exception fold as
+/// ComputeMoCubing) and keeps it. The tree's structure, chains and hash
+/// layouts are a function of the canonical key sequence alone, so as long
+/// as the cell population is unchanged it is *the* tree a fresh build over
+/// the new window would produce. A changed cell updates its leaf in place
+/// (HTree::UpdateLeafMeasure), and every cuboid cell it rolls up into is
+/// recomputed from a per-cuboid member index (BuildCuboidMemberIndex) that
+/// replays the kernel's exact fold order. Touched o-layer cells are
+/// overwritten; touched intermediate cells re-evaluate the exception
+/// predicate and are inserted into or erased from the exception store.
+/// Untouched cells keep their bits because their operand sequences are
+/// untouched. An epoch roll moves every cell's window to the same new
+/// interval: the tree rebases (HTree::Rebase writes every leaf and refolds
+/// every stored node), the m-layer is rewritten in place, and every cuboid
+/// is re-cubed from the kept tree (CubeFromTree's chain scans, each node's
+/// measure an O(1) read) — the paper's §4 shape, one H-tree over the
+/// m-layer whose regression measures move with the tilt frame.
 ///
-/// Cost model per query at one (level, k):
+/// Cost model per query at one (level, k), over n m-layer cells:
 ///  - revision unchanged:            O(1) (shared-pointer hand-out).
 ///  - changed frames, same windows:  O(changed cells) regressions to prove
 ///    the windows didn't move (churn confined to open slots), then O(1).
 ///  - changed windows, same epoch:   O(Σ touched cells' members) — the
-///    patch. Lazily pays one tree build on the first patch after a rebuild
-///    and one chain scan per cuboid on the first patch that touches it,
-///    amortized across the steady state.
-///  - new cells / window interval moved / (level, k) changed: full
-///    from-scratch H-cubing (the memoized from-scratch kernel is the same
-///    one the oracle uses, so a rebuild is trivially bit-identical).
+///    patch. Pays one chain scan per cuboid on the first patch that
+///    touches it since the last rebuild.
+///  - every window moved to one new interval, same cells: the roll. n
+///    regressions (the diff), an O(n · tree depth) refold of the tree, n
+///    in-place m-layer writes and one chain scan per cuboid over the kept
+///    tree. No tree build and no m-layer map build; member indexes stay
+///    valid across rolls.
+///  - new cells / (level, k) changed / a regression error / popular-path
+///    cubing where m/o would patch or roll: full from-scratch cubing (the
+///    same tree-and-fold kernel the oracle runs, so a rebuild is trivially
+///    bit-identical).
 ///
 /// The memory trade-off (tree + member indexes + retained cube + window)
 /// is accounted to MemoryTracker under "cube.memo". The retained run — its
@@ -61,12 +74,17 @@ class ThreadPool;
 /// (RunAt), so one aligned run serves the cube, its diff base and every
 /// full read at that revision.
 ///
+/// What a rebuild or roll replaces (the old cube, window, tree, indexes
+/// and run) is freed after the memo's mutex is released, so HitAt and
+/// RunAt never wait on those frees.
+///
 /// Both cubing algorithms ride the memo: hits and revalidations depend
 /// only on the windows, not on how the cube was built. Only the m/o
-/// H-cubing cube is patched, though; popular-path cubing stores subtree
-/// measures in non-leaf nodes and derives its exception subset from drill
-/// reachability, so where m/o would patch, a popular-path memo rebuilds
-/// from scratch (its `patches` counter stays 0).
+/// H-cubing cube is patched and rolled, though; popular-path cubing stores
+/// subtree measures in non-leaf nodes and derives its exception subset
+/// from drill reachability, so where m/o would patch or roll, a
+/// popular-path memo rebuilds from scratch (its `patches` and `rolls`
+/// counters stay 0) and keeps no tree.
 class IncrementalCubeCache {
  public:
   IncrementalCubeCache(std::shared_ptr<const CubeSchema> schema,
@@ -118,7 +136,8 @@ class IncrementalCubeCache {
     std::int64_t hits = 0;           // served at the memoized revision
     std::int64_t revalidations = 0;  // revision moved, no window moved
     std::int64_t patches = 0;        // folded changed windows into the memo
-    std::int64_t rebuilds = 0;       // from-scratch (first/structural/epoch)
+    std::int64_t rolls = 0;          // refolded the kept tree (epoch roll)
+    std::int64_t rebuilds = 0;       // from-scratch (first/new cell/...)
     std::int64_t patched_cells = 0;  // m-cells folded across all patches
   };
   Stats stats() const;
@@ -145,26 +164,50 @@ class IncrementalCubeCache {
     size_t pos = 0;
   };
 
-  /// Diff outcome: patch with these cells, serve as-is, or rebuild.
-  enum class DiffVerdict { kClean, kPatch, kRebuild };
+  /// Diff outcome: patch with these cells, roll every window to a new
+  /// interval, serve as-is, or rebuild.
+  enum class DiffVerdict { kClean, kPatch, kRoll, kRebuild };
+
+  /// What maintenance replaced. CubeFor declares one ahead of its lock, so
+  /// these are destroyed after `mu_` is released.
+  struct Retired {
+    std::shared_ptr<const SnapshotCells> run;
+    std::shared_ptr<RegressionCube> cube;
+    std::vector<MLayerTuple> window;
+    std::optional<HTree> tree;
+    std::vector<std::optional<CuboidMemberIndex>> indexes;
+    CellMap o_layer;
+    ExceptionStore exceptions;
+  };
 
   Result<std::shared_ptr<const RegressionCube>> RebuildLocked(
       const std::shared_ptr<const SnapshotCells>& run, TimeTick clock,
-      std::uint64_t revision, int level, int k, ThreadPool* pool);
+      std::uint64_t revision, int level, int k, ThreadPool* pool,
+      Retired* retired);
 
   /// Tandem-walks the memoized run against `run` (both canonical), using
-  /// shared frame pointers to skip unchanged cells without touching them.
-  /// On kPatch, `changed` holds the cells whose (level, k) windows moved.
-  /// kRebuild covers structural changes, epoch rolls and regression
+  /// shared frame pointers to skip unchanged cells without touching them,
+  /// and regresses each changed cell's window once. On kPatch, `changed`
+  /// holds the cells whose (level, k) windows changed within the memo's
+  /// interval; on kRoll, every cell, all moved to one common new interval
+  /// (an epoch roll of an unchanged population). kRebuild covers
+  /// structural changes, windows split across intervals and regression
   /// errors alike — the from-scratch kernel then reproduces the exact
-  /// legacy result or error. On kClean and kPatch, `frame_bytes_delta`
-  /// holds how far `run`'s frame bytes differ from the memoized run's.
+  /// legacy result or error. Otherwise `frame_bytes_delta` holds how far
+  /// `run`'s frame bytes differ from the memoized run's.
   DiffVerdict DiffLocked(const SnapshotCells& run, int level, int k,
                          std::vector<ChangedCell>* changed,
                          std::int64_t* frame_bytes_delta);
 
   Status ApplyPatchLocked(const std::vector<ChangedCell>& changed,
                           ThreadPool* pool);
+
+  /// The roll: `changed` is every window position, in order, on the new
+  /// interval. Rebases the kept tree, rewrites the m-layer in place and
+  /// re-cubes every cuboid from the tree into the cube, copied first when
+  /// a handle still holds it.
+  void ApplyRollLocked(const std::vector<ChangedCell>& changed,
+                       ThreadPool* pool, Retired* retired);
 
   std::shared_ptr<const RegressionCube> HitLocked(std::uint64_t revision,
                                                   int level, int k);
@@ -198,13 +241,15 @@ class IncrementalCubeCache {
   std::shared_ptr<const SnapshotCells> run_;
   TimeTick run_clock_ = 0;
   std::int64_t run_frame_bytes_ = 0;
-  // The memoized window in canonical order — the retraction base (old
-  // per-cell measures) and the build input for the lazy tree.
+  // The memoized window in canonical order: the old per-cell measures the
+  // diff compares against, and the tree's input (its positions are the
+  // positions Rebase writes through).
   std::vector<MLayerTuple> window_;
-  // Lazy patch machinery: the window's H-tree, built on the first patch
-  // after a rebuild, and per-cuboid member indexes, each built by one
-  // chain scan on the first patch to touch its cuboid. Both live until the
-  // next rebuild.
+  // The window's H-tree with stored subtree measures (m/o cubing only),
+  // built by each rebuild and kept until the next: the cube was computed
+  // from it, patches and rolls refold it. Per-cuboid member indexes are
+  // each built by one chain scan on the first patch to touch the cuboid,
+  // and live until the next rebuild (a roll changes no node id).
   std::optional<HTree> tree_;
   std::vector<std::optional<CuboidMemberIndex>> indexes_;  // by cuboid id
   // Tree-prefix depth per cuboid (-1 = not a prefix). A prefix cuboid's

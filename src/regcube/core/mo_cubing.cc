@@ -15,7 +15,6 @@ Result<RegressionCube> ComputeMoCubing(
   MemoryTracker& tracker = options.tracker ? *options.tracker : local_tracker;
 
   RegressionCube cube(schema);
-  const CuboidLattice& lattice = cube.lattice();
   CubingStats& stats = cube.mutable_stats();
 
   // Step 1: aggregate the stream to the m-layer and build the H-tree,
@@ -42,13 +41,30 @@ Result<RegressionCube> ComputeMoCubing(
   tracker.Add("m-layer", CellMapMemoryBytes(cube.m_layer()));
 
   // Step 2: H-cube every cuboid from the m-layer up to the o-layer.
+  CubeFromTree(tree, options, tracker, &cube);
+  stats.compute_seconds = compute_timer.ElapsedSeconds();
+
+  stats.peak_memory_bytes = tracker.peak_bytes();
+  stats.retained_memory_bytes =
+      stats.htree_bytes + CellMapMemoryBytes(cube.m_layer()) +
+      CellMapMemoryBytes(cube.o_layer()) + cube.exceptions().MemoryBytes();
+  return cube;
+}
+
+void CubeFromTree(const HTree& tree, const MoCubingOptions& options,
+                  MemoryTracker& tracker, RegressionCube* cube) {
+  const CuboidLattice& lattice = cube->lattice();
+  CubingStats& stats = cube->mutable_stats();
+  stats.cells_computed = 0;
+  stats.exception_cells = 0;
+
   // All cells are computed; only exception cells are retained in between
   // ("except for the o-layer in which all cells are retained for
   // observation").
   if (lattice.o_layer_id() == lattice.m_layer_id()) {
     // Degenerate lattice: the single cuboid is both critical layers.
-    cube.mutable_o_layer() = cube.m_layer();
-    tracker.Add("o-layer", CellMapMemoryBytes(cube.o_layer()));
+    cube->mutable_o_layer() = cube->m_layer();
+    tracker.Add("o-layer", CellMapMemoryBytes(cube->o_layer()));
   }
 
   // Retains one computed cuboid into the cube (o-layer in full, exception
@@ -59,8 +75,8 @@ Result<RegressionCube> ComputeMoCubing(
   auto fold = [&](CuboidId cuboid, const CuboidCells& cells) {
     stats.cells_computed += cells.size();
     if (cuboid == lattice.o_layer_id()) {
-      cube.mutable_o_layer() = cells.ToCellMap();
-      tracker.Add("o-layer", CellMapMemoryBytes(cube.o_layer()));
+      cube->mutable_o_layer() = cells.ToCellMap();
+      tracker.Add("o-layer", CellMapMemoryBytes(cube->o_layer()));
       return;
     }
     const int depth = SpecDepth(lattice.spec(cuboid));
@@ -70,7 +86,7 @@ Result<RegressionCube> ComputeMoCubing(
         [&](const CellKey& key, const Isb& isb) { retained.emplace(key, isb); });
     stats.exception_cells += static_cast<std::int64_t>(retained.size());
     tracker.Add("exceptions", CellMapMemoryBytes(retained));
-    cube.mutable_exceptions().Adopt(cuboid, std::move(retained));
+    cube->mutable_exceptions().Adopt(cuboid, std::move(retained));
   };
 
   std::vector<CuboidId> cuboids;
@@ -104,13 +120,6 @@ Result<RegressionCube> ComputeMoCubing(
       tracker.Release("transient", transient_bytes);
     }
   }
-  stats.compute_seconds = compute_timer.ElapsedSeconds();
-
-  stats.peak_memory_bytes = tracker.peak_bytes();
-  stats.retained_memory_bytes =
-      stats.htree_bytes + CellMapMemoryBytes(cube.m_layer()) +
-      CellMapMemoryBytes(cube.o_layer()) + cube.exceptions().MemoryBytes();
-  return cube;
 }
 
 }  // namespace regcube

@@ -35,6 +35,18 @@ struct MoCubingOptions {
   ThreadPool* pool = nullptr;
 };
 
+/// Step 2 of Algorithm 1 over an already built tree (leaf-only or stored
+/// measures; the cells are bitwise the same): H-cubes every cuboid
+/// between the critical layers and folds it into `cube`, replacing the
+/// o-layer and retaining only exception cells in between. `cube` holds its
+/// m-layer already (a degenerate lattice copies it to the o-layer) and an
+/// empty exception store. Sets the cube's cells_computed and
+/// exception_cells and charges `tracker`; uses `options`' policy and pool.
+/// ComputeMoCubing runs it on its throwaway tree, and the maintained cube
+/// on the tree it keeps, after each rebuild and each epoch roll.
+void CubeFromTree(const HTree& tree, const MoCubingOptions& options,
+                  MemoryTracker& tracker, RegressionCube* cube);
+
 /// Algorithm 1 (m/o H-cubing): builds the H-tree with measures only at the
 /// leaves, then computes *every* cuboid between the m- and o-layers via
 /// node-link traversal, retaining all cells at the two critical layers and

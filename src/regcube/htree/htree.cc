@@ -147,6 +147,11 @@ Result<HTree> HTree::Build(const CubeSchema& schema,
   // packed leaf key is never the empty marker 0.
   FlatNodeMap leaf_by_packed(tuples.size());
   bool codec_ok = tree.codec_.has_value();
+  // Stored-measure trees remember which leaf each input built into (build
+  // ids here, leaf ordinals after phase 2), so Rebase can write a new
+  // window's measures without a key probe per cell.
+  std::vector<std::uint32_t> input_leaf;
+  if (tree.store_nonleaf_) input_leaf.reserve(tuples.size());
 
   for (const MLayerTuple& tuple : tuples) {
     if (!(tuple.measure.interval == tree.interval_)) {
@@ -176,6 +181,7 @@ Result<HTree> HTree::Build(const CubeSchema& schema,
     }
     if (leaf_acc.size() < build.size()) leaf_acc.resize(build.size());
     AccumulateStandardDim(leaf_acc[cur], tuple.measure);
+    if (tree.store_nonleaf_) input_leaf.push_back(cur);
     if (codec_ok) {
       std::uint64_t packed = 0;
       if (tree.codec_->Pack(tuple.key, &packed)) {
@@ -309,16 +315,38 @@ Result<HTree> HTree::Build(const CubeSchema& schema,
   }
 
   if (tree.store_nonleaf_) {
+    for (std::uint32_t& leaf : input_leaf) {
+      leaf = tree.nodes_[perm[leaf]].leaf_begin;
+    }
+    tree.input_leaf_ = std::move(input_leaf);
     tree.node_base_.resize(n);
     tree.node_slope_.resize(n);
-    for (NodeId id = 0; id < static_cast<NodeId>(n); ++id) {
-      const Isb m = tree.FoldLeafRange(tree.nodes_[id].leaf_begin,
-                                       tree.nodes_[id].leaf_end);
-      tree.node_base_[id] = m.base;
-      tree.node_slope_[id] = m.slope;
-    }
+    tree.RefoldStoredMeasures();
   }
   return tree;
+}
+
+void HTree::RefoldStoredMeasures() {
+  for (size_t id = 0; id < nodes_.size(); ++id) {
+    const Isb m = FoldLeafRange(nodes_[id].leaf_begin, nodes_[id].leaf_end);
+    node_base_[id] = m.base;
+    node_slope_[id] = m.slope;
+  }
+}
+
+void HTree::Rebase(const std::vector<MLayerTuple>& tuples) {
+  RC_CHECK(store_nonleaf_);
+  RC_CHECK_EQ(tuples.size(), input_leaf_.size());
+  RC_CHECK_EQ(static_cast<std::int64_t>(tuples.size()), num_leaves_)
+      << "Rebase needs one input per leaf";
+  interval_ = tuples.front().measure.interval;
+  for (size_t i = 0; i < tuples.size(); ++i) {
+    const Isb& m = tuples[i].measure;
+    RC_CHECK(m.interval == interval_) << "Rebase needs one common interval";
+    leaf_base_[input_leaf_[i]] = m.base;
+    leaf_slope_[input_leaf_[i]] = m.slope;
+  }
+  RefoldStoredMeasures();
 }
 
 const Attribute& HTree::attribute(int pos) const {
@@ -528,7 +556,10 @@ std::int64_t HTree::MemoryBytes() const {
   std::int64_t bytes = num_nodes() * (kNodeBytes + kSkipEntryBytes) +
                        (num_nodes() - 1) * kChildEntryBytes +
                        num_leaves_ * kMeasureBytes;
-  if (store_nonleaf_) bytes += num_nodes() * kMeasureBytes;
+  if (store_nonleaf_) {
+    bytes += num_nodes() * kMeasureBytes +
+             static_cast<std::int64_t>(input_leaf_.size()) * 4;  // ordinals
+  }
   bytes += leaf_by_packed_.MemoryBytes();  // flat slots: 12 B × capacity
   for (const HeaderTable& h : headers_) bytes += h.MemoryBytes();
   return bytes;

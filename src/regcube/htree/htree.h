@@ -297,6 +297,18 @@ class HTree {
       const std::vector<const HTreeNode*>& leaves,
       std::vector<std::vector<const HTreeNode*>>* dirty_by_depth = nullptr);
 
+  /// Moves a stored-measure tree to a new analysis window over the same
+  /// input: `tuples` is positionally Build's input with new measures (an
+  /// epoch roll of the same cells). Each leaf takes its input's measure
+  /// through the input -> leaf map recorded at build, and every stored
+  /// node refolds with FoldLeafRange, so the tree is bitwise the one Build
+  /// would make from `tuples`. Structure, chains, header tables and node
+  /// ids are untouched, so member indexes over the tree stay valid.
+  /// O(Σ nodes' leaf ranges). Pre (CHECKed): store_nonleaf_measures, one
+  /// input per leaf (no repeated key), and one interval shared by every
+  /// tuple.
+  void Rebase(const std::vector<MLayerTuple>& tuples);
+
   /// Value of attribute `attr_pos` on `node`'s root path.
   /// Pre: attr_pos <= node->attr_index (checked).
   ValueId PathValue(const HTreeNode* node, int attr_pos) const;
@@ -316,6 +328,9 @@ class HTree {
   HTree() = default;
 
   Isb LeafMeasure(std::uint32_t leaf_ordinal) const;
+
+  /// Recomputes every stored node measure from the leaves.
+  void RefoldStoredMeasures();
 
   std::vector<HTreeNode> nodes_;  // DFS preorder; nodes_[0] is the root
   std::vector<NodeId> subtree_end_;    // by id: one past the subtree's ids
@@ -339,6 +354,9 @@ class HTree {
   // Packed-key leaf index: m-layer key -> leaf id, when the codec holds.
   std::optional<PackedKeyCodec> codec_;
   FlatNodeMap leaf_by_packed_;
+  // Leaf ordinal of each Build input, by input position (stored-measure
+  // trees only): Rebase's write map.
+  std::vector<std::uint32_t> input_leaf_;
   // RefreshAncestorMeasures dedupe stamps, by NodeId (lazily sized).
   std::vector<std::uint64_t> visit_stamp_;
   std::uint64_t visit_epoch_ = 0;

@@ -172,19 +172,6 @@ CellMap ComputeCuboidCells(const HTree& tree, const CuboidLattice& lattice,
   return ComputeCuboidCellsTransient(tree, lattice, cuboid).ToCellMap();
 }
 
-std::vector<CellMap> ComputeCuboidCellsPartitioned(
-    const HTree& tree, const CuboidLattice& lattice,
-    const std::vector<CuboidId>& cuboids, ThreadPool* pool) {
-  std::vector<CellMap> maps(cuboids.size());
-  auto compute_one = [&](std::int64_t i) {
-    maps[static_cast<size_t>(i)] =
-        ComputeCuboidCells(tree, lattice, cuboids[static_cast<size_t>(i)]);
-  };
-  ParallelForOrSerial(pool, static_cast<std::int64_t>(cuboids.size()),
-                      compute_one);
-  return maps;
-}
-
 std::vector<CuboidCells> ComputeCuboidCellsTransientPartitioned(
     const HTree& tree, const CuboidLattice& lattice,
     const std::vector<CuboidId>& cuboids, ThreadPool* pool) {

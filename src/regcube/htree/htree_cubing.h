@@ -209,16 +209,11 @@ CuboidCells ComputeCuboidCellsTransient(const HTree& tree,
                                         const CuboidLattice& lattice,
                                         CuboidId cuboid);
 
-/// Cuboid-partitioned entry point: computes the cells of every cuboid in
-/// `cuboids`, one pool task per cuboid, returning the maps positionally
-/// aligned with the input. Safe because H-cubing only reads the tree —
-/// nodes, header chains and measures are immutable after Build. Serial
-/// (same results) when `pool` is null.
-std::vector<CellMap> ComputeCuboidCellsPartitioned(
-    const HTree& tree, const CuboidLattice& lattice,
-    const std::vector<CuboidId>& cuboids, ThreadPool* pool);
-
-/// The transient-form twin of ComputeCuboidCellsPartitioned.
+/// Cuboid-partitioned ComputeCuboidCellsTransient: the cells of every
+/// cuboid in `cuboids`, one pool task per cuboid, returned positionally
+/// aligned with the input. Safe because H-cubing only reads the tree, and
+/// nothing changes it while a cube is filled from it. Serial (same
+/// results) when `pool` is null.
 std::vector<CuboidCells> ComputeCuboidCellsTransientPartitioned(
     const HTree& tree, const CuboidLattice& lattice,
     const std::vector<CuboidId>& cuboids, ThreadPool* pool);
@@ -233,7 +228,8 @@ std::vector<CuboidCells> ComputeCuboidCellsTransientPartitioned(
 /// recomputes only the cells touched by changed m-layer leaves instead of
 /// re-running H-cubing over everything. Node ids stay valid for the
 /// tree's lifetime (the arena is immutable after Build) and survive
-/// HTree::UpdateLeafMeasure, which changes values, not structure.
+/// HTree::UpdateLeafMeasure and HTree::Rebase, which change values, not
+/// structure.
 ///
 /// Storage is routed per key by the tree's packed-key codec: keys that pack
 /// live in a 64-bit-keyed map (half the key bytes, cheap hashing), the rest

@@ -462,7 +462,7 @@ void ExpectCellResultsIdentical(const std::vector<CellResult>& expected,
 // Popular-path engines serve cube kinds from the maintained memo like m/o
 // engines do. Under churn every answer must equal, bitwise, the same query
 // over the from-scratch snapshot cube, and the memo must hit, revalidate
-// and rebuild but never patch.
+// and rebuild but never patch or roll.
 TEST(ApiFacadeTest, PopularPathCubeKindsMatchSnapshotCubeUnderChurn) {
   // Ticks 0..7 for every generated cell, then a pacer cell drives the clock
   // to 11: late writes at tick 7 land in the globally sealed slot [4,8) (the
@@ -531,6 +531,7 @@ TEST(ApiFacadeTest, PopularPathCubeKindsMatchSnapshotCubeUnderChurn) {
   EXPECT_GT(stats.revalidations, 0);
   EXPECT_GT(stats.rebuilds, 1);
   EXPECT_EQ(stats.patches, 0);
+  EXPECT_EQ(stats.rolls, 0);
 }
 
 }  // namespace

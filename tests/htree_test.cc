@@ -1,6 +1,7 @@
 #include "regcube/htree/htree.h"
 
 #include <algorithm>
+#include <unordered_set>
 
 #include "gtest/gtest.h"
 #include "regcube/regression/aggregate.h"
@@ -189,6 +190,42 @@ TEST(HTreeTest, NonLeafMeasuresMatchLazyComputation) {
                 stored->SubtreeMeasure(stored->root()), 1e-9);
   // Stored-measure trees cost more bytes (the paper's space trade-off).
   EXPECT_GT(stored->MemoryBytes(), lazy->MemoryBytes());
+}
+
+// Rebase moves a stored-measure tree to a new window over the same inputs
+// (an epoch roll): node for node it is bitwise the tree Build makes from
+// the new window.
+TEST(HTreeTest, RebaseMatchesAFreshBuildBitwise) {
+  SmallWorkload w = MakeSmallWorkload(2, 2, 3, 40);
+  // Rebase takes one input per leaf: keep each key's first tuple.
+  std::vector<MLayerTuple> inputs;
+  std::unordered_set<CellKey, CellKeyHash> seen;
+  for (const MLayerTuple& t : w.tuples) {
+    if (seen.insert(t.key).second) inputs.push_back(t);
+  }
+  HTree::Options options;
+  options.attribute_order = CardinalityAscendingOrder(*w.schema);
+  options.store_nonleaf_measures = true;
+  auto tree = HTree::Build(*w.schema, inputs, options);
+  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+
+  std::vector<MLayerTuple> rolled = inputs;
+  for (size_t i = 0; i < rolled.size(); ++i) {
+    const Isb& old = rolled[i].measure;
+    rolled[i].measure = Isb{TimeInterval{16, 31}, old.base / 3.0 + 0.1 * i,
+                            old.slope * 1.7 - 0.03 * i};
+  }
+  tree->Rebase(rolled);
+  auto fresh = HTree::Build(*w.schema, rolled, options);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  ASSERT_EQ(tree->num_nodes(), fresh->num_nodes());
+  EXPECT_EQ(tree->common_interval(), fresh->common_interval());
+  for (NodeId id = 0; id < static_cast<NodeId>(tree->num_nodes()); ++id) {
+    EXPECT_EQ(tree->node(id)->value, fresh->node(id)->value);
+    EXPECT_EQ(tree->StoredMeasure(tree->node(id)),
+              fresh->StoredMeasure(fresh->node(id)))
+        << "node " << id;
+  }
 }
 
 TEST(HTreeTest, PathValueWalksUp) {

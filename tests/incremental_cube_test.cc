@@ -150,7 +150,8 @@ TEST(IncrementalCubeTest, MatchesReferenceStoreAcrossShardCounts) {
     };
     // The maintained cube, the from-scratch cube over the engine's own
     // gather and the reference store's cube must agree bitwise.
-    auto expect_matches = [&](std::int64_t patches, std::int64_t rebuilds) {
+    auto expect_matches = [&](std::int64_t patches, std::int64_t rolls,
+                              std::int64_t rebuilds) {
       auto maintained = engine.ComputeCubeShared(0, 2);
       ASSERT_TRUE(maintained.ok()) << maintained.status().ToString();
       auto want = reference.ComputeCube(0, 2);
@@ -161,25 +162,28 @@ TEST(IncrementalCubeTest, MatchesReferenceStoreAcrossShardCounts) {
       ExpectCubesIdentical(scratch, **maintained);
       const auto stats = engine.cube_memo_stats();
       EXPECT_EQ(stats.patches, patches);
+      EXPECT_EQ(stats.rolls, rolls);
       EXPECT_EQ(stats.rebuilds, rebuilds);
     };
     // The pacer drives the global clock to 11: [4,8) is sealed from the
     // aligned view while every generated cell's frame still sits at 7.
     ingest({PacerKey(), 11, 1.0});
-    expect_matches(/*patches=*/0, /*rebuilds=*/1);
+    expect_matches(/*patches=*/0, /*rolls=*/0, /*rebuilds=*/1);
     late({0, 1, 2}, 5.0);
-    expect_matches(1, 1);
+    expect_matches(1, 0, 1);
     late({0, 3, 4}, 8.0);
-    expect_matches(2, 1);
+    expect_matches(2, 0, 1);
     // A new cell early in canonical order: the rebuilt tree's node ids
     // differ from the old tree's.
     ingest({UnusedMLayerKey(gen), 7, 3.0});
-    expect_matches(2, 2);
+    expect_matches(2, 0, 2);
     late({5, 6}, 2.0);
-    expect_matches(3, 2);
+    expect_matches(3, 0, 2);
+    // Sealing [8,12) moves every cell's window to [4,12): the kept tree
+    // rolls.
     ASSERT_TRUE(engine.SealThrough(11).ok());
     ASSERT_TRUE(reference.SealThrough(11).ok());
-    expect_matches(3, 3);
+    expect_matches(3, 1, 2);
 
     auto last = engine.ComputeCubeShared(0, 2);
     ASSERT_TRUE(last.ok());
@@ -305,14 +309,20 @@ TEST(IncrementalCubeTest, StructuralChangesRebuild) {
   ASSERT_TRUE(engine.ComputeCubeShared(0, 1).ok());
   EXPECT_EQ(engine.cube_memo_stats().rebuilds, 3);
 
-  // Rolling the window epoch (a new level-0 slot seals) rebuilds too.
+  // Rolling the window epoch (a new level-0 slot seals) keeps the
+  // population, so the (0, 2) memo rebuilt once more for the window switch
+  // rolls instead of rebuilding.
   ASSERT_TRUE(engine.ComputeCubeShared(0, 2).ok());
+  EXPECT_EQ(engine.cube_memo_stats().rebuilds, 4);
   ASSERT_TRUE(engine.SealThrough(12).ok());  // seals [8,12)
   auto rolled = engine.ComputeCubeShared(0, 2);
   ASSERT_TRUE(rolled.ok());
   ExpectCubesIdentical(ScratchCube(*schema, engine, LagOptions(), 0, 2),
                        **rolled);
-  EXPECT_EQ(engine.cube_memo_stats().patches, 0);
+  const auto stats = engine.cube_memo_stats();
+  EXPECT_EQ(stats.rolls, 1);
+  EXPECT_EQ(stats.rebuilds, 4);
+  EXPECT_EQ(stats.patches, 0);
 }
 
 TEST(IncrementalCubeTest, PatchedCubeIsImmutableForHolders) {
@@ -334,6 +344,212 @@ TEST(IncrementalCubeTest, PatchedCubeIsImmutableForHolders) {
   // The held cube must not have been mutated by the patch (copy-on-write).
   EXPECT_NE(before->get(), after->get());
   ExpectCellMapsIdentical(m_before, (*before)->m_layer());
+}
+
+// ------------------------------------------------------------- epoch rolls
+
+// Ticks [0, 64) for every cell and sealed: 16 quarters (8 retained at
+// level 0) and 4 hours at level 1, so k up to 4 is valid at both levels.
+constexpr TimeTick kRollSeedTicks = 64;
+
+WorkloadSpec RollSpec(int num_dims = 2) {
+  WorkloadSpec spec = ChurnWorkload(/*tuples=*/120, kRollSeedTicks,
+                                    /*seed=*/61);
+  spec.num_dims = num_dims;
+  return spec;
+}
+
+/// A 3-dim schema for RollSpec(3)'s keys whose codec would need 67 bits:
+/// dims A and B are the workload's fanout-4 hierarchies, and C's level-2
+/// cardinality is 2^56, so no key packs and every kernel takes the CellKey
+/// path. The generated values (0..15) are valid under it.
+std::shared_ptr<const CubeSchema> WideRollSchema() {
+  auto narrow = std::make_shared<FanoutHierarchy>(2, 4);
+  auto wide = std::make_shared<FanoutHierarchy>(2, 1 << 28);
+  auto schema = CubeSchema::Create(
+      {Dimension("A", narrow), Dimension("B", narrow), Dimension("C", wide)},
+      {2, 2, 2}, {1, 1, 1});
+  RC_CHECK(schema.ok()) << schema.status().ToString();
+  RC_CHECK(!PackedKeyCodec::ForSchema(*schema).has_value());
+  return std::make_shared<CubeSchema>(std::move(schema).value());
+}
+
+/// Seeds `engine` with every cell's ticks [0, 64) and seals them.
+void SeedRollEngine(ShardedStreamEngine& engine, StreamGenerator& gen) {
+  ASSERT_TRUE(engine.IngestBatch(gen.GenerateStream()).ok());
+  ASSERT_TRUE(engine.SealThrough(kRollSeedTicks - 1).ok());
+}
+
+/// One roll round: random dirty cells each take one value inside quarter
+/// `quarter`, then the quarter seals — a level-0 epoch roll for every
+/// cell, and a level-1 roll too when the quarter ends an hour.
+void RollRound(ShardedStreamEngine& engine,
+               const std::vector<StreamGenerator::CellParams>& cells,
+               TimeTick quarter, Pcg32& rng) {
+  const TimeTick begin = quarter * 4;
+  for (const auto& cell : cells) {
+    if (rng.Uniform(4) != 0) continue;  // ~25% dirty
+    const TimeTick tick = begin + static_cast<TimeTick>(rng.Uniform(4));
+    const double value = 1.0 + static_cast<double>(rng.Uniform(1000));
+    ASSERT_TRUE(engine.Ingest({cell.key, tick, value}).ok());
+  }
+  ASSERT_TRUE(engine.SealThrough(begin + 3).ok());
+}
+
+/// Every round seals a level-0 slot, so the engine's (0, k) memo rolls
+/// each round; every 4th round cascades into level 1, where a second memo
+/// (fed the engine's own gathers) rolls. Each query is bitwise the
+/// from-scratch cube over the same gather.
+void ExpectRollsMatchScratch(std::shared_ptr<const CubeSchema> schema,
+                             const WorkloadSpec& spec, int shards,
+                             bool with_pool, int k) {
+  SCOPED_TRACE(testing::Message() << shards << " shards, pool " << with_pool
+                                  << ", k " << k);
+  const StreamCubeEngine::Options options = LagOptions();
+  auto pool = with_pool ? std::make_shared<ThreadPool>(3) : nullptr;
+  ShardedStreamEngine engine(schema, options, shards, pool);
+  StreamGenerator gen(spec);
+  SeedRollEngine(engine, gen);
+  IncrementalCubeCache hour_memo(schema, options);
+  auto query_hours = [&] {
+    const auto run = engine.GatherAlignedCells();
+    auto maintained = hour_memo.CubeFor(run.cells, run.clock, run.revision,
+                                        1, k, pool.get());
+    ASSERT_TRUE(maintained.ok()) << maintained.status().ToString();
+    ExpectCubesIdentical(ScratchCube(schema, engine, options, 1, k),
+                         **maintained);
+  };
+  ASSERT_TRUE(engine.ComputeCubeShared(0, k).ok());
+  query_hours();
+
+  std::int64_t exceptions_seen = 0;  // the exception set takes part
+  Pcg32 rng(71);
+  constexpr int kRounds = 8;
+  for (int round = 0; round < kRounds; ++round) {
+    SCOPED_TRACE(round);
+    const TimeTick quarter = kRollSeedTicks / 4 + round;
+    RollRound(engine, gen.cells(), quarter, rng);
+    auto maintained = engine.ComputeCubeShared(0, k);
+    ASSERT_TRUE(maintained.ok()) << maintained.status().ToString();
+    const RegressionCube scratch = ScratchCube(schema, engine, options, 0, k);
+    ExpectCubesIdentical(scratch, **maintained);
+    exceptions_seen += scratch.exceptions().total_cells();
+    if ((quarter + 1) % 4 == 0) query_hours();  // the hour sealed too
+  }
+  EXPECT_GT(exceptions_seen, 0);
+  const auto stats = engine.cube_memo_stats();
+  EXPECT_EQ(stats.rebuilds, 1);
+  EXPECT_EQ(stats.rolls, kRounds);
+  EXPECT_EQ(stats.patches, 0);
+  EXPECT_EQ(hour_memo.stats().rebuilds, 1);
+  EXPECT_EQ(hour_memo.stats().rolls, kRounds / 4);
+}
+
+TEST(IncrementalCubeTest, RollsMatchScratchAcrossShardsPoolsAndSlots) {
+  const WorkloadSpec spec = RollSpec();
+  auto schema = MakeWorkloadSchemaPtr(spec);
+  ASSERT_TRUE(schema.ok());
+  ASSERT_TRUE(PackedKeyCodec::ForSchema(**schema).has_value());
+  for (int shards : {1, 2, 8}) {
+    for (bool with_pool : {false, true}) {
+      for (int k : {1, 2, 4}) {
+        ExpectRollsMatchScratch(*schema, spec, shards, with_pool, k);
+      }
+    }
+  }
+}
+
+TEST(IncrementalCubeTest, RollsMatchScratchOnASchemaTooWideToPack) {
+  const WorkloadSpec spec = RollSpec(/*num_dims=*/3);
+  const auto schema = WideRollSchema();
+  for (int shards : {1, 2, 8}) {
+    for (bool with_pool : {false, true}) {
+      for (int k : {1, 2, 4}) {
+        ExpectRollsMatchScratch(schema, spec, shards, with_pool, k);
+      }
+    }
+  }
+}
+
+// A new cell in the same round as a roll is still a structural change.
+TEST(IncrementalCubeTest, RollWithAFreshCellRebuilds) {
+  const WorkloadSpec spec = RollSpec();
+  auto schema = MakeWorkloadSchemaPtr(spec);
+  ASSERT_TRUE(schema.ok());
+  ShardedStreamEngine engine(*schema, LagOptions(), 2);
+  StreamGenerator gen(spec);
+  SeedRollEngine(engine, gen);
+  ASSERT_TRUE(engine.ComputeCubeShared(0, 2).ok());
+
+  Pcg32 rng(5);
+  ASSERT_TRUE(engine.Ingest({FreshKeyOutside(gen, 16), 64, 4.0}).ok());
+  RollRound(engine, gen.cells(), kRollSeedTicks / 4, rng);
+  auto rebuilt = engine.ComputeCubeShared(0, 2);
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+  ExpectCubesIdentical(ScratchCube(*schema, engine, LagOptions(), 0, 2),
+                       **rebuilt);
+  auto stats = engine.cube_memo_stats();
+  EXPECT_EQ(stats.rebuilds, 2);
+  EXPECT_EQ(stats.rolls, 0);
+
+  // The next roll over the grown population rolls the rebuilt tree.
+  RollRound(engine, gen.cells(), kRollSeedTicks / 4 + 1, rng);
+  auto rolled = engine.ComputeCubeShared(0, 2);
+  ASSERT_TRUE(rolled.ok()) << rolled.status().ToString();
+  ExpectCubesIdentical(ScratchCube(*schema, engine, LagOptions(), 0, 2),
+                       **rolled);
+  stats = engine.cube_memo_stats();
+  EXPECT_EQ(stats.rebuilds, 2);
+  EXPECT_EQ(stats.rolls, 1);
+}
+
+// Popular-path cubing keeps no tree: its memo rebuilds on every roll.
+TEST(IncrementalCubeTest, PopularPathRollsRebuild) {
+  const WorkloadSpec spec = RollSpec();
+  auto schema = MakeWorkloadSchemaPtr(spec);
+  ASSERT_TRUE(schema.ok());
+  StreamCubeEngine::Options options = LagOptions();
+  options.algorithm = StreamCubeEngine::Algorithm::kPopularPath;
+  ShardedStreamEngine engine(*schema, options, 2);
+  StreamGenerator gen(spec);
+  SeedRollEngine(engine, gen);
+  ASSERT_TRUE(engine.ComputeCubeShared(0, 2).ok());
+
+  Pcg32 rng(9);
+  constexpr int kRounds = 3;
+  for (int round = 0; round < kRounds; ++round) {
+    RollRound(engine, gen.cells(), kRollSeedTicks / 4 + round, rng);
+    auto cube = engine.ComputeCubeShared(0, 2);
+    ASSERT_TRUE(cube.ok()) << cube.status().ToString();
+    ExpectCubesIdentical(ScratchCube(*schema, engine, options, 0, 2), **cube);
+  }
+  const auto stats = engine.cube_memo_stats();
+  EXPECT_EQ(stats.rolls, 0);
+  EXPECT_EQ(stats.rebuilds, 1 + kRounds);
+}
+
+// A roll copies the cube before rewriting it when a handle still holds it.
+TEST(IncrementalCubeTest, RolledCubeIsImmutableForHolders) {
+  const WorkloadSpec spec = RollSpec();
+  auto schema = MakeWorkloadSchemaPtr(spec);
+  ASSERT_TRUE(schema.ok());
+  ShardedStreamEngine engine(*schema, LagOptions(), 2);
+  StreamGenerator gen(spec);
+  SeedRollEngine(engine, gen);
+
+  auto before = engine.ComputeCubeShared(0, 2);
+  ASSERT_TRUE(before.ok());
+  const RegressionCube before_copy = (*before)->Clone();
+
+  Pcg32 rng(13);
+  RollRound(engine, gen.cells(), kRollSeedTicks / 4, rng);
+  auto after = engine.ComputeCubeShared(0, 2);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(engine.cube_memo_stats().rolls, 1);
+  EXPECT_NE(before->get(), after->get());
+  ExpectCubesIdentical(before_copy, **before);
+  ExpectCubesIdentical(ScratchCube(*schema, engine, LagOptions(), 0, 2),
+                       **after);
 }
 
 // ----------------------------------------------------------- facade & memory

@@ -456,10 +456,11 @@ Status RunStream(const Args& args) {
   // gather, so under a budget it also skips fault-ins and enforcement.
   const IncrementalCubeCache::Stats memo = engine.cube_memo_stats();
   std::printf("\ncube memo: %lld hits, %lld revalidations, %lld patches, "
-              "%lld rebuilds\n",
+              "%lld rolls, %lld rebuilds\n",
               static_cast<long long>(memo.hits),
               static_cast<long long>(memo.revalidations),
               static_cast<long long>(memo.patches),
+              static_cast<long long>(memo.rolls),
               static_cast<long long>(memo.rebuilds));
 
   const SpillStats spill = engine.SpillStats();
