@@ -1,13 +1,15 @@
 // M1 — micro-benchmarks of the regression-measure primitives: direct LSE
 // fit, the two lossless aggregations, moment round trips, tilt-frame
 // ingestion, the frame block codec and its checksum, NCR updates/solves,
-// H-tree construction, and the exception-guided drill (one DrillDown step
-// and a supporters walk). Complements the figure harnesses with
-// per-operation costs.
+// H-tree construction, filling a cube from a kept tree (H-cubing vs the
+// roll's fold-index refold), and the exception-guided drill (one
+// DrillDown step and a supporters walk). Complements the figure harnesses
+// with per-operation costs.
 
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "benchmark/benchmark.h"
@@ -224,6 +226,77 @@ void BM_HTreeBuild(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_HTreeBuild)->Arg(1000)->Arg(10000);
+
+/// A 20k-cell D3L2C10 stored-measure H-tree (the drill workload's shape
+/// and exception threshold, and the kind of tree the maintained cube
+/// keeps), with a cube cubed from it and every non-m cuboid's fold index,
+/// built once and shared.
+struct RollTree {
+  std::shared_ptr<const CubeSchema> schema;
+  std::optional<HTree> tree;
+  std::vector<std::optional<CuboidFoldIndex>> indexes;
+  std::unique_ptr<RegressionCube> cube;
+  MoCubingOptions options;
+};
+
+const RollTree& SharedRollTree() {
+  static const RollTree* shared = [] {
+    WorkloadSpec spec;
+    spec.num_dims = 3;
+    spec.num_levels = 2;
+    spec.fanout = 10;
+    spec.num_tuples = 20000;
+    spec.series_length = 16;
+    StreamGenerator gen(spec);
+    auto* out = new RollTree;
+    out->schema = *MakeWorkloadSchemaPtr(spec);
+    out->options.policy = ExceptionPolicy(0.05);
+    HTree::Options tree_options;
+    tree_options.attribute_order = CardinalityAscendingOrder(*out->schema);
+    tree_options.store_nonleaf_measures = true;
+    out->tree.emplace(HTree::Build(*out->schema, gen.GenerateMLayerTuples(),
+                                   std::move(tree_options))
+                          .value());
+    const CuboidLattice lattice(*out->schema);
+    out->indexes.resize(static_cast<size_t>(lattice.num_cuboids()));
+    for (CuboidId c = 0; c < lattice.num_cuboids(); ++c) {
+      if (c == lattice.m_layer_id()) continue;
+      out->indexes[static_cast<size_t>(c)] =
+          CuboidFoldIndex::Build(*out->tree, lattice, c);
+    }
+    out->cube = std::make_unique<RegressionCube>(out->schema);
+    MemoryTracker tracker;
+    CubeFromTree(*out->tree, out->options, tracker, out->cube.get());
+    return out;
+  }();
+  return *shared;
+}
+
+/// Filling a cube's o-layer and exception cells from the kept tree by
+/// H-cubing every cuboid: the epoch roll's cost before fold indexes.
+void BM_CubeFromTree(benchmark::State& state) {
+  const RollTree& roll = SharedRollTree();
+  for (auto _ : state) {
+    RegressionCube cube(roll.schema);
+    MemoryTracker tracker;
+    CubeFromTree(*roll.tree, roll.options, tracker, &cube);
+    benchmark::DoNotOptimize(cube);
+  }
+}
+BENCHMARK(BM_CubeFromTree)->Unit(benchmark::kMillisecond);
+
+/// The same o-layer and exception cells refolded from each cuboid's fold
+/// index (RefoldCube, what a roll runs after rebasing the tree).
+void BM_RollRefold(benchmark::State& state) {
+  const RollTree& roll = SharedRollTree();
+  RegressionCube cube = roll.cube->Clone();
+  for (auto _ : state) {
+    ExceptionStore replaced =
+        RefoldCube(*roll.tree, roll.indexes, roll.options, &cube);
+    benchmark::DoNotOptimize(replaced);
+  }
+}
+BENCHMARK(BM_RollRefold)->Unit(benchmark::kMillisecond);
 
 /// A 20k-cell D3L2C10 cube (3 dimensions, 2 levels, fan-out 10: the shape
 /// of perfbench's drill workload), m/o-cubed once and shared.

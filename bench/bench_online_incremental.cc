@@ -9,15 +9,18 @@
 // globally sealed slot — the out-of-order-across-cells churn shape. The
 // maintained cube (ShardedStreamEngine::ComputeCubeShared) folds only
 // those changed cells into the memoized m/o-layers and exception set; the
-// from-scratch path re-runs H-cubing over the whole window. Both are
-// RC_CHECKed bit-identical every round — the incremental cube is a
-// maintenance strategy, not a numerics change.
+// from-scratch path gathers and re-runs H-cubing over the whole window.
+// Each timer pays one fold of the shard publications (republished by an
+// untimed gather first), so `speedup` compares gather + cube on both
+// sides. Both are RC_CHECKed bit-identical every round — the incremental
+// cube is a maintenance strategy, not a numerics change.
 //
 // Phase 2 (epoch rolls): a fixed 20k-cell population where every round
 // writes 1% of the cells and seals a level-0 slot, so every cell's window
 // moves. The maintained cube rolls the H-tree it kept (Theorem 3.2
-// measures refolded on an unchanged structure); the from-scratch path
-// re-runs H-cubing. RC_CHECKed bit-identical every round.
+// measures refolded on an unchanged structure, every cuboid refolded from
+// its fold index); the from-scratch path re-runs H-cubing. Timed like
+// phase 1, and RC_CHECKed bit-identical every round.
 //
 // Phase 3 (legacy replay): the original E8 comparison — one long-lived
 // engine absorbing batches vs a from-scratch engine re-ingesting the full
@@ -122,7 +125,7 @@ void RunMaintained(int argc, char** argv, bench::JsonWriter& json) {
 
     // Warm: the rebuild (which builds the tree the memo keeps), plus one
     // representative patch round (the same dirty count the timed rounds
-    // use), so the per-cuboid member indexes the first patch builds are
+    // use), so the per-cuboid fold indexes the first patch builds are
     // amortized into the steady state they belong to before the clock
     // starts.
     RC_CHECK(engine.ComputeCubeShared(level, k).ok());
@@ -145,22 +148,25 @@ void RunMaintained(int argc, char** argv, bench::JsonWriter& json) {
         RC_CHECK(engine.Ingest({cell.key, 7, 0.25 * (round + 1)}).ok());
       }
 
-      // Both sides read the same warmed delta gather (a revision cache
-      // hit), so the timings isolate cube maintenance vs recomputation —
-      // the O(changed cells) gather itself is PR 3's separately
-      // benchmarked win (bench_snapshot_reads).
+      // Each side pays exactly one fold of already-fresh publications:
+      // the untimed gather republishes the written shards, the scratch
+      // timer then gathers again (a fold; the memo is not at this
+      // revision yet) and cubes it, and ComputeCubeShared folds once more
+      // for the memo. Scratch goes first: after the maintained query the
+      // memo's run would serve the scratch gather without a fold.
+      (void)engine.GatherAlignedCells();
+
+      Stopwatch scratch_timer;
       auto run = engine.GatherAlignedCells();
+      auto scratch = SnapshotCubeOf(*schema, *run.cells, options, level, k,
+                                    pool.get());
+      RC_CHECK(scratch.ok()) << scratch.status().ToString();
+      scratch_s += scratch_timer.ElapsedSeconds();
 
       Stopwatch incr_timer;
       auto maintained = engine.ComputeCubeShared(level, k);
       RC_CHECK(maintained.ok()) << maintained.status().ToString();
       incr_s += incr_timer.ElapsedSeconds();
-
-      Stopwatch scratch_timer;
-      auto scratch = SnapshotCubeOf(*schema, *run.cells, options, level, k,
-                                    pool.get());
-      RC_CHECK(scratch.ok()) << scratch.status().ToString();
-      scratch_s += scratch_timer.ElapsedSeconds();
 
       CheckCubesIdentical(*scratch, **maintained);
     }
@@ -196,8 +202,9 @@ void RunMaintained(int argc, char** argv, bench::JsonWriter& json) {
 /// Phase 2: epoch rolls. A fixed population of 20k cells; every timed
 /// round writes 1% of them into the open quarter and then seals it, which
 /// moves every cell's level-0 window to a new interval. The maintained
-/// cube rolls its kept H-tree (rebase, m-layer rewrite, re-cube from the
-/// tree); the from-scratch path re-runs H-cubing over the same gather.
+/// cube rolls its kept H-tree (rebase, m-layer rewrite, every cuboid
+/// refolded from its fold index); the from-scratch path re-runs H-cubing
+/// over the same gather.
 void RunRoll(int argc, char** argv, bench::JsonWriter& json) {
   constexpr std::int64_t kCells = 20'000;
   constexpr std::int64_t kDirtyPct = 1;
@@ -246,7 +253,7 @@ void RunRoll(int argc, char** argv, bench::JsonWriter& json) {
     ++quarter;
   };
 
-  // Warm: the rebuild, then one untimed roll.
+  // Warm: the rebuild, then one untimed roll (it builds the fold indexes).
   RC_CHECK(engine.ComputeCubeShared(level, k).ok());
   roll(0);
   RC_CHECK(engine.ComputeCubeShared(level, k).ok());
@@ -259,21 +266,20 @@ void RunRoll(int argc, char** argv, bench::JsonWriter& json) {
   auto previous = engine.GatherAlignedCells();
   for (int round = 1; round <= rounds; ++round) {
     roll(round);
-    // The scratch side cubes this gather. The maintained side gathers for
-    // itself inside ComputeCubeShared: a fold of the shard publications,
-    // since the memo's run is not at this revision yet.
+    // One fold of fresh publications a side, as in the maintained phase.
+    (void)engine.GatherAlignedCells();
+
+    Stopwatch scratch_timer;
     auto run = engine.GatherAlignedCells();
+    auto scratch = SnapshotCubeOf(*schema, *run.cells, options, level, k,
+                                  pool.get());
+    RC_CHECK(scratch.ok()) << scratch.status().ToString();
+    scratch_s += scratch_timer.ElapsedSeconds();
 
     Stopwatch incr_timer;
     auto maintained = engine.ComputeCubeShared(level, k);
     RC_CHECK(maintained.ok()) << maintained.status().ToString();
     incr_s += incr_timer.ElapsedSeconds();
-
-    Stopwatch scratch_timer;
-    auto scratch = SnapshotCubeOf(*schema, *run.cells, options, level, k,
-                                  pool.get());
-    RC_CHECK(scratch.ok()) << scratch.status().ToString();
-    scratch_s += scratch_timer.ElapsedSeconds();
 
     CheckCubesIdentical(*scratch, **maintained);
     previous = std::move(run);

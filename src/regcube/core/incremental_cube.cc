@@ -1,6 +1,6 @@
 #include "regcube/core/incremental_cube.h"
 
-#include <unordered_set>
+#include <algorithm>
 #include <utility>
 
 #include "regcube/common/logging.h"
@@ -13,7 +13,7 @@ namespace regcube {
 
 namespace {
 // The maintained cube's retained state, reported through MemoryTracker:
-// the window's H-tree, the per-cuboid member indexes, the canonical window
+// the window's H-tree, the per-cuboid fold indexes, the canonical window
 // and the materialized cube itself — the space the O(delta) maintenance
 // trades for not re-running H-cubing per snapshot.
 constexpr char kMemoCategory[] = "cube.memo";
@@ -41,6 +41,9 @@ IncrementalCubeCache::IncrementalCubeCache(
       lattice_(*schema_),
       options_(std::move(options)) {
   RC_CHECK(schema_ != nullptr);
+  for (CuboidId c = 0; c < lattice_.num_cuboids(); ++c) {
+    if (c != lattice_.m_layer_id()) cuboids_.push_back(c);
+  }
 }
 
 IncrementalCubeCache::~IncrementalCubeCache() {
@@ -85,7 +88,6 @@ void IncrementalCubeCache::Invalidate() {
   tree_.reset();
   retired.indexes = std::move(indexes_);
   indexes_.clear();
-  prefix_depth_.clear();
   tree_bytes_ = 0;
   index_bytes_ = 0;
   retired.cube = std::move(cube_);
@@ -103,7 +105,7 @@ std::int64_t IncrementalCubeCache::MemoryBytes() const {
 }
 
 IncrementalCubeCache::DiffVerdict IncrementalCubeCache::DiffLocked(
-    const SnapshotCells& run, int level, int k,
+    const SnapshotCells& run, int level, int k, ThreadPool* pool,
     std::vector<ChangedCell>* changed, std::int64_t* frame_bytes_delta) {
   // The memoized run and the new one are both in canonical key order, so
   // equal populations walk in lockstep; any key divergence is a structural
@@ -111,10 +113,7 @@ IncrementalCubeCache::DiffVerdict IncrementalCubeCache::DiffLocked(
   // reproduce a freshly built tree's chain order bit for bit.
   const SnapshotCells& base = *run_;
   if (base.size() != run.size()) return DiffVerdict::kRebuild;
-  const TimeInterval& window_interval = window_.front().measure.interval;
-  // Cells whose window left the memo's interval, and where they went.
-  size_t moved = 0;
-  TimeInterval moved_to;
+  std::vector<size_t> positions;  // of the cells whose frame changed
   for (size_t i = 0; i < run.size(); ++i) {
     if (!(base[i].key == run[i].key)) return DiffVerdict::kRebuild;
     // A cell whose frame is shared with the memoized run cannot have
@@ -123,18 +122,47 @@ IncrementalCubeCache::DiffVerdict IncrementalCubeCache::DiffLocked(
     if (base[i].frame.get() == run[i].frame.get()) continue;
     *frame_bytes_delta +=
         run[i].frame->MemoryBytes() - base[i].frame->MemoryBytes();
-    auto isb = run[i].frame->RegressLastSlots(level, k);
+    positions.push_back(i);
+  }
+  // Each changed window regresses once, on the read pool when there is
+  // one: the frames are immutable, and each result lands at its position.
+  // A pool item is a block of positions, not one: a regression is too
+  // small to pay the pool's per-item claim on its own.
+  std::vector<Isb> regressed(positions.size());
+  std::vector<unsigned char> failed(positions.size(), 0);
+  constexpr size_t kBlock = 256;
+  ParallelForOrSerial(
+      pool, static_cast<std::int64_t>((positions.size() + kBlock - 1) / kBlock),
+      [&](std::int64_t block) {
+        const size_t begin = static_cast<size_t>(block) * kBlock;
+        const size_t end = std::min(positions.size(), begin + kBlock);
+        for (size_t j = begin; j < end; ++j) {
+          auto isb = run[positions[j]].frame->RegressLastSlots(level, k);
+          if (isb.ok()) {
+            regressed[j] = *isb;
+          } else {
+            failed[j] = 1;
+          }
+        }
+      });
+  const TimeInterval& window_interval = window_.front().measure.interval;
+  // Cells whose window left the memo's interval, and where they went.
+  size_t moved = 0;
+  TimeInterval moved_to;
+  for (size_t j = 0; j < positions.size(); ++j) {
+    const size_t i = positions[j];
     // A failing regression (or any other anomaly) falls back to the
     // from-scratch kernel, which reproduces the exact legacy error.
-    if (!isb.ok()) return DiffVerdict::kRebuild;
-    if (isb->interval == window_interval) {
-      if (*isb == window_[i].measure) continue;  // open-slot churn only
+    if (failed[j] != 0) return DiffVerdict::kRebuild;
+    const Isb& isb = regressed[j];
+    if (isb.interval == window_interval) {
+      if (isb == window_[i].measure) continue;  // open-slot churn only
     } else if (moved++ == 0) {
-      moved_to = isb->interval;
-    } else if (!(isb->interval == moved_to)) {
+      moved_to = isb.interval;
+    } else if (!(isb.interval == moved_to)) {
       return DiffVerdict::kRebuild;  // no common window left to roll to
     }
-    changed->push_back(ChangedCell{&run[i].key, *isb, i});
+    changed->push_back(ChangedCell{&run[i].key, isb, i});
   }
   // A slot sealed at this level moves every cell's window at once: an
   // epoch roll. A move that left some cells behind spans two windows,
@@ -143,6 +171,16 @@ IncrementalCubeCache::DiffVerdict IncrementalCubeCache::DiffLocked(
     return moved == run.size() ? DiffVerdict::kRoll : DiffVerdict::kRebuild;
   }
   return changed->empty() ? DiffVerdict::kClean : DiffVerdict::kPatch;
+}
+
+const CuboidFoldIndex& IncrementalCubeCache::FoldIndexLocked(
+    CuboidId cuboid, std::int64_t* built_bytes) {
+  auto& index = indexes_[static_cast<size_t>(cuboid)];
+  if (!index.has_value()) {
+    index = CuboidFoldIndex::Build(*tree_, lattice_, cuboid);
+    *built_bytes = index->MemoryBytes();
+  }
+  return *index;
 }
 
 Status IncrementalCubeCache::ApplyPatchLocked(
@@ -159,52 +197,40 @@ Status IncrementalCubeCache::ApplyPatchLocked(
     dirty_leaves.push_back(*leaf);
     window_[cell.pos].measure = cell.measure;
   }
-  std::vector<std::vector<const HTreeNode*>> dirty_by_depth;
-  tree_->RefreshAncestorMeasures(dirty_leaves, &dirty_by_depth);
+  tree_->RefreshAncestorMeasures(dirty_leaves);
 
-  // Recompute every cuboid cell a changed m-cell rolls up into, each from
-  // its member index in kernel order. Cuboids are independent, so the work
-  // partitions across the pool exactly like from-scratch per-cuboid
-  // H-cubing.
-  std::vector<CuboidId> cuboids;
-  cuboids.reserve(static_cast<size_t>(lattice_.num_cuboids()));
-  for (CuboidId c = 0; c < lattice_.num_cuboids(); ++c) {
-    if (c != lattice_.m_layer_id()) cuboids.push_back(c);
-  }
-  std::vector<PatchedCells> recomputed(cuboids.size());
-  std::vector<std::int64_t> built_index_bytes(cuboids.size(), 0);
+  // Recompute every cuboid cell a changed m-cell rolls up into by
+  // refolding its span of the cuboid's fold index. Cuboids are
+  // independent, so the work partitions across the pool exactly like
+  // from-scratch per-cuboid H-cubing.
+  std::vector<std::vector<std::pair<CellKey, Isb>>> recomputed(
+      cuboids_.size());
+  std::vector<std::int64_t> built_bytes(cuboids_.size(), 0);
   auto patch_one = [&](std::int64_t i) {
-    const CuboidId cuboid = cuboids[static_cast<size_t>(i)];
-    const int depth = prefix_depth_[static_cast<size_t>(cuboid)];
-    if (depth >= 0) {
-      // Prefix shortcut: the refreshed dirty nodes at this depth are the
-      // touched cells, measures already folded.
-      recomputed[static_cast<size_t>(i)] = PrefixCellsFromNodes(
-          *tree_, lattice_, cuboid, depth,
-          dirty_by_depth[static_cast<size_t>(depth)]);
-      return;
-    }
-    std::unordered_set<CellKey, CellKeyHash> seen;
-    seen.reserve(changed.size() * 2);
-    std::vector<CellKey> touched;
+    const CuboidId cuboid = cuboids_[static_cast<size_t>(i)];
+    const CuboidFoldIndex& index =
+        FoldIndexLocked(cuboid, &built_bytes[static_cast<size_t>(i)]);
+    std::vector<std::int64_t> touched;
     touched.reserve(changed.size());
     for (const ChangedCell& cell : changed) {
-      CellKey key = lattice_.ProjectMLayerKey(*cell.key, cuboid);
-      if (seen.insert(key).second) touched.push_back(std::move(key));
+      const CellKey key = lattice_.ProjectMLayerKey(*cell.key, cuboid);
+      const std::int64_t c = index.Find(*tree_, key);
+      RC_CHECK_GE(c, 0) << "cell " << key.ToString()
+                        << " missing from the fold index; structural "
+                           "change not rebuilt";
+      touched.push_back(c);
     }
-    // The first patch to touch this cuboid since the tree was built
-    // indexes it with one chain scan; later patches reuse the index.
-    auto& index = indexes_[static_cast<size_t>(cuboid)];
-    if (!index.has_value()) {
-      index = BuildCuboidMemberIndex(*tree_, lattice_, cuboid);
-      built_index_bytes[static_cast<size_t>(i)] = index->MemoryBytes();
+    std::sort(touched.begin(), touched.end());
+    touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+    auto& cells = recomputed[static_cast<size_t>(i)];
+    cells.reserve(touched.size());
+    for (const std::int64_t c : touched) {
+      cells.emplace_back(index.KeyOf(*tree_, c), index.Fold(*tree_, c));
     }
-    recomputed[static_cast<size_t>(i)] =
-        RecomputeCellsFromIndex(*tree_, *index, touched);
   };
-  ParallelForOrSerial(pool, static_cast<std::int64_t>(cuboids.size()),
+  ParallelForOrSerial(pool, static_cast<std::int64_t>(cuboids_.size()),
                       patch_one);
-  for (std::int64_t b : built_index_bytes) index_bytes_ += b;
+  for (std::int64_t b : built_bytes) index_bytes_ += b;
 
   // Publish: never mutate a cube some snapshot or caller still holds.
   if (cube_handles_->load(std::memory_order_acquire) > 0) {
@@ -222,8 +248,8 @@ Status IncrementalCubeCache::ApplyPatchLocked(
       cube.mutable_o_layer()[*cell.key] = cell.measure;
     }
   }
-  for (size_t i = 0; i < cuboids.size(); ++i) {
-    const CuboidId cuboid = cuboids[i];
+  for (size_t i = 0; i < cuboids_.size(); ++i) {
+    const CuboidId cuboid = cuboids_[i];
     if (cuboid == o_id) {
       for (const auto& [key, isb] : recomputed[i]) {
         auto it = cube.mutable_o_layer().find(key);
@@ -257,27 +283,41 @@ void IncrementalCubeCache::ApplyRollLocked(
   tree_->Rebase(window_);
 
   // Never mutate a cube some snapshot or caller still holds: roll a copy
-  // of its m-layer instead (the rest is recomputed anyway).
+  // of its critical layers instead (the exceptions are refolded anyway).
   if (cube_handles_->load(std::memory_order_acquire) > 0) {
     auto fresh = std::make_shared<RegressionCube>(schema_);
     fresh->mutable_m_layer() = cube_->m_layer();
+    fresh->mutable_o_layer() = cube_->o_layer();
     retired->cube = std::move(cube_);
     InstallCubeLocked(std::move(fresh));
   }
   RegressionCube& cube = *cube_;
+  const CuboidId o_id = lattice_.o_layer_id();
+  const bool degenerate = o_id == lattice_.m_layer_id();
   for (const MLayerTuple& cell : window_) {
     auto it = cube.mutable_m_layer().find(cell.key);
     RC_CHECK(it != cube.mutable_m_layer().end());
     it->second = cell.measure;
+    if (degenerate) {
+      // The single cuboid is both critical layers.
+      cube.mutable_o_layer()[cell.key] = cell.measure;
+    }
   }
-  retired->o_layer = std::exchange(cube.mutable_o_layer(), CellMap());
-  retired->exceptions =
-      std::exchange(cube.mutable_exceptions(), ExceptionStore());
+
+  // A roll moves no cell, so every other cuboid keeps its cells and fold
+  // order: index each (on the first patch or roll since the rebuild) and
+  // refold it.
+  std::vector<std::int64_t> built_bytes(cuboids_.size(), 0);
+  ParallelForOrSerial(pool, static_cast<std::int64_t>(cuboids_.size()),
+                      [&](std::int64_t i) {
+                        FoldIndexLocked(cuboids_[static_cast<size_t>(i)],
+                                        &built_bytes[static_cast<size_t>(i)]);
+                      });
+  for (std::int64_t b : built_bytes) index_bytes_ += b;
   MoCubingOptions mo;
   mo.policy = options_.policy;
   mo.pool = pool;
-  MemoryTracker transient;
-  CubeFromTree(*tree_, mo, transient, &cube);
+  retired->exceptions = RefoldCube(*tree_, indexes_, mo, &cube);
 }
 
 Result<std::shared_ptr<const RegressionCube>>
@@ -335,32 +375,12 @@ IncrementalCubeCache::RebuildLocked(
   retired->tree = std::exchange(tree_, std::move(tree));
   retired->indexes = std::move(indexes_);
   indexes_.clear();
-  prefix_depth_.clear();
   tree_bytes_ = 0;
   index_bytes_ = 0;
   if (tree_.has_value()) {
     tree_bytes_ = tree_->MemoryBytes();
     indexes_.assign(static_cast<size_t>(lattice_.num_cuboids()),
                     std::nullopt);
-    // Tree-prefix cuboids (the deepest introduced level per dimension over
-    // each attribute-order prefix, when that spec lies in the lattice) get
-    // the patch's node-is-cell shortcut.
-    prefix_depth_.assign(static_cast<size_t>(lattice_.num_cuboids()), -1);
-    const LayerSpec& o = schema_->o_layer();
-    const LayerSpec& m = schema_->m_layer();
-    LayerSpec deepest(static_cast<size_t>(schema_->num_dims()), 0);
-    for (int pos = 0; pos < tree_->num_attributes(); ++pos) {
-      const Attribute& a = tree_->attribute(pos);
-      auto& deepest_level = deepest[static_cast<size_t>(a.dim)];
-      deepest_level = std::max(deepest_level, a.level);
-      bool in_lattice = true;
-      for (size_t d = 0; d < deepest.size(); ++d) {
-        in_lattice = in_lattice && deepest[d] >= o[d] && deepest[d] <= m[d];
-      }
-      if (in_lattice) {
-        prefix_depth_[static_cast<size_t>(lattice_.id(deepest))] = pos + 1;
-      }
-    }
   }
   retired->cube = std::move(cube_);
   InstallCubeLocked(std::move(cube));
@@ -449,7 +469,8 @@ Result<std::shared_ptr<const RegressionCube>> IncrementalCubeCache::CubeFor(
     // rolls replay only the m/o kernel, so they rebuild instead.
     const bool mo =
         options_.algorithm == StreamCubeEngine::Algorithm::kMoCubing;
-    switch (DiffLocked(*run, level, k, &changed, &frame_bytes_delta)) {
+    switch (DiffLocked(*run, level, k, pool, &changed,
+                       &frame_bytes_delta)) {
       case DiffVerdict::kClean:
         // The writes since the memo touched only open slots; the sealed
         // windows (and therefore the cube) are untouched.

@@ -36,43 +36,51 @@ class ThreadPool;
 /// as the cell population is unchanged it is *the* tree a fresh build over
 /// the new window would produce. A changed cell updates its leaf in place
 /// (HTree::UpdateLeafMeasure), and every cuboid cell it rolls up into is
-/// recomputed from a per-cuboid member index (BuildCuboidMemberIndex) that
-/// replays the kernel's exact fold order. Touched o-layer cells are
-/// overwritten; touched intermediate cells re-evaluate the exception
-/// predicate and are inserted into or erased from the exception store.
-/// Untouched cells keep their bits because their operand sequences are
-/// untouched. An epoch roll moves every cell's window to the same new
+/// refolded from its span of the cuboid's fold index (CuboidFoldIndex: each
+/// cell's chain nodes in the kernel's exact fold order). Touched o-layer
+/// cells are overwritten; touched intermediate cells re-evaluate the
+/// exception predicate and are inserted into or erased from the exception
+/// store. Untouched cells keep their bits because their operand sequences
+/// are untouched. An epoch roll moves every cell's window to the same new
 /// interval: the tree rebases (HTree::Rebase writes every leaf and refolds
-/// every stored node), the m-layer is rewritten in place, and every cuboid
-/// is re-cubed from the kept tree (CubeFromTree's chain scans, each node's
-/// measure an O(1) read) — the paper's §4 shape, one H-tree over the
-/// m-layer whose regression measures move with the tilt frame.
+/// every stored node), the m-layer is rewritten in place, and every other
+/// cuboid refolds its whole fold index, span by span, with the same loop a
+/// patch runs — a roll moves no cell, so no cuboid's cells or fold order
+/// change and nothing is re-hashed. This is the paper's §4 shape: one
+/// H-tree over the m-layer whose regression measures move with the tilt
+/// frame.
 ///
-/// Cost model per query at one (level, k), over n m-layer cells:
+/// Cost model per query at one (level, k), over n m-layer cells and N
+/// chain nodes summed over the cuboids' fold indexes:
 ///  - revision unchanged:            O(1) (shared-pointer hand-out).
 ///  - changed frames, same windows:  O(changed cells) regressions to prove
 ///    the windows didn't move (churn confined to open slots), then O(1).
-///  - changed windows, same epoch:   O(Σ touched cells' members) — the
-///    patch. Pays one chain scan per cuboid on the first patch that
-///    touches it since the last rebuild.
+///  - changed windows, same epoch:   O(Σ touched cells' spans), plus a
+///    binary search per touched cell and cuboid — the patch.
 ///  - every window moved to one new interval, same cells: the roll. n
-///    regressions (the diff), an O(n · tree depth) refold of the tree, n
-///    in-place m-layer writes and one chain scan per cuboid over the kept
-///    tree. No tree build and no m-layer map build; member indexes stay
-///    valid across rolls.
+///    regressions (the diff, across the read pool when there is one), an
+///    O(n · tree depth) refold of the tree, n in-place m-layer writes and
+///    an O(N) refold of every cuboid, each into a dense array: the o-layer
+///    is overwritten in place and only exception cells are hashed. No tree
+///    build, no chain scan and no m-layer map build.
+///  - the first patch or roll after a rebuild also indexes each cuboid it
+///    needs: one chain scan and a sort of its nodes by cell key.
 ///  - new cells / (level, k) changed / a regression error / popular-path
 ///    cubing where m/o would patch or roll: full from-scratch cubing (the
 ///    same tree-and-fold kernel the oracle runs, so a rebuild is trivially
 ///    bit-identical).
 ///
-/// The memory trade-off (tree + member indexes + retained cube + window)
-/// is accounted to MemoryTracker under "cube.memo". The retained run — its
-/// entry vector and the frame blocks it shares — is reported separately,
-/// under "cube.memo.pinned_frames": the engine's eviction rungs release
-/// those blocks from their own categories while the memo still keeps them
-/// alive. The run is also the engine's gather at the memo's revision
-/// (RunAt), so one aligned run serves the cube, its diff base and every
-/// full read at that revision.
+/// The memory trade-off (tree + fold indexes + retained cube + window)
+/// is accounted to MemoryTracker under "cube.memo". A fold index costs
+/// 12 B per packed cell plus 4 B per chain node (at most n nodes per
+/// cuboid): ~1.4 MB over the seven non-m cuboids of a 20k-cell D3L2C10
+/// window, the price of a roll that never re-cubes. The retained run —
+/// its entry vector and the frame blocks it shares — is reported
+/// separately, under "cube.memo.pinned_frames": the engine's eviction
+/// rungs release those blocks from their own categories while the memo
+/// still keeps them alive. The run is also the engine's gather at the
+/// memo's revision (RunAt), so one aligned run serves the cube, its diff
+/// base and every full read at that revision.
 ///
 /// What a rebuild or roll replaces (the old cube, window, tree, indexes
 /// and run) is freed after the memo's mutex is released, so HitAt and
@@ -142,7 +150,8 @@ class IncrementalCubeCache {
   };
   Stats stats() const;
 
-  /// Analytic bytes retained by the memo (tree + indexes + cube + window).
+  /// Analytic bytes retained by the memo (tree + fold indexes built so far
+  /// + cube + window).
   std::int64_t MemoryBytes() const;
 
   /// Installs analytic memory accounting under "cube.memo" and
@@ -175,8 +184,7 @@ class IncrementalCubeCache {
     std::shared_ptr<RegressionCube> cube;
     std::vector<MLayerTuple> window;
     std::optional<HTree> tree;
-    std::vector<std::optional<CuboidMemberIndex>> indexes;
-    CellMap o_layer;
+    std::vector<std::optional<CuboidFoldIndex>> indexes;
     ExceptionStore exceptions;
   };
 
@@ -195,17 +203,27 @@ class IncrementalCubeCache {
   /// errors alike — the from-scratch kernel then reproduces the exact
   /// legacy result or error. Otherwise `frame_bytes_delta` holds how far
   /// `run`'s frame bytes differ from the memoized run's.
+  /// The changed windows are regressed on `pool` when it is wide enough;
+  /// the verdict and `changed` do not depend on it.
   DiffVerdict DiffLocked(const SnapshotCells& run, int level, int k,
-                         std::vector<ChangedCell>* changed,
+                         ThreadPool* pool, std::vector<ChangedCell>* changed,
                          std::int64_t* frame_bytes_delta);
+
+  /// The fold index of `cuboid` over `tree_`, built by one chain scan on
+  /// first use after a rebuild; `*built_bytes` receives its footprint
+  /// then and is left alone on reuse. Pool tasks may call it concurrently
+  /// for distinct cuboids (each writes only its own slot).
+  const CuboidFoldIndex& FoldIndexLocked(CuboidId cuboid,
+                                         std::int64_t* built_bytes);
 
   Status ApplyPatchLocked(const std::vector<ChangedCell>& changed,
                           ThreadPool* pool);
 
   /// The roll: `changed` is every window position, in order, on the new
   /// interval. Rebases the kept tree, rewrites the m-layer in place and
-  /// re-cubes every cuboid from the tree into the cube, copied first when
-  /// a handle still holds it.
+  /// refolds every other cuboid from its fold index: the o-layer in place,
+  /// the exception cells replaced. The cube is copied first when a handle
+  /// still holds it.
   void ApplyRollLocked(const std::vector<ChangedCell>& changed,
                        ThreadPool* pool, Retired* retired);
 
@@ -227,6 +245,7 @@ class IncrementalCubeCache {
   std::shared_ptr<const CubeSchema> schema_;
   CuboidLattice lattice_;
   StreamCubeEngine::Options options_;
+  std::vector<CuboidId> cuboids_;  // every cuboid but the m-layer, by id
 
   mutable std::mutex mu_;
   bool valid_ = false;
@@ -247,15 +266,11 @@ class IncrementalCubeCache {
   std::vector<MLayerTuple> window_;
   // The window's H-tree with stored subtree measures (m/o cubing only),
   // built by each rebuild and kept until the next: the cube was computed
-  // from it, patches and rolls refold it. Per-cuboid member indexes are
-  // each built by one chain scan on the first patch to touch the cuboid,
-  // and live until the next rebuild (a roll changes no node id).
+  // from it, patches and rolls refold it. Per-cuboid fold indexes are
+  // each built by one chain scan on the first patch or roll to need the
+  // cuboid, and live until the next rebuild (a roll changes no node id).
   std::optional<HTree> tree_;
-  std::vector<std::optional<CuboidMemberIndex>> indexes_;  // by cuboid id
-  // Tree-prefix depth per cuboid (-1 = not a prefix). A prefix cuboid's
-  // touched cells are the refreshed dirty nodes at its depth — no
-  // projection, no member index (see PrefixCellsFromNodes).
-  std::vector<int> prefix_depth_;
+  std::vector<std::optional<CuboidFoldIndex>> indexes_;  // by cuboid id
   std::int64_t tree_bytes_ = 0;     // cached at tree build
   std::int64_t index_bytes_ = 0;    // cached, updated per index build
   // Non-const internally so patches can fold in place when nobody else

@@ -27,7 +27,7 @@ namespace regcube {
 /// O(cells) projection pass (under the shard lock), after which every
 /// probe is O(matching members) and ingest keeps the map current. Cuboids
 /// never probed cost nothing. Point queries are the only probers; the cube
-/// memo indexes its own H-tree (BuildCuboidMemberIndex).
+/// memo indexes its own H-tree (CuboidFoldIndex).
 ///
 /// When the schema's packed-key codec holds, each cuboid map keys its
 /// entries by the 64-bit packed projection instead of the CellKey (half

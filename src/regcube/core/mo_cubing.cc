@@ -1,5 +1,8 @@
 #include "regcube/core/mo_cubing.h"
 
+#include <algorithm>
+#include <utility>
+
 #include "regcube/common/logging.h"
 #include "regcube/common/stopwatch.h"
 #include "regcube/common/thread_pool.h"
@@ -120,6 +123,57 @@ void CubeFromTree(const HTree& tree, const MoCubingOptions& options,
       tracker.Release("transient", transient_bytes);
     }
   }
+}
+
+ExceptionStore RefoldCube(
+    const HTree& tree,
+    const std::vector<std::optional<CuboidFoldIndex>>& indexes,
+    const MoCubingOptions& options, RegressionCube* cube) {
+  const CuboidLattice& lattice = cube->lattice();
+  const CuboidId o_id = lattice.o_layer_id();
+  std::vector<CuboidId> cuboids;
+  for (CuboidId cuboid = 0; cuboid < lattice.num_cuboids(); ++cuboid) {
+    if (cuboid != lattice.m_layer_id()) cuboids.push_back(cuboid);
+  }
+  std::vector<CellMap> retained(cuboids.size());
+  auto refold_one = [&](std::int64_t i) {
+    const CuboidId cuboid = cuboids[static_cast<size_t>(i)];
+    const CuboidFoldIndex& index = *indexes[static_cast<size_t>(cuboid)];
+    std::vector<Isb> cells;
+    index.FoldAll(tree, &cells);
+    if (cuboid == o_id) {
+      // Only this task touches the o-layer.
+      for (std::int64_t c = 0; c < index.num_cells(); ++c) {
+        auto it = cube->mutable_o_layer().find(index.KeyOf(tree, c));
+        RC_CHECK(it != cube->mutable_o_layer().end());
+        it->second = cells[static_cast<size_t>(c)];
+      }
+      return;
+    }
+    const auto is_exception =
+        options.policy.TestFor(cuboid, SpecDepth(lattice.spec(cuboid)));
+    CellMap& kept = retained[static_cast<size_t>(i)];
+    kept.reserve(static_cast<size_t>(
+        std::count_if(cells.begin(), cells.end(), is_exception)));
+    for (std::int64_t c = 0; c < index.num_cells(); ++c) {
+      const Isb& isb = cells[static_cast<size_t>(c)];
+      if (is_exception(isb)) kept.emplace(index.KeyOf(tree, c), isb);
+    }
+  };
+  ParallelForOrSerial(options.pool, static_cast<std::int64_t>(cuboids.size()),
+                      refold_one);
+
+  CubingStats& stats = cube->mutable_stats();
+  stats.cells_computed = 0;
+  stats.exception_cells = 0;
+  ExceptionStore exceptions;
+  for (size_t i = 0; i < cuboids.size(); ++i) {
+    stats.cells_computed +=
+        indexes[static_cast<size_t>(cuboids[i])]->num_cells();
+    stats.exception_cells += static_cast<std::int64_t>(retained[i].size());
+    exceptions.Adopt(cuboids[i], std::move(retained[i]));
+  }
+  return std::exchange(cube->mutable_exceptions(), std::move(exceptions));
 }
 
 }  // namespace regcube

@@ -2,6 +2,7 @@
 #define REGCUBE_CORE_MO_CUBING_H_
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "regcube/common/memory_tracker.h"
@@ -9,6 +10,7 @@
 #include "regcube/cube/exception_policy.h"
 #include "regcube/core/regression_cube.h"
 #include "regcube/htree/htree.h"
+#include "regcube/htree/htree_cubing.h"
 
 namespace regcube {
 
@@ -46,6 +48,21 @@ struct MoCubingOptions {
 /// on the tree it keeps, after each rebuild and each epoch roll.
 void CubeFromTree(const HTree& tree, const MoCubingOptions& options,
                   MemoryTracker& tracker, RegressionCube* cube);
+
+/// An epoch roll's CubeFromTree: the cells of every cuboid are unchanged,
+/// only their measures moved, so each non-m cuboid refolds its fold index
+/// over `tree` (indexes by cuboid id; every non-m cuboid's is present)
+/// into a dense array, one `options.pool` task per cuboid. The o-layer is
+/// overwritten in place and the cuboids in between keep their exception
+/// cells: bitwise what CubeFromTree computes over the same tree, without
+/// its chain scans and per-cell hashing. Sets cells_computed and
+/// exception_cells like CubeFromTree and returns the exception store it
+/// replaced. Pre: `cube`'s o-layer holds exactly the o-layer index's
+/// cells (the m-layer and a degenerate o-layer are the caller's).
+ExceptionStore RefoldCube(
+    const HTree& tree,
+    const std::vector<std::optional<CuboidFoldIndex>>& indexes,
+    const MoCubingOptions& options, RegressionCube* cube);
 
 /// Algorithm 1 (m/o H-cubing): builds the H-tree with measures only at the
 /// leaves, then computes *every* cuboid between the m- and o-layers via

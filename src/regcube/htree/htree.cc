@@ -457,8 +457,7 @@ Result<const HTreeNode*> HTree::UpdateLeafMeasure(const CubeSchema& schema,
 }
 
 void HTree::RefreshAncestorMeasures(
-    const std::vector<const HTreeNode*>& leaves,
-    std::vector<std::vector<const HTreeNode*>>* dirty_by_depth) {
+    const std::vector<const HTreeNode*>& leaves) {
   RC_CHECK(store_nonleaf_);
   // Distinct dirty ancestors, bucketed by depth (root's attr_index is -1,
   // so bucket 0 is the root), deduped by visit stamp instead of a hash
@@ -479,9 +478,6 @@ void HTree::RefreshAncestorMeasures(
       dirty[static_cast<size_t>(cur->attr_index + 1)].push_back(cur);
     }
   }
-  if (dirty_by_depth != nullptr) {
-    dirty_by_depth->assign(dirty.size(), {});
-  }
   for (size_t d = dirty.size(); d-- > 0;) {
     for (const HTreeNode* node : dirty[d]) {
       // The canonical leaf-range fold — bitwise the build-time stored
@@ -490,9 +486,6 @@ void HTree::RefreshAncestorMeasures(
       const NodeId id = id_of(node);
       node_base_[id] = m.base;
       node_slope_[id] = m.slope;
-    }
-    if (dirty_by_depth != nullptr) {
-      (*dirty_by_depth)[d] = std::move(dirty[d]);
     }
   }
 }

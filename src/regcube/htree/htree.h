@@ -287,15 +287,7 @@ class HTree {
   /// property the incremental cube's bit-identity rests on.
   /// O(Σ dirty nodes' leaf ranges), with shared ancestors refolded once.
   /// Pre: store_nonleaf_measures (CHECKed).
-  ///
-  /// When `dirty_by_depth` is non-null it receives the refreshed nodes
-  /// bucketed by depth (bucket d = nodes at depth d, i.e. attr_index
-  /// d - 1; bucket 0 is the root). For a tree-prefix cuboid these buckets
-  /// ARE its touched cells, so patch callers read them instead of
-  /// projecting and scanning.
-  void RefreshAncestorMeasures(
-      const std::vector<const HTreeNode*>& leaves,
-      std::vector<std::vector<const HTreeNode*>>* dirty_by_depth = nullptr);
+  void RefreshAncestorMeasures(const std::vector<const HTreeNode*>& leaves);
 
   /// Moves a stored-measure tree to a new analysis window over the same
   /// input: `tuples` is positionally Build's input with new measures (an
@@ -303,7 +295,7 @@ class HTree {
   /// through the input -> leaf map recorded at build, and every stored
   /// node refolds with FoldLeafRange, so the tree is bitwise the one Build
   /// would make from `tuples`. Structure, chains, header tables and node
-  /// ids are untouched, so member indexes over the tree stay valid.
+  /// ids are untouched, so fold indexes over the tree stay valid.
   /// O(Σ nodes' leaf ranges). Pre (CHECKed): store_nonleaf_measures, one
   /// input per leaf (no repeated key), and one interval shared by every
   /// tuple.

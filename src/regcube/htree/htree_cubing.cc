@@ -1,6 +1,7 @@
 #include "regcube/htree/htree_cubing.h"
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <unordered_set>
 
@@ -73,23 +74,6 @@ CellKey KeyFromWalk(const HTree& tree, const HTreeNode* node,
     if (d >= 0) key.set(d, cur->value);
   }
   return key;
-}
-
-/// The packed twin of KeyFromWalk. In-tree values are always within the
-/// schema's cardinalities, so the unchecked shift-and-or is exact: it
-/// produces the same word PackedKeyCodec::Pack would for the walked key
-/// (star fields stay 0, kept values become v + 1).
-std::uint64_t PackedKeyFromWalk(const HTree& tree, const HTreeNode* node,
-                                const CuboidAttrs& ca) {
-  std::uint64_t packed = 0;
-  for (const HTreeNode* cur = node; cur->attr_index >= 0;
-       cur = tree.parent(cur)) {
-    const int s = ca.shift_of_pos[static_cast<size_t>(cur->attr_index)];
-    if (s >= 0) {
-      packed |= (static_cast<std::uint64_t>(cur->value) + 1) << s;
-    }
-  }
-  return packed;
 }
 
 /// Packed cuboid key of every node at position <= `deep_pos`, indexed by
@@ -185,114 +169,119 @@ std::vector<CuboidCells> ComputeCuboidCellsTransientPartitioned(
   return maps;
 }
 
-const std::vector<NodeId>* CuboidMemberIndex::Find(const HTree& tree,
-                                                   const CellKey& key) const {
-  const PackedKeyCodec* codec = tree.codec();
-  std::uint64_t packed = 0;
-  if (codec != nullptr && codec->Pack(key, &packed)) {
-    auto it = by_packed.find(packed);
-    return it == by_packed.end() ? nullptr : &it->second;
-  }
-  auto it = by_key.find(key);
-  return it == by_key.end() ? nullptr : &it->second;
-}
-
-std::int64_t CuboidMemberIndex::MemoryBytes() const {
-  constexpr std::int64_t kEntryOverhead = 16;  // hash node + bucket share
-  std::int64_t bytes = 0;
-  for (const auto& [key, nodes] : by_packed) {
-    bytes += static_cast<std::int64_t>(sizeof(std::uint64_t)) +
-             kEntryOverhead + static_cast<std::int64_t>(sizeof(nodes)) +
-             static_cast<std::int64_t>(nodes.capacity() * sizeof(NodeId));
-  }
-  for (const auto& [key, nodes] : by_key) {
-    bytes += static_cast<std::int64_t>(sizeof(CellKey)) + kEntryOverhead +
-             static_cast<std::int64_t>(sizeof(nodes)) +
-             static_cast<std::int64_t>(nodes.capacity() * sizeof(NodeId));
-  }
-  return bytes;
-}
-
-CuboidMemberIndex BuildCuboidMemberIndex(const HTree& tree,
-                                         const CuboidLattice& lattice,
-                                         CuboidId cuboid) {
+CuboidFoldIndex CuboidFoldIndex::Build(const HTree& tree,
+                                       const CuboidLattice& lattice,
+                                       CuboidId cuboid) {
   const int num_dims = lattice.schema().num_dims();
-  CuboidMemberIndex index;
+  CuboidFoldIndex index;
   const CuboidAttrs ca = ResolveAttrs(tree, lattice, cuboid);
+  const PackedKeyCodec* codec = tree.codec();
 
   if (ca.attrs.empty()) {
-    // Apex: the single all-star cell aggregates the root's subtree. Routed
-    // like Find routes it (the codec packs the apex to 0).
-    const CellKey apex(num_dims);
-    std::uint64_t packed = 0;
-    if (tree.codec() != nullptr && tree.codec()->Pack(apex, &packed)) {
-      index.by_packed[packed] = {tree.id_of(tree.root())};
+    // Apex: the single all-star cell aggregates the root's subtree (its
+    // packed key is 0, which a sorted array holds like any other).
+    if (codec != nullptr) {
+      index.packed_keys_.push_back(0);
     } else {
-      index.by_key[apex] = {tree.id_of(tree.root())};
+      index.keys_.emplace_back(num_dims);
     }
+    index.offsets_ = {0, 1};
+    index.nodes_.push_back(tree.id_of(tree.root()));
     return index;
   }
 
-  // The same chain scan as ComputeCuboidCells, recording node ids in
-  // visit order instead of folding measures.
+  // The same chain scan as ComputeCuboidCells, recording (key, node) in
+  // visit order; a stable sort by key then groups each cell's nodes
+  // without reordering them, so every span keeps the chain order.
   const int deep_pos = ca.positions[static_cast<size_t>(ca.deepest)];
   const HeaderTable& header = tree.header(deep_pos);
-  if (tree.codec() != nullptr) {
+  auto compress = [&index](auto& visits, auto& keys, auto key_less) {
+    std::stable_sort(visits.begin(), visits.end(),
+                     [&](const auto& a, const auto& b) {
+                       return key_less(a.first, b.first);
+                     });
+    index.nodes_.reserve(visits.size());
+    for (size_t i = 0; i < visits.size(); ++i) {
+      if (i == 0 || !(visits[i].first == visits[i - 1].first)) {
+        keys.push_back(visits[i].first);
+        index.offsets_.push_back(static_cast<std::uint32_t>(i));
+      }
+      index.nodes_.push_back(visits[i].second);
+    }
+    index.offsets_.push_back(static_cast<std::uint32_t>(visits.size()));
+    keys.shrink_to_fit();
+    index.offsets_.shrink_to_fit();
+  };
+  if (codec != nullptr) {
+    const auto keys = PackedKeysBySweep(tree, ca, deep_pos);
+    std::vector<std::pair<std::uint64_t, NodeId>> visits;
     for (const auto& [value, entry] : header.entries()) {
       for (const HTreeNode* n = tree.node(entry.head); n != nullptr;
            n = tree.node(n->next_link)) {
-        index.by_packed[PackedKeyFromWalk(tree, n, ca)].push_back(
-            tree.id_of(n));
+        const NodeId id = tree.id_of(n);
+        visits.emplace_back(keys[id], id);
       }
     }
+    compress(visits, index.packed_keys_, std::less<std::uint64_t>());
     return index;
   }
+  std::vector<std::pair<CellKey, NodeId>> visits;
   for (const auto& [value, entry] : header.entries()) {
     for (const HTreeNode* n = tree.node(entry.head); n != nullptr;
          n = tree.node(n->next_link)) {
-      index.by_key[KeyFromWalk(tree, n, ca, num_dims)].push_back(
-          tree.id_of(n));
+      visits.emplace_back(KeyFromWalk(tree, n, ca, num_dims), tree.id_of(n));
     }
   }
+  compress(visits, index.keys_, CanonicalKeyLess);
   return index;
 }
 
-PatchedCells RecomputeCellsFromIndex(const HTree& tree,
-                                     const CuboidMemberIndex& index,
-                                     const std::vector<CellKey>& touched) {
-  PatchedCells cells;
-  cells.reserve(touched.size());
-  for (const CellKey& key : touched) {
-    const std::vector<NodeId>* nodes = index.Find(tree, key);
-    RC_CHECK(nodes != nullptr)
-        << "cell " << key.ToString()
-        << " missing from the member index; structural change not rebuilt";
-    Isb acc;
-    for (const NodeId id : *nodes) {
-      AccumulateStandardDim(acc, tree.SubtreeMeasure(tree.node(id)));
-    }
-    cells.emplace_back(key, acc);
+std::int64_t CuboidFoldIndex::Find(const HTree& tree,
+                                   const CellKey& key) const {
+  const PackedKeyCodec* codec = tree.codec();
+  if (codec != nullptr) {
+    std::uint64_t packed = 0;
+    if (!codec->Pack(key, &packed)) return -1;
+    const auto it =
+        std::lower_bound(packed_keys_.begin(), packed_keys_.end(), packed);
+    if (it == packed_keys_.end() || *it != packed) return -1;
+    return it - packed_keys_.begin();
   }
-  return cells;
+  const auto it =
+      std::lower_bound(keys_.begin(), keys_.end(), key, CanonicalKeyLess);
+  if (it == keys_.end() || !(*it == key)) return -1;
+  return it - keys_.begin();
 }
 
-PatchedCells PrefixCellsFromNodes(const HTree& tree,
-                                  const CuboidLattice& lattice,
-                                  CuboidId cuboid, int depth,
-                                  const std::vector<const HTreeNode*>& nodes) {
-  RC_CHECK(tree.store_nonleaf_measures());
-  RC_CHECK(depth >= 1 && depth <= tree.num_attributes());
-  const int num_dims = lattice.schema().num_dims();
-  const CuboidAttrs ca = ResolveAttrs(tree, lattice, cuboid);
-  PatchedCells cells;
-  cells.reserve(nodes.size());
-  for (const HTreeNode* n : nodes) {
-    RC_CHECK(n->attr_index == depth - 1)
-        << "node depth does not match the prefix cuboid";
-    cells.emplace_back(KeyFromWalk(tree, n, ca, num_dims),
-                       tree.StoredMeasure(n));
+CellKey CuboidFoldIndex::KeyOf(const HTree& tree, std::int64_t cell) const {
+  const auto i = static_cast<size_t>(cell);
+  const PackedKeyCodec* codec = tree.codec();
+  return codec != nullptr ? codec->Unpack(packed_keys_[i]) : keys_[i];
+}
+
+Isb CuboidFoldIndex::Fold(const HTree& tree, std::int64_t cell) const {
+  const auto i = static_cast<size_t>(cell);
+  Isb acc;
+  for (std::uint32_t j = offsets_[i]; j < offsets_[i + 1]; ++j) {
+    AccumulateStandardDim(acc, tree.SubtreeMeasure(tree.node(nodes_[j])));
   }
-  return cells;
+  return acc;
+}
+
+void CuboidFoldIndex::FoldAll(const HTree& tree,
+                              std::vector<Isb>* out) const {
+  out->resize(static_cast<size_t>(num_cells()));
+  for (std::int64_t c = 0; c < num_cells(); ++c) {
+    (*out)[static_cast<size_t>(c)] = Fold(tree, c);
+  }
+}
+
+std::int64_t CuboidFoldIndex::MemoryBytes() const {
+  return static_cast<std::int64_t>(
+      packed_keys_.capacity() * sizeof(std::uint64_t) +
+      keys_.capacity() * sizeof(CellKey) +
+      offsets_.capacity() * sizeof(std::uint32_t) +
+      nodes_.capacity() * sizeof(NodeId));
 }
 
 CuboidCells ComputeDrillChildrenTransient(const HTree& tree,

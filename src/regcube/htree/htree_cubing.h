@@ -218,72 +218,59 @@ std::vector<CuboidCells> ComputeCuboidCellsTransientPartitioned(
     const HTree& tree, const CuboidLattice& lattice,
     const std::vector<CuboidId>& cuboids, ThreadPool* pool);
 
-/// Member index of one cuboid: for every cell, the chain nodes whose
-/// subtree measures ComputeCuboidCells folds into it, in the exact order
-/// the kernel visits them (all of one cell's nodes share the cuboid's
-/// deepest attribute value, so they live on one node-link chain and the
-/// per-cell order is the chain order). Re-aggregating a cell from its node
-/// list therefore reproduces the kernel's floating-point result bit for
-/// bit — the foundation of the incremental cube's patch-apply path, which
-/// recomputes only the cells touched by changed m-layer leaves instead of
-/// re-running H-cubing over everything. Node ids stay valid for the
-/// tree's lifetime (the arena is immutable after Build) and survive
+/// Fold index of one cuboid, in CSR form: for every cell, the chain nodes
+/// whose subtree measures ComputeCuboidCells folds into it, in the exact
+/// order the kernel visits them (all of one cell's nodes share the
+/// cuboid's deepest attribute value, so they live on one node-link chain
+/// and the per-cell order is the chain order). Folding a cell's span
+/// therefore reproduces the kernel's floating-point result bit for bit.
+/// It is the incremental cube's one fold loop: a patch refolds only the
+/// cells its changed leaves roll up into, an epoch roll refolds every
+/// cell, and neither re-runs H-cubing. Node ids stay valid for the tree's
+/// lifetime (the arena is immutable after Build) and survive
 /// HTree::UpdateLeafMeasure and HTree::Rebase, which change values, not
 /// structure.
 ///
-/// Storage is routed per key by the tree's packed-key codec: keys that pack
-/// live in a 64-bit-keyed map (half the key bytes, cheap hashing), the rest
-/// in the CellKey-keyed fallback map. BuildCuboidMemberIndex and Find route
-/// identically, so the split is invisible to callers.
-struct CuboidMemberIndex {
-  std::unordered_map<std::uint64_t, std::vector<NodeId>> by_packed;
-  std::unordered_map<CellKey, std::vector<NodeId>, CellKeyHash> by_key;
+/// Layout: the cells' keys in ascending order (64-bit packed keys when the
+/// tree has a codec, CellKeys in canonical order otherwise), a uint32
+/// offset array, and the node ids grouped by cell — three flat arrays,
+/// 12 B per packed cell plus 4 B per chain node, and no per-cell heap
+/// block. Cells are addressed by ordinal: Find binary-searches a key.
+class CuboidFoldIndex {
+ public:
+  /// Indexes `cuboid` with the same traversal ComputeCuboidCells performs
+  /// (one chain scan of the deepest attribute; the apex indexes the root).
+  /// O(nodes at the deepest attribute's depth, plus sorting them by key).
+  static CuboidFoldIndex Build(const HTree& tree, const CuboidLattice& lattice,
+                               CuboidId cuboid);
 
-  /// The node list of `key`, or nullptr when the cell is not indexed.
-  const std::vector<NodeId>* Find(const HTree& tree, const CellKey& key) const;
+  std::int64_t num_cells() const {
+    return static_cast<std::int64_t>(offsets_.size()) - 1;
+  }
 
-  /// Analytic footprint (entries + node-id lists), for the cube-memo
-  /// memory accounting.
+  /// Ordinal of the cell `key` (O(log cells)), or -1 when the cuboid has
+  /// no such cell. `tree` is the indexed tree: its codec packs the key.
+  std::int64_t Find(const HTree& tree, const CellKey& key) const;
+
+  /// Key of cell `cell`.
+  CellKey KeyOf(const HTree& tree, std::int64_t cell) const;
+
+  /// Measure of cell `cell`: its span's subtree measures accumulated in
+  /// chain order. O(span length).
+  Isb Fold(const HTree& tree, std::int64_t cell) const;
+
+  /// Fold of every cell, by ordinal: `out` is resized to num_cells().
+  void FoldAll(const HTree& tree, std::vector<Isb>* out) const;
+
+  /// Footprint of the three arrays, for the cube-memo memory accounting.
   std::int64_t MemoryBytes() const;
+
+ private:
+  std::vector<std::uint64_t> packed_keys_;  // with a codec
+  std::vector<CellKey> keys_;               // without one
+  std::vector<std::uint32_t> offsets_;      // num_cells + 1
+  std::vector<NodeId> nodes_;
 };
-
-/// Builds the member index of `cuboid` with the same traversal
-/// ComputeCuboidCells performs (one chain scan of the deepest attribute;
-/// the apex indexes the root). O(nodes at the deepest attribute's depth).
-CuboidMemberIndex BuildCuboidMemberIndex(const HTree& tree,
-                                         const CuboidLattice& lattice,
-                                         CuboidId cuboid);
-
-/// One recomputed cell of a patch: key + its new aggregate. Kept as a flat
-/// vector (touched keys are already unique) so the hot patch path never
-/// pays hash-map construction for its results.
-using PatchedCells = std::vector<std::pair<CellKey, Isb>>;
-
-/// The patch-apply kernel: recomputes exactly the `touched` cells of the
-/// indexed cuboid by re-folding each cell's chain nodes in index (== chain)
-/// order. Bit-identical to the cells ComputeCuboidCells would produce on a
-/// freshly built tree over the same key set, because the operand sequence
-/// is identical (on a stored-measure tree each node's contribution is the
-/// stored subtree fold, itself bitwise equal to the lazy walk). Every
-/// touched key must be present in the index (a missing key means the
-/// caller skipped a structural rebuild; CHECKed).
-/// O(Σ touched cells' chain nodes), independent of the cuboid's size.
-PatchedCells RecomputeCellsFromIndex(const HTree& tree,
-                                     const CuboidMemberIndex& index,
-                                     const std::vector<CellKey>& touched);
-
-/// The prefix-cuboid patch shortcut: cells of a tree-prefix cuboid are in
-/// one-to-one correspondence with the nodes at its depth, and each cell's
-/// H-cubed aggregate equals that node's stored subtree measure bit for bit
-/// (the chain fold over a single contribution is the identity). Given the
-/// refreshed dirty nodes at `depth` (from HTree::RefreshAncestorMeasures),
-/// this reads the touched cells straight off them — no projection, no
-/// chain scan, no member index. Pre: stored measures; `cuboid` is the
-/// prefix cuboid of `depth` (checked like ReadPrefixCuboidCells).
-PatchedCells PrefixCellsFromNodes(const HTree& tree,
-                                  const CuboidLattice& lattice,
-                                  CuboidId cuboid, int depth,
-                                  const std::vector<const HTreeNode*>& nodes);
 
 /// Popular-path drilling kernel: computes the cells of `child_cuboid` that
 /// lie under any of the `parent_cells` keys of `parent_cuboid` (the

@@ -194,6 +194,104 @@ TEST(IncrementalCubeTest, MatchesReferenceStoreAcrossShardCounts) {
   ExpectCubesIdentical(cubes[0], cubes[2]);
 }
 
+/// What the memo must account under "cube.memo" for `cube` over the
+/// engine's current run: the kept tree (rebuilt here over the same keys:
+/// its footprint is structural), the window, the cube, and — once a patch
+/// or roll has built them — every non-m cuboid's fold index.
+std::int64_t ExpectedMemoBytes(const CubeSchema& schema,
+                               ShardedStreamEngine& engine,
+                               const RegressionCube& cube,
+                               bool with_indexes) {
+  const auto run = engine.GatherAlignedCells();
+  std::vector<MLayerTuple> window;
+  for (const CellSnapshot& cell : *run.cells) {
+    window.push_back(MLayerTuple{cell.key, Isb{TimeInterval{0, 7}, 0, 0}});
+  }
+  HTree::Options options;
+  options.attribute_order = CardinalityAscendingOrder(schema);
+  options.store_nonleaf_measures = true;
+  auto tree = HTree::Build(schema, window, std::move(options));
+  RC_CHECK(tree.ok()) << tree.status().ToString();
+  std::int64_t bytes =
+      tree->MemoryBytes() +
+      static_cast<std::int64_t>(window.size() * sizeof(MLayerTuple)) +
+      CellMapMemoryBytes(cube.m_layer()) + CellMapMemoryBytes(cube.o_layer()) +
+      cube.exceptions().MemoryBytes();
+  const CuboidLattice& lattice = cube.lattice();
+  for (CuboidId c = 0; with_indexes && c < lattice.num_cuboids(); ++c) {
+    if (c == lattice.m_layer_id()) continue;
+    bytes += CuboidFoldIndex::Build(*tree, lattice, c).MemoryBytes();
+  }
+  return bytes;
+}
+
+// Patches and rolls share one fold index per cuboid: on one memo at 1, 2
+// and 8 shards, a patch builds the indexes and a roll reuses them, a patch
+// after that roll reuses them again, and after a rebuild drops them, a
+// roll builds them and the next patch reuses those. Every step is bitwise
+// the reference store's cube and the from-scratch cube, and the memo's
+// bytes include the indexes exactly while they exist. Rolls here come
+// from the pacer alone: the aligned view seals the next quarter while the
+// cells' own frames lag, so late data can still patch after each roll.
+TEST(IncrementalCubeTest, PatchesAndRollsShareOneFoldIndexPerCuboid) {
+  WorkloadSpec spec = LagSpec();
+  auto schema = MakeWorkloadSchemaPtr(spec);
+  ASSERT_TRUE(schema.ok());
+
+  for (int shards : {1, 2, 8}) {
+    SCOPED_TRACE(shards);
+    auto pool = std::make_shared<ThreadPool>(2);
+    ShardedStreamEngine engine(*schema, LagOptions(), shards, pool);
+    testing_util::ReferenceStore reference(*schema, LagOptions());
+    StreamGenerator gen(spec);
+    const std::vector<StreamTuple> stream = gen.GenerateStream();
+    ASSERT_TRUE(engine.IngestBatch(stream).ok());
+    ASSERT_TRUE(reference.IngestBatch(stream).ok());
+    auto ingest = [&](const StreamTuple& tuple) {
+      ASSERT_TRUE(engine.Ingest(tuple).ok());
+      ASSERT_TRUE(reference.Ingest(tuple).ok());
+    };
+    auto late = [&](std::initializer_list<size_t> cells, TimeTick tick) {
+      for (size_t i : cells) {
+        ingest({gen.cells()[i].key, tick, 2.0 + static_cast<double>(i)});
+      }
+    };
+    auto expect_matches = [&](std::int64_t patches, std::int64_t rolls,
+                              std::int64_t rebuilds, bool indexed) {
+      auto maintained = engine.ComputeCubeShared(0, 2);
+      ASSERT_TRUE(maintained.ok()) << maintained.status().ToString();
+      auto want = reference.ComputeCube(0, 2);
+      ASSERT_TRUE(want.ok()) << want.status().ToString();
+      ExpectCubesIdentical(*want, **maintained);
+      ExpectCubesIdentical(ScratchCube(*schema, engine, LagOptions(), 0, 2),
+                           **maintained);
+      const auto stats = engine.cube_memo_stats();
+      EXPECT_EQ(stats.patches, patches);
+      EXPECT_EQ(stats.rolls, rolls);
+      EXPECT_EQ(stats.rebuilds, rebuilds);
+      EXPECT_EQ(engine.CubeMemoBytes(),
+                ExpectedMemoBytes(**schema, engine, **maintained, indexed));
+    };
+    ingest({PacerKey(), 11, 1.0});  // window [0,8)
+    expect_matches(/*patches=*/0, /*rolls=*/0, /*rebuilds=*/1,
+                   /*indexed=*/false);
+    late({0, 1, 2}, 7);
+    expect_matches(1, 0, 1, true);
+    ingest({PacerKey(), 15, 1.0});  // window [4,12)
+    expect_matches(1, 1, 1, true);
+    late({0, 3, 4}, 9);
+    expect_matches(2, 1, 1, true);
+    ingest({PacerKey(), 19, 1.0});  // window [8,16)
+    expect_matches(2, 2, 1, true);
+    ingest({UnusedMLayerKey(gen), 17, 3.0});
+    expect_matches(2, 2, 2, false);
+    ingest({PacerKey(), 23, 1.0});  // window [12,20)
+    expect_matches(2, 3, 2, true);
+    late({5, 6}, 17);
+    expect_matches(3, 3, 2, true);
+  }
+}
+
 // ------------------------------------------------------------ memo hygiene
 
 TEST(IncrementalCubeTest, MemoSurvivesNoOpSealsAndBoundaryFreeAlignment) {

@@ -214,40 +214,96 @@ std::vector<MLayerTuple> ClusteredWindow(const CubeSchema& schema,
   return window;
 }
 
-/// For every cuboid, the memo's member index re-folds every cell exactly
-/// as the H-cubing kernel folds it: RecomputeCellsFromIndex over all of a
-/// cuboid's keys equals ComputeCuboidCells bitwise, with and without
-/// stored subtree measures.
-void ExpectIndexRecomputesEveryCell(const CubeSchema& schema,
-                                    const std::vector<MLayerTuple>& window,
-                                    bool packed) {
+/// Every cuboid's fold index, refolded through FoldAll, reproduces
+/// ComputeCuboidCells over a tree freshly built from `window` bitwise, and
+/// Find/KeyOf round-trip every ordinal.
+void ExpectIndexesRefold(const HTree& tree, const CubeSchema& schema,
+                         const std::vector<MLayerTuple>& window,
+                         const HTree::Options& options,
+                         const std::vector<CuboidFoldIndex>& indexes) {
+  const CuboidLattice lattice(schema);
+  auto fresh = HTree::Build(schema, window, options);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  for (CuboidId c = 0; c < lattice.num_cuboids(); ++c) {
+    SCOPED_TRACE(lattice.CuboidName(c));
+    const CuboidFoldIndex& index = indexes[static_cast<size_t>(c)];
+    const CellMap want = ComputeCuboidCells(*fresh, lattice, c);
+    ASSERT_EQ(index.num_cells(), static_cast<std::int64_t>(want.size()));
+    std::vector<Isb> folded;
+    index.FoldAll(tree, &folded);
+    CellMap got;
+    for (std::int64_t cell = 0; cell < index.num_cells(); ++cell) {
+      const CellKey key = index.KeyOf(tree, cell);
+      EXPECT_EQ(index.Find(tree, key), cell) << key.ToString();
+      got.emplace(key, folded[static_cast<size_t>(cell)]);
+    }
+    ExpectCellMapsIdentical(want, got);
+  }
+}
+
+/// For every cuboid, the memo's fold index refolds every cell exactly as
+/// the H-cubing kernel folds it: on a fresh tree (with and without stored
+/// subtree measures), and — built once, on the fresh stored-measure tree —
+/// after a patch (UpdateLeafMeasure + RefreshAncestorMeasures) and after
+/// an epoch roll (Rebase) of that tree.
+void ExpectFoldIndexRefoldsEveryCell(const CubeSchema& schema,
+                                     std::vector<MLayerTuple> window,
+                                     bool use_packed_keys) {
   const CuboidLattice lattice(schema);
   for (bool stored : {true, false}) {
     SCOPED_TRACE(stored ? "stored subtree measures" : "lazy subtree walk");
     HTree::Options options;
     options.attribute_order = CardinalityAscendingOrder(schema);
     options.store_nonleaf_measures = stored;
-    auto tree = HTree::Build(schema, window, std::move(options));
+    options.use_packed_keys = use_packed_keys;
+    auto tree = HTree::Build(schema, window, options);
     ASSERT_TRUE(tree.ok()) << tree.status().ToString();
-    ASSERT_EQ(tree->codec() != nullptr, packed);
+    ASSERT_EQ(tree->codec() != nullptr, use_packed_keys);
+    std::vector<CuboidFoldIndex> indexes;
     for (CuboidId c = 0; c < lattice.num_cuboids(); ++c) {
-      SCOPED_TRACE(lattice.CuboidName(c));
-      const CellMap want = ComputeCuboidCells(*tree, lattice, c);
-      std::vector<CellKey> keys;
-      keys.reserve(want.size());
-      for (const auto& [key, isb] : want) keys.push_back(key);
-      const CuboidMemberIndex index = BuildCuboidMemberIndex(*tree, lattice, c);
-      CellMap got;
-      for (auto& [key, isb] : RecomputeCellsFromIndex(*tree, index, keys)) {
-        got.emplace(std::move(key), isb);
+      indexes.push_back(CuboidFoldIndex::Build(*tree, lattice, c));
+    }
+    // A key the tree never saw has no cell.
+    std::unordered_set<CellKey, CellKeyHash> present;
+    for (const MLayerTuple& t : window) present.insert(t.key);
+    CellKey absent = window[0].key;
+    for (ValueId v = 0; present.count(absent) > 0; ++v) absent.set(0, v);
+    EXPECT_EQ(indexes[static_cast<size_t>(lattice.m_layer_id())].Find(
+                  *tree, absent),
+              -1);
+    {
+      SCOPED_TRACE("fresh tree");
+      ExpectIndexesRefold(*tree, schema, window, options, indexes);
+    }
+    if (!stored) continue;
+    {
+      SCOPED_TRACE("after a patch");
+      std::vector<const HTreeNode*> leaves;
+      for (size_t i = 0; i < window.size(); i += 3) {
+        window[i].measure.base += 1.0 / 3.0;
+        window[i].measure.slope -= 0.125;
+        auto leaf = tree->UpdateLeafMeasure(schema, window[i].key,
+                                            window[i].measure);
+        ASSERT_TRUE(leaf.ok()) << leaf.status().ToString();
+        leaves.push_back(*leaf);
       }
-      ExpectCellMapsIdentical(want, got);
-      EXPECT_EQ(index.by_packed.size() + index.by_key.size(), want.size());
+      tree->RefreshAncestorMeasures(leaves);
+      ExpectIndexesRefold(*tree, schema, window, options, indexes);
+    }
+    {
+      SCOPED_TRACE("after a roll");
+      for (size_t i = 0; i < window.size(); ++i) {
+        window[i].measure = Isb{TimeInterval{16, 31},
+                                window[i].measure.slope * 0.5 + 1.0,
+                                static_cast<double>(i % 7) / 11.0};
+      }
+      tree->Rebase(window);
+      ExpectIndexesRefold(*tree, schema, window, options, indexes);
     }
   }
 }
 
-TEST(MemberIndexTest, NodeIndexRecomputesEveryCellOfEveryCuboidBitwise) {
+TEST(MemberIndexTest, FoldIndexRefoldsEveryCellOfEveryCuboidBitwise) {
   // The o-layer is "*" in every dimension, so the lattice holds the apex.
   {
     SCOPED_TRACE("packed schema");
@@ -256,9 +312,28 @@ TEST(MemberIndexTest, NodeIndexRecomputesEveryCellOfEveryCuboidBitwise) {
         {Dimension("A", h), Dimension("B", h), Dimension("C", h)},
         {2, 2, 2}, {0, 0, 0});
     ASSERT_TRUE(schema.ok()) << schema.status().ToString();
-    ExpectIndexRecomputesEveryCell(
-        *schema, ClusteredWindow(*schema, 4, /*tuples=*/200, /*seed=*/61),
-        /*packed=*/true);
+    const auto window =
+        ClusteredWindow(*schema, 4, /*tuples=*/200, /*seed=*/61);
+    for (bool use_packed_keys : {true, false}) {
+      SCOPED_TRACE(use_packed_keys ? "packed keys" : "CellKeys");
+      ExpectFoldIndexRefoldsEveryCell(*schema, window, use_packed_keys);
+    }
+  }
+  {
+    // o == m: the lattice is the m-layer alone.
+    SCOPED_TRACE("degenerate lattice");
+    auto h = std::make_shared<FanoutHierarchy>(2, 4);
+    auto schema = CubeSchema::Create(
+        {Dimension("A", h), Dimension("B", h), Dimension("C", h)},
+        {2, 2, 2}, {2, 2, 2});
+    ASSERT_TRUE(schema.ok()) << schema.status().ToString();
+    ASSERT_EQ(CuboidLattice(*schema).num_cuboids(), 1);
+    const auto window =
+        ClusteredWindow(*schema, 4, /*tuples=*/120, /*seed=*/71);
+    for (bool use_packed_keys : {true, false}) {
+      SCOPED_TRACE(use_packed_keys ? "packed keys" : "CellKeys");
+      ExpectFoldIndexRefoldsEveryCell(*schema, window, use_packed_keys);
+    }
   }
   {
     // 65536^2 values per dimension need 33 bits each: no codec, so every
@@ -268,9 +343,9 @@ TEST(MemberIndexTest, NodeIndexRecomputesEveryCellOfEveryCuboidBitwise) {
     auto schema = CubeSchema::Create({Dimension("A", h), Dimension("B", h)},
                                      {2, 2}, {0, 0});
     ASSERT_TRUE(schema.ok()) << schema.status().ToString();
-    ExpectIndexRecomputesEveryCell(
+    ExpectFoldIndexRefoldsEveryCell(
         *schema, ClusteredWindow(*schema, 65536, /*tuples=*/120, /*seed=*/67),
-        /*packed=*/false);
+        /*use_packed_keys=*/false);
   }
 }
 
